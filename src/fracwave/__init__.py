@@ -26,8 +26,6 @@ _EXPORTS = {
     "dump_operator_csv": "fracop",
     "load_operator_csv": "fracop",
     # spectral
-    "JacobiError": "spectral",
-    "jacobi_eigh": "spectral",
     "SpectralBasis": "spectral",
     "eigendecompose": "spectral",
     "project_l2": "spectral",
@@ -58,6 +56,7 @@ _EXPORTS = {
     "solve_linear_modal": "forward",
     "lift_exterior": "forward",
     "LiftedProblem": "forward",
+    "solve_with_potential": "forward",
     "solve_with_potential_picard": "forward",
     "solve_newmark": "forward",
     "newmark_dt_bound": "forward",

@@ -31,6 +31,15 @@ class ConfigError(ValueError):
     pass
 
 
+def _checked(build, *args, **kwargs):
+    """Build a grid, operator or control from config values; the validation
+    errors it raises are config errors (exit code 2)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 _COMMON = {
     "domain.xmin": ("float", 0.0),
     "domain.xmax": ("float", 1.0),
@@ -197,7 +206,8 @@ def _build(cfg):
     from .grid import build_grid
     from .spectral import eigendecompose
 
-    grid = build_grid(
+    grid = _checked(
+        build_grid,
         x_min=cfg["domain.xmin"],
         x_max=cfg["domain.xmax"],
         n_int=cfg["domain.n_int"],
@@ -207,7 +217,7 @@ def _build(cfg):
         T=cfg["time.T"],
         n_t=cfg["time.n_t"],
     )
-    op = assemble_operator(grid, cfg["operator.s"])
+    op = _checked(assemble_operator, grid, cfg["operator.s"])
     basis = eigendecompose(op, grid)
     return grid, op, basis
 
@@ -253,11 +263,12 @@ def _run_solve(cfg, art, seed, rng) -> tuple[int, dict]:
 
     grid, op, basis = _build(cfg)
     q = _model_potential(cfg, grid)
-    control = tensor_control(
+    control = _checked(
+        tensor_control,
         grid,
         cfg["control.node"],
         cfg["control.freq"],
-        mask=grid.w_mask(cfg["control.window"]),
+        mask=_checked(grid.w_mask, cfg["control.window"]),
         amplitude=cfg["control.amplitude"],
     )
     full, _ = solve_exterior(control, op, basis, grid, q)
@@ -276,8 +287,8 @@ def _run_dn(cfg, art, seed, rng) -> tuple[int, dict]:
 
     grid, op, basis = _build(cfg)
     q = _model_potential(cfg, grid)
-    controls = control_basis(grid, grid.w_mask(1), cfg["controls.freqs"])
-    tests = control_basis(grid, grid.w_mask(2), cfg["tests.freqs"])
+    controls = _checked(control_basis, grid, grid.w_mask(1), cfg["controls.freqs"])
+    tests = _checked(control_basis, grid, grid.w_mask(2), cfg["tests.freqs"])
     matrix = dn_matrix(op, basis, grid, controls, tests, q)
     meas = DNMeasurement(
         s=cfg["operator.s"],
@@ -320,7 +331,7 @@ def _run_runge(cfg, art, seed, rng) -> tuple[int, dict]:
 
     grid, op, basis = _build(cfg)
     q = _model_potential(cfg, grid)
-    controls = control_basis(grid, grid.w_mask(1), cfg["runge.freqs"])
+    controls = _checked(control_basis, grid, grid.w_mask(1), cfg["runge.freqs"])
     target = _runge_target(cfg, grid, basis)
     sweep = sweep_alpha(
         target, controls, op, basis, grid, q, alphas=tuple(cfg["runge.alphas"])
@@ -340,8 +351,8 @@ def _run_invert_q(cfg, art, seed, rng) -> tuple[int, dict]:
     from .inversion import potential_targets, recover_potential
 
     grid, op, basis = _build(cfg)
-    controls = control_basis(grid, grid.w_mask(1), cfg["invq.freqs"])
-    tests = control_basis(grid, grid.w_mask(2), cfg["invq.freqs"])
+    controls = _checked(control_basis, grid, grid.w_mask(1), cfg["invq.freqs"])
+    tests = _checked(control_basis, grid, grid.w_mask(2), cfg["invq.freqs"])
     q_true = _cosine_profile(grid, cfg["qtrue.q0"], cfg["qtrue.qcos"])
 
     measured = dn_matrix(op, basis, grid, controls, tests, q_true)
@@ -392,7 +403,7 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
     import numpy as np
 
     from .fields import tensor_control
-    from .forward import solve_newmark
+    from .forward import newmark_dt_bound, solve_newmark
     from .inversion import recover_expansion
     from .nonlinearity import PolyNonlinearity
 
@@ -407,9 +418,12 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
     )
     truth = PolyNonlinearity(exponents, profiles)
 
-    control = tensor_control(
-        grid, cfg["invf.node"], cfg["invf.freq"], mask=grid.w_mask(1)
+    control = _checked(
+        tensor_control, grid, cfg["invf.node"], cfg["invf.freq"], mask=grid.w_mask(1)
     )
+    bound = newmark_dt_bound(op)
+    if grid.dt > bound:
+        raise ConfigError(f"CFL violation: dt = {grid.dt:.6e} > march bound {bound:.6e}")
     p_lo, p_hi = cfg["invf.eps_pow_min"], cfg["invf.eps_pow_max"]
     if p_hi < p_lo:
         raise ConfigError("invf.eps_pow_max must be >= invf.eps_pow_min")

@@ -23,13 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import CauchyData, ExteriorControl, SpaceTimeField, reverse_control
+from .fields import CauchyData, ExteriorControl, SpaceTimeField
 from .forward import (
     WaveSolution,
     lift_exterior,
     solve_linear_modal,
     solve_newmark,
-    solve_with_potential_picard,
+    solve_with_potential,
     trapezoid_weights,
 )
 from .fracop import FracOperator
@@ -98,11 +98,11 @@ def solve_exterior(
 ) -> tuple[SpaceTimeField, WaveSolution]:
     """State driven by an exterior control with zero Cauchy data.
 
-    Linear models (none, or a potential) run through the lifted modal
-    solver; power-type nonlinearities run through the explicit march.
-    Returns the full-grid trajectory and the interior displacement/velocity
-    pair (velocity of the lifted part only for the explicit route, where it
-    is reconstructed by central differences).
+    Linear models run through the lifted problem: the modal solver without a
+    potential, the exact forward sweep `solve_with_potential` with one.
+    Power-type nonlinearities run through the explicit march, whose velocity
+    is reconstructed by central differences.  Returns the full-grid
+    trajectory and the interior displacement/velocity pair.
     """
     if isinstance(model, PolyNonlinearity):
         full = solve_newmark(op, grid, model=model, control=control)
@@ -123,9 +123,49 @@ def solve_exterior(
     if model is None:
         sol = solve_linear_modal(basis, zero, lifted.source, grid)
     else:
-        sol, _ = solve_with_potential_picard(basis, model, zero, lifted.source, grid)
+        q = model.values if isinstance(model, Potential) else np.asarray(model, float)
+        u = solve_with_potential(control.values[None], q, op, basis, grid)[0]
+        # u is the fixed point of u = S(lift - q u), so one modal solve of
+        # that source gives the matching velocity
+        vel = solve_linear_modal(basis, zero, lifted.source - q * u, grid)
+        sol = WaveSolution(SpaceTimeField(u, "interior", grid.dt, grid.T), vel.udot)
     full = lifted.reassemble(sol.u.values, grid)
     return full, sol
+
+
+def _control_states(
+    controls: list[ExteriorControl],
+    op: FracOperator,
+    basis: SpectralBasis,
+    grid: Grid,
+    model: Potential | PolyNonlinearity | np.ndarray | None,
+) -> np.ndarray:
+    """Interior displacements (n_controls, n_t+1, n_int); one batched sweep
+    for a potential, one solve per control otherwise."""
+    if model is None or isinstance(model, PolyNonlinearity):
+        return np.stack(
+            [solve_exterior(c, op, basis, grid, model)[1].u.values for c in controls]
+        )
+    values = np.stack([c.values for c in controls])
+    return solve_with_potential(values, model, op, basis, grid)
+
+
+def _pairings(
+    states: np.ndarray,
+    controls: list[ExteriorControl],
+    test_block: np.ndarray,
+    op: FracOperator,
+    grid: Grid,
+) -> np.ndarray:
+    """M[a, b] = h sum_t w_t <(A u_a)(t) on the exterior, test_b(t)> for the
+    control states u_a and a (n_tests, n_t+1, n_ext) block of test values."""
+    ext = grid.exterior_indices
+    values = np.stack([c.values for c in controls])
+    a_ext = op.a_full[:, ext]
+    trace = states @ a_ext[grid.interior_slice] + values @ a_ext[ext]
+    w = trapezoid_weights(grid.n_t, grid.dt)
+    weighted = (trace * w[:, None]).reshape(len(controls), -1)
+    return grid.h * (weighted @ test_block.reshape(test_block.shape[0], -1).T)
 
 
 def dn_matrix(
@@ -139,18 +179,13 @@ def dn_matrix(
     reverse_tests: bool = True,
 ) -> np.ndarray:
     """Pairing matrix M[a, b] = <L phi_a, psi_b> (psi time-reversed by
-    default, the orientation the recovery identity uses).  One forward
-    solve per control, reused across all tests."""
-    if reverse_tests:
-        tests = [reverse_control(t) for t in tests]
-    w = trapezoid_weights(grid.n_t, grid.dt)
+    default, the orientation the recovery identity uses).  The control
+    states are solved once, as a batch, and reused across all tests."""
     test_block = np.stack([t.values for t in tests])  # (n_te, n_t+1, n_ext)
-    out = np.empty((len(controls), len(tests)))
-    for a, phi in enumerate(controls):
-        full, _ = solve_exterior(phi, op, basis, grid, model)
-        trace = dn_trace(full, op, grid)
-        out[a] = grid.h * np.einsum("t,btj,tj->b", w, test_block, trace)
-    return out
+    if reverse_tests:
+        test_block = test_block[:, ::-1]
+    states = _control_states(controls, op, basis, grid, model)
+    return _pairings(states, controls, test_block, op, grid)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Wave solvers: modal Duhamel, exterior lifting, Picard with a potential,
-explicit time stepping, and the weak-form residual checks.
+"""Wave solvers: modal Duhamel, exterior lifting, potentials (exact sweep and
+Picard oracle), explicit time stepping, and the weak-form residual checks.
 
 Modal route.  Expanding in the interior eigenbasis, each coefficient obeys
 c_k'' + lambda_k c_k = F_k, solved in closed form plus a Duhamel convolution:
@@ -12,6 +12,10 @@ and accumulating the two cumulative trapezoid integrals, which is identical
 to node-wise trapezoid quadrature of the original integrand and costs
 O(n_t) per mode.  Initial velocity and forcing act through their L^2
 pairings with the modes, so rough (dual-space) data is admissible.
+
+Potential route.  The trapezoid Duhamel sum gives the forcing at t_j zero
+weight in c_k(t_j) (its sin/cos parts cancel), so the Picard fixed point
+u = S(F - q u) is lower triangular in time and one forward sweep solves it.
 
 The same trapezoid weights appear in every space-time pairing in this
 package; that choice makes the discrete solution operator exactly
@@ -28,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fields import CauchyData, ExteriorControl, SpaceTimeField, time_reverse
 from .fracop import FracOperator
@@ -45,6 +48,7 @@ __all__ = [
     "solve_linear_modal",
     "lift_exterior",
     "LiftedProblem",
+    "solve_with_potential",
     "solve_with_potential_picard",
     "solve_newmark",
     "newmark_dt_bound",
@@ -99,9 +103,10 @@ def _modal_coefficients(
     cdot = -om * u0k[:, None] * sin_t + u1k[:, None] * cos_t
     if fk is not None:
         dt = tgrid[1] - tgrid[0]
-        fmode = fk  # (K, n_t + 1)
-        icos = cumulative_trapezoid(fmode * cos_t, dx=dt, axis=1, initial=0.0)
-        isin = cumulative_trapezoid(fmode * sin_t, dx=dt, axis=1, initial=0.0)
+        # cumulative trapezoid integrals of F cos and F sin, starting at 0
+        y = np.stack([fk * cos_t, fk * sin_t])  # fk is (K, n_t + 1)
+        icos, isin = np.zeros_like(y)
+        icos[:, 1:], isin[:, 1:] = np.cumsum(dt * (y[..., 1:] + y[..., :-1]) / 2.0, -1)
         c = c + (sin_t * icos - cos_t * isin) / om
         cdot = cdot + cos_t * icos + sin_t * isin
     return c, cdot
@@ -198,6 +203,50 @@ def lift_exterior(control: ExteriorControl, op: FracOperator, grid: Grid) -> Lif
     a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
     source = -(control.values @ a_ie.T)
     return LiftedProblem(source=source, control=control)
+
+
+def solve_with_potential(
+    values: np.ndarray,
+    q: np.ndarray | Potential,
+    op: FracOperator,
+    basis: SpectralBasis,
+    grid: Grid,
+) -> np.ndarray:
+    """Interior displacements (B, n_t+1, n_int) of u'' + A u + q u = 0 driven
+    by a stack of exterior control values (B, n_t+1, n_ext), zero Cauchy data.
+
+    One forward sweep (see the module docstring): step j rebuilds c_j from
+    running cos/sin sums of the earlier forcing, then forms its own forcing
+    f_j = lift_j - c_j M_q, M_q = h Phi^T diag(q) Phi.  Exact for any q, also
+    where A_int + diag(q) is indefinite.
+    """
+    q = np.asarray(q.values if isinstance(q, Potential) else q, dtype=float)
+    if q.shape != (grid.n_int,):
+        raise ValueError(f"potential shape {q.shape} != ({grid.n_int},)")
+    values = np.asarray(values, dtype=float)
+    if values.shape[1:] != (grid.n_t + 1, grid.n_ext):
+        raise ValueError(
+            f"control values {values.shape} != (B, {grid.n_t + 1}, {grid.n_ext})"
+        )
+    dt, h, phi, om = grid.dt, grid.h, basis.modes, basis.omegas
+    phase = grid.times()[:, None] * om[None, :]
+    cos_t, sin_t = np.cos(phase), np.sin(phase)
+    a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
+    to_modes = -h * (a_ie.T @ phi)  # control values straight to modes, (n_ext, K)
+    m_q = h * (phi.T * q) @ phi  # (K, K)
+
+    states = np.zeros((values.shape[0], grid.n_t + 1, grid.n_int))
+    f = values[:, 0] @ to_modes
+    acc_cos = 0.5 * dt * f * cos_t[0]
+    acc_sin = 0.5 * dt * f * sin_t[0]
+    # the sums omit the current step's half weight, which cancels in c_j
+    for j in range(1, grid.n_t + 1):
+        c = (sin_t[j] * acc_cos - cos_t[j] * acc_sin) / om
+        states[:, j] = c @ phi.T
+        f = values[:, j] @ to_modes - c @ m_q
+        acc_cos += dt * f * cos_t[j]
+        acc_sin += dt * f * sin_t[j]
+    return states
 
 
 @dataclass(frozen=True)

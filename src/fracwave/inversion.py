@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .dnmap import DNMeasurement, dn_trace, solve_exterior
+from .dnmap import DNMeasurement, _control_states, _pairings, solve_exterior
 from .fields import ExteriorControl, SpaceTimeField, combine_controls
 from .forward import trapezoid_weights
 from .fracop import FracOperator
@@ -256,14 +256,8 @@ def recover_potential(
     def _bundle(q_model) -> tuple[np.ndarray, np.ndarray]:
         """Control states and their pairing matrix at one background, from
         the same solves."""
-        states = np.empty((len(controls), grid.n_t + 1, grid.n_int))
-        d_mat = np.empty((len(controls), len(tests)))
-        for a, phi in enumerate(controls):
-            full, sol = solve_exterior(phi, op, basis, grid, q_model)
-            states[a] = sol.u.values
-            trace = dn_trace(full, op, grid)
-            d_mat[a] = grid.h * np.einsum("t,btj,tj->b", w, rev_block, trace)
-        return states, d_mat
+        states = _control_states(controls, op, basis, grid, q_model)
+        return states, _pairings(states, controls, rev_block, op, grid)
 
     increments: list[np.ndarray] = []
     moment_residuals: list[float] = []
@@ -279,10 +273,7 @@ def recover_potential(
 
     for cut in schedule:
         q_model = q2 if np.any(q2) else None
-        states_v = np.empty((len(tests), grid.n_t + 1, grid.n_int))
-        for b, psi in enumerate(tests):
-            _, sol = solve_exterior(psi, op, basis, grid, q_model)
-            states_v[b] = sol.u.values[::-1]
+        states_v = _control_states(tests, op, basis, grid, q_model)[:, ::-1]
 
         if mode == "pairs":
             moments = delta.reshape(-1)

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .fields import ExteriorControl, SpaceTimeField
-from .dnmap import solve_exterior
+from .dnmap import _control_states
 from .forward import trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
@@ -65,11 +65,7 @@ def forward_map(
     """Interior trajectories of the controlled states, stacked
     (n_controls, n_t + 1, n_int).  This is the expensive step; reuse its
     output across alpha sweeps and nested-basis studies."""
-    out = np.empty((len(controls), grid.n_t + 1, grid.n_int))
-    for a, phi in enumerate(controls):
-        _, sol = solve_exterior(phi, op, basis, grid, q)
-        out[a] = sol.u.values
-    return out
+    return _control_states(controls, op, basis, grid, q)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """Shared fixtures.
 
-Eigendecompositions dominate setup cost (cyclic Jacobi is O(n^3) per
-sweep), so (operator, basis) pairs are memoized for the whole session,
-keyed by geometry and order.  Grids are cheap and rebuilt per request so
+Operator assembly and eigendecomposition are the shared setup cost, so
+(operator, basis) pairs are memoized for the whole session, keyed by
+geometry and order.  Grids are cheap and rebuilt per request so
 tests can vary T and n_t freely without spoiling the cache.
 """
 

@@ -85,6 +85,25 @@ def test_config_errors_exit_with_code_2(tmp_path):
     assert run(["eig", "--out", out, "--set", "domain.n_int=x"]) == 2
 
 
+@pytest.mark.parametrize(
+    "cmd, override, message",
+    [
+        ("invert-f", "operator.s=1.5", "CFL violation"),
+        ("dn", "domain.w1=0,1,9", "outside collar"),
+        ("eig", "domain.n_int=1", "n_int must be"),
+        ("solve", "operator.s=2.0", "integer order"),
+        ("solve", "time.n_t=4", "control must vanish"),
+    ],
+    ids=["cfl", "window", "n_int", "order", "control"],
+)
+def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
+    # validation errors raised while building the grid, operator, controls
+    # or time step from the config are config errors
+    assert run([cmd, "--out", str(tmp_path / "o"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_bad_thread_count_exits_with_code_2(tmp_path):
     out = str(tmp_path / "o")
     assert run(["eig", "--out", out, "--threads", "0"]) == 2

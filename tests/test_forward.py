@@ -190,6 +190,49 @@ def test_picard_rejects_bad_potential_shape():
         )
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        lambda x: 1.0 + 0.5 * np.cos(np.pi * x),
+        lambda x: 20.0 * np.sin(3 * np.pi * x),
+        lambda x: np.full_like(x, -10.0),  # makes A_int + q indefinite
+    ],
+    ids=["smooth", "oscillating", "indefinite"],
+)
+def test_potential_sweep_matches_picard(profile):
+    grid, op, basis = case(n_int=24, s=0.7, n_t=128)
+    q = profile(grid.interior_coords)
+    controls = fw.control_basis(grid, grid.w_mask(1), 2)
+    states = fw.solve_with_potential(
+        np.stack([c.values for c in controls]), q, op, basis, grid
+    )
+    zero = CauchyData.zero(grid.n_int)
+    for control, u in zip(controls, states):
+        source = fw.lift_exterior(control, op, grid).source
+        ref, _ = fw.solve_with_potential_picard(basis, q, zero, source, grid)
+        scale = np.max(np.abs(ref.u.values))
+        assert np.max(np.abs(u - ref.u.values)) <= 1e-12 * scale
+
+
+def test_potential_sweep_batch_matches_single():
+    grid, op, basis = case(n_int=24, s=0.7, n_t=128)
+    q = fw.Potential(1.0 + 0.5 * np.cos(np.pi * grid.interior_coords))
+    values = np.stack([c.values for c in fw.control_basis(grid, grid.w_mask(2), 3)])
+    batch = fw.solve_with_potential(values, q, op, basis, grid)
+    for v, u in zip(values, batch):
+        single = fw.solve_with_potential(v[None], q, op, basis, grid)[0]
+        assert np.max(np.abs(u - single)) <= 1e-12 * np.max(np.abs(single))
+
+
+def test_potential_sweep_shape_checks():
+    grid, op, basis = case(n_int=16, s=0.7, n_t=32)
+    values = np.zeros((1, grid.n_t + 1, grid.n_ext))
+    with pytest.raises(ValueError, match="potential shape"):
+        fw.solve_with_potential(values, np.zeros(grid.n_int + 1), op, basis, grid)
+    with pytest.raises(ValueError, match="control values"):
+        fw.solve_with_potential(values[0], np.zeros(grid.n_int), op, basis, grid)
+
+
 def test_lift_reassemble_carries_control():
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))

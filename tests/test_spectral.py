@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -5,57 +7,35 @@ import fracwave as fw
 from conftest import case
 
 
-def random_spd(n, rng):
-    m = rng.standard_normal((n, n))
-    return m @ m.T + n * np.eye(n)
+def test_eigendecompose_ascending_and_orthonormal():
+    for s, n in ((0.3, 128), (0.7, 24), (1.5, 32)):
+        grid, op, basis = case(n_int=n, s=s)
+        assert np.all(np.diff(basis.lambdas) > 0)
+        gram = grid.h * basis.modes.T @ basis.modes
+        np.testing.assert_allclose(gram, np.eye(n), atol=1e-11)
 
 
-def test_jacobi_matches_lapack(rng):
-    a = random_spd(24, rng)
-    lam, v = fw.jacobi_eigh(a)
-    lam_ref, v_ref = np.linalg.eigh(a)
-    np.testing.assert_allclose(lam, lam_ref, rtol=1e-10)
-    # eigenvectors agree up to sign (spectrum of a random SPD matrix is simple)
-    overlap = np.abs(np.einsum("ik,ik->k", v, v_ref))
-    np.testing.assert_allclose(overlap, 1.0, atol=1e-8)
+def test_eigendecompose_sign_convention():
+    for s in (0.3, 0.7, 1.5):
+        _, _, basis = case(n_int=24, s=s)
+        for col in basis.modes.T:
+            lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
+            assert lead > 0
 
 
-def test_jacobi_deterministic(rng):
-    a = random_spd(12, rng)
-    lam1, v1 = fw.jacobi_eigh(a)
-    lam2, v2 = fw.jacobi_eigh(a)
-    assert np.array_equal(lam1, lam2)
-    assert np.array_equal(v1, v2)
+def test_eigendecompose_rerun_is_byte_identical():
+    grid, op, _ = case(n_int=40, s=0.7)
+    first = fw.eigendecompose(op, grid)
+    second = fw.eigendecompose(op, grid)
+    assert first.lambdas.tobytes() == second.lambdas.tobytes()
+    assert first.modes.tobytes() == second.modes.tobytes()
 
 
-def test_jacobi_orthonormal_and_ordered(rng):
-    a = random_spd(16, rng)
-    lam, v = fw.jacobi_eigh(a)
-    np.testing.assert_allclose(v.T @ v, np.eye(16), atol=1e-12)
-    assert np.all(np.diff(lam) >= 0)
-
-
-def test_jacobi_sign_convention(rng):
-    a = random_spd(10, rng)
-    _, v = fw.jacobi_eigh(a)
-    for col in v.T:
-        lead = col[np.abs(col) > 1e-12 * np.abs(col).max()][0]
-        assert lead > 0
-
-
-def test_jacobi_trivial_and_invalid():
-    lam, v = fw.jacobi_eigh(np.array([[3.0]]))
-    assert lam[0] == 3.0 and v[0, 0] == 1.0
-    with pytest.raises(ValueError):
-        fw.jacobi_eigh(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        fw.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_jacobi_reports_exhaustion(rng):
-    a = random_spd(8, rng)
-    with pytest.raises(fw.JacobiError):
-        fw.jacobi_eigh(a, max_sweeps=0)
+def test_eigendecompose_rejects_indefinite_block():
+    grid, op, _ = case(n_int=8, s=0.7)
+    shifted = SimpleNamespace(a_int=op.a_int - 2.0 * op.a_int[0, 0] * np.eye(8))
+    with pytest.raises(ValueError, match="not positive"):
+        fw.eigendecompose(shifted, grid)
 
 
 def test_eigendecompose_residual_and_gram():
