@@ -63,6 +63,8 @@ _EXPORTS = {
     "very_weak_residual": "forward",
     "distributional_residual": "forward",
     "trapezoid_weights": "forward",
+    "st_gram": "forward",
+    "st_inner": "forward",
     "sup_energy": "forward",
     "data_energy": "forward",
     # nonlinearity
@@ -83,7 +85,6 @@ _EXPORTS = {
     "DNMeasurement": "dnmap",
     "grid_signature": "dnmap",
     # runge
-    "st_inner": "runge",
     "st_norm": "runge",
     "forward_map": "runge",
     "RungeSolution": "runge",
@@ -92,7 +93,6 @@ _EXPORTS = {
     "sweep_enrichment": "runge",
     "dump_sweep_csv": "runge",
     # inversion
-    "potential_targets": "inversion",
     "PotentialRecovery": "inversion",
     "ConditioningWarning": "inversion",
     "recover_potential": "inversion",

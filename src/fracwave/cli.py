@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -84,11 +85,7 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
     "invert-q": {
         **_COMMON,
         "invq.freqs": ("int", 4),
-        "invq.n_space": ("int", 6),
-        "invq.n_time": ("int", 1),
-        "invq.alpha": ("float", 1e-8),
         "invq.cutoffs": ("float_list", (1e-2, 1e-3, 1e-4, 1e-5)),
-        "invq.mode": ("str", "pairs"),
         "qtrue.q0": ("float", 1.0),
         "qtrue.qcos": ("float", 0.5),
         "noise.sigma": ("float", 0.0),
@@ -107,10 +104,17 @@ SCHEMAS: dict[str, dict[str, tuple]] = {
 }
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_value(kind: str, text: str, key: str):
     try:
         if kind == "float":
-            return float(text)
+            return _finite(text)
         if kind == "int":
             return int(text)
         if kind == "str":
@@ -118,7 +122,7 @@ def _parse_value(kind: str, text: str, key: str):
         if kind == "int_list":
             return tuple(int(p) for p in text.split(",") if p.strip())
         if kind == "float_list":
-            return tuple(float(p) for p in text.split(",") if p.strip())
+            return tuple(_finite(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
     raise ConfigError(f"unknown value kind {kind!r}")
@@ -329,13 +333,14 @@ def _run_runge(cfg, art, seed, rng) -> tuple[int, dict]:
     from .fields import control_basis
     from .runge import dump_sweep_csv, sweep_alpha
 
+    alphas = cfg["runge.alphas"]
+    if not alphas or min(alphas) <= 0.0:
+        raise ConfigError(f"runge.alphas must be positive and nonempty, got {alphas}")
     grid, op, basis = _build(cfg)
     q = _model_potential(cfg, grid)
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["runge.freqs"])
     target = _runge_target(cfg, grid, basis)
-    sweep = sweep_alpha(
-        target, controls, op, basis, grid, q, alphas=tuple(cfg["runge.alphas"])
-    )
+    sweep = sweep_alpha(target, controls, op, basis, grid, q, alphas=alphas)
     dump_sweep_csv(art.dir / "runge_sweep.csv", sweep)
     art.register("runge_sweep.csv")
     best = min(s.residual for s in sweep)
@@ -348,50 +353,38 @@ def _run_invert_q(cfg, art, seed, rng) -> tuple[int, dict]:
 
     from .dnmap import dn_matrix
     from .fields import control_basis
-    from .inversion import potential_targets, recover_potential
+    from .inversion import recover_potential
 
+    cutoffs = cfg["invq.cutoffs"]
+    if not cutoffs or not all(0.0 < c < 1.0 for c in cutoffs):
+        raise ConfigError(f"invq.cutoffs must lie in (0, 1), got {cutoffs}")
+    sigma = cfg["noise.sigma"]
+    if sigma < 0.0:
+        raise ConfigError(f"noise.sigma must be >= 0, got {sigma}")
     grid, op, basis = _build(cfg)
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["invq.freqs"])
     tests = _checked(control_basis, grid, grid.w_mask(2), cfg["invq.freqs"])
     q_true = _cosine_profile(grid, cfg["qtrue.q0"], cfg["qtrue.qcos"])
 
     measured = dn_matrix(op, basis, grid, controls, tests, q_true)
-    sigma = cfg["noise.sigma"]
     if sigma > 0:
         measured = measured + sigma * np.max(np.abs(measured)) * rng.standard_normal(
             measured.shape
         )
 
-    mode = cfg["invq.mode"]
-    targets = None
-    if mode != "pairs":
-        targets = potential_targets(grid, cfg["invq.n_space"], cfg["invq.n_time"])
-    rec = recover_potential(
-        measured,
-        controls,
-        tests,
-        op,
-        basis,
-        grid,
-        targets=targets,
-        alpha=cfg["invq.alpha"],
-        cutoff=tuple(cfg["invq.cutoffs"]),
-        mode=mode,
-    )
+    rec = recover_potential(measured, controls, tests, op, basis, grid, cutoff=cutoffs)
     rel = float(
         np.linalg.norm(rec.q_est - q_true) / max(np.linalg.norm(q_true), 1e-300)
     )
     report = {
-        "format": "fracwave-recovery-q/1",
+        "format": "fracwave-recovery-q/2",
         "q_true": [float(v) for v in q_true],
         "q_est": [float(v) for v in rec.q_est],
         "rel_l2_error": rel,
         "moment_residuals": list(rec.moment_residuals),
         "ranks": list(rec.ranks),
         "cutoffs": list(rec.cutoffs),
-        "control_misfits": [None if np.isnan(v) else v for v in rec.control_misfits],
-        "test_misfits": [None if np.isnan(v) else v for v in rec.test_misfits],
-        "mode": rec.mode,
+        "data_misfits": list(rec.data_misfits),
         "noise_sigma": sigma,
     }
     art.write_text("recovery_report.json", json.dumps(report, indent=1, sort_keys=True))
@@ -407,11 +400,20 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
     from .inversion import recover_expansion
     from .nonlinearity import PolyNonlinearity
 
-    grid, op, basis = _build(cfg)
-    exponents = tuple(cfg["invf.exponents"])
-    amps = tuple(cfg["invf.amps"])
+    exponents, amps = cfg["invf.exponents"], cfg["invf.amps"]
+    increasing = tuple(sorted(set(exponents))) == exponents
+    if not exponents or exponents[0] <= 0.0 or not increasing:
+        raise ConfigError(
+            f"invf.exponents must be positive and strictly increasing, got {exponents}"
+        )
     if len(amps) != len(exponents):
         raise ConfigError("invf.amps and invf.exponents must have equal length")
+    p_lo, p_hi = cfg["invf.eps_pow_min"], cfg["invf.eps_pow_max"]
+    if p_hi <= p_lo:
+        raise ConfigError("invf.eps_pow_max must exceed invf.eps_pow_min")
+    if not 0.0 <= cfg["invf.floor"] < 1.0:
+        raise ConfigError(f"invf.floor must lie in [0, 1), got {cfg['invf.floor']}")
+    grid, op, basis = _build(cfg)
     xh = (grid.interior_coords - grid.x_min) / (grid.x_max - grid.x_min)
     profiles = np.stack(
         [a * (1.0 + 0.3 * np.cos((k + 1) * np.pi * xh)) for k, a in enumerate(amps)]
@@ -424,9 +426,6 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
     bound = newmark_dt_bound(op)
     if grid.dt > bound:
         raise ConfigError(f"CFL violation: dt = {grid.dt:.6e} > march bound {bound:.6e}")
-    p_lo, p_hi = cfg["invf.eps_pow_min"], cfg["invf.eps_pow_max"]
-    if p_hi < p_lo:
-        raise ConfigError("invf.eps_pow_max must be >= invf.eps_pow_min")
     ladder = tuple(2.0**-p for p in range(p_lo, p_hi + 1))
 
     est = recover_expansion(
@@ -464,11 +463,16 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
 
 
 def _run_verify(cfg, art, seed, rng) -> tuple[int, dict]:
-    from .verify import report_lines, run_checks
+    from .verify import CHECKS, report_lines, run_checks
 
     names = None
     if cfg["verify.checks"] != "all":
         names = [n.strip() for n in cfg["verify.checks"].split(",") if n.strip()]
+        if not names or any(n not in CHECKS for n in names):
+            raise ConfigError(
+                f"verify.checks {cfg['verify.checks']!r} names an unknown check "
+                f"(known: all, {', '.join(sorted(CHECKS))})"
+            )
     payload = run_checks(names, seed=seed)
     ok, lines = report_lines(payload)
     text = "\n".join(lines) + "\n"

@@ -30,7 +30,8 @@ from .forward import (
     solve_linear_modal,
     solve_newmark,
     solve_with_potential,
-    trapezoid_weights,
+    st_gram,
+    st_inner,
 )
 from .fracop import FracOperator
 from .grid import Grid
@@ -84,9 +85,7 @@ def dn_pairing(
     """Space-time pairing of the measurement trace with an exterior test
     function.  The test's own support does the windowing; no reversal is
     applied here."""
-    trace = dn_trace(u_full, op, grid)
-    w = trapezoid_weights(grid.n_t, grid.dt)
-    return float(grid.h * np.sum(w * np.einsum("tj,tj->t", trace, test.values)))
+    return st_inner(dn_trace(u_full, op, grid), test.values, grid)
 
 
 def solve_exterior(
@@ -140,14 +139,15 @@ def _control_states(
     grid: Grid,
     model: Potential | PolyNonlinearity | np.ndarray | None,
 ) -> np.ndarray:
-    """Interior displacements (n_controls, n_t+1, n_int); one batched sweep
-    for a potential, one solve per control otherwise."""
-    if model is None or isinstance(model, PolyNonlinearity):
-        return np.stack(
-            [solve_exterior(c, op, basis, grid, model)[1].u.values for c in controls]
-        )
+    """Interior displacements (n_controls, n_t+1, n_int).  Every linear
+    model, no potential included (as q = 0), takes one batched sweep of
+    `solve_with_potential`; a power-type nonlinearity marches each control."""
+    if isinstance(model, PolyNonlinearity):
+        marches = [solve_newmark(op, grid, model=model, control=c) for c in controls]
+        return np.stack([grid.restrict(m.values) for m in marches])
+    q = np.zeros(grid.n_int) if model is None else model
     values = np.stack([c.values for c in controls])
-    return solve_with_potential(values, model, op, basis, grid)
+    return solve_with_potential(values, q, op, basis, grid)
 
 
 def _pairings(
@@ -163,9 +163,7 @@ def _pairings(
     values = np.stack([c.values for c in controls])
     a_ext = op.a_full[:, ext]
     trace = states @ a_ext[grid.interior_slice] + values @ a_ext[ext]
-    w = trapezoid_weights(grid.n_t, grid.dt)
-    weighted = (trace * w[:, None]).reshape(len(controls), -1)
-    return grid.h * (weighted @ test_block.reshape(test_block.shape[0], -1).T)
+    return st_gram(trace, test_block, grid)
 
 
 def dn_matrix(

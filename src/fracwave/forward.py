@@ -17,10 +17,10 @@ Potential route.  The trapezoid Duhamel sum gives the forcing at t_j zero
 weight in c_k(t_j) (its sin/cos parts cancel), so the Picard fixed point
 u = S(F - q u) is lower triangular in time and one forward sweep solves it.
 
-The same trapezoid weights appear in every space-time pairing in this
-package; that choice makes the discrete solution operator exactly
-self-adjoint under time reversal, which the transposition-style residual
-identities below inherit.
+Every space-time pairing in this package goes through `st_gram`, with the
+same trapezoid weights; that choice makes the discrete solution operator
+exactly self-adjoint under time reversal, which the transposition-style
+residual identities below inherit.
 
 Time stepping route.  An explicit central-difference (Stormer-Verlet) march
 on the full grid doubles as an independent oracle for the modal solver and
@@ -55,6 +55,8 @@ __all__ = [
     "very_weak_residual",
     "distributional_residual",
     "trapezoid_weights",
+    "st_gram",
+    "st_inner",
     "sup_energy",
     "data_energy",
 ]
@@ -85,6 +87,19 @@ def trapezoid_weights(n_t: int, dt: float) -> np.ndarray:
     w[0] = 0.5 * dt
     w[-1] = 0.5 * dt
     return w
+
+
+def st_gram(a: np.ndarray, b: np.ndarray, grid: Grid) -> np.ndarray:
+    """Space-time pairing matrix G[i, j] = h sum_t w_t <a_i(t), b_j(t)> of two
+    trajectory stacks (A, n_t+1, n) and (B, n_t+1, n), trapezoid weights w."""
+    w = trapezoid_weights(grid.n_t, grid.dt)
+    weighted = (a * w[:, None]).reshape(a.shape[0], -1)
+    return grid.h * (weighted @ b.reshape(b.shape[0], -1).T)
+
+
+def st_inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
+    """Space-time inner product h int_0^T <a, b> dt of two trajectories."""
+    return float(st_gram(a[None], b[None], grid)[0, 0])
 
 
 def _modal_coefficients(
@@ -429,12 +444,6 @@ def solve_newmark(
     return SpaceTimeField(full, "full", dt, grid.T)
 
 
-def _pair_trajectories(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """Discrete space-time L^2 pairing h * int_0^T a . b dt (trapezoid)."""
-    w = trapezoid_weights(grid.n_t, grid.dt)
-    return float(grid.h * np.sum(w * np.einsum("ti,ti->t", a, b)))
-
-
 def very_weak_residual(
     u: SpaceTimeField,
     data: CauchyData,
@@ -468,10 +477,10 @@ def very_weak_residual(
     v0 = back.u.values[-1]
     vdot0 = -back.udot.values[-1]  # chain rule under t -> T - t
 
-    lhs = _pair_trajectories(uv, g, grid)
+    lhs = st_inner(uv, g, grid)
     rhs = grid.h * float(data.u1 @ v0) - grid.h * float(data.u0 @ vdot0)
     if source is not None:
-        rhs += _pair_trajectories(np.asarray(source, dtype=float), v.values, grid)
+        rhs += st_inner(np.asarray(source, dtype=float), v.values, grid)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -506,12 +515,12 @@ def distributional_residual(
     waveop = d2 + phi @ op.a_int
     if q is not None:
         waveop = waveop + q[None, :] * phi
-    lhs = _pair_trajectories(uv, waveop, grid)
+    lhs = st_inner(uv, waveop, grid)
 
     dphi0 = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * dt)
     rhs = grid.h * float(data.u0 @ dphi0) - grid.h * float(data.u1 @ phi[0])
     if source is not None:
-        rhs += _pair_trajectories(np.asarray(source, dtype=float), phi, grid)
+        rhs += st_inner(np.asarray(source, dtype=float), phi, grid)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 

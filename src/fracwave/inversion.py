@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dnmap import DNMeasurement, _control_states, _pairings, solve_exterior
 from .fields import ExteriorControl, SpaceTimeField, combine_controls
@@ -47,11 +46,9 @@ from .forward import trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import Potential
-from .runge import st_norm
 from .spectral import SpectralBasis
 
 __all__ = [
-    "potential_targets",
     "PotentialRecovery",
     "ConditioningWarning",
     "recover_potential",
@@ -75,48 +72,6 @@ class ConditioningWarning(UserWarning):
 
 
 # ---------------------------------------------------------------- potentials
-
-
-def potential_targets(
-    grid: Grid,
-    n_space: int,
-    n_time: int = 1,
-    *,
-    overlap: float = 1.5,
-) -> np.ndarray:
-    """Time-symmetric separable target family, shape
-    (n_space * n_time, n_t + 1, n_int).
-
-    Spatial factors are raised-cosine bumps at n_space evenly spaced
-    centers (width = overlap * spacing); time factors are sin^2 envelopes
-    modulated by cosines of integer frequency about T/2, so every target
-    satisfies psi(T - t) = psi(t) exactly on the grid.
-    """
-    if n_space < 1 or n_time < 1:
-        raise ValueError("need at least one spatial and one temporal factor")
-    x = grid.interior_coords
-    length = grid.x_max - grid.x_min
-    centers = grid.x_min + (np.arange(n_space) + 0.5) * length / n_space
-    width = overlap * length / n_space
-    spatial = []
-    for c in centers:
-        rho = (x - c) / width
-        chi = np.where(np.abs(rho) < 0.5, np.cos(np.pi * rho) ** 2, 0.0)
-        spatial.append(chi)
-
-    t = grid.times()
-    envelope = np.sin(np.pi * t / grid.T) ** 2
-    temporal = []
-    for i in range(n_time):
-        temporal.append(envelope * np.cos(2.0 * np.pi * i * (t - grid.T / 2) / grid.T))
-
-    out = np.empty((n_space * n_time, grid.n_t + 1, grid.n_int))
-    k = 0
-    for tau in temporal:
-        for chi in spatial:
-            out[k] = tau[:, None] * chi[None, :]
-            k += 1
-    return out
 
 
 def _tsvd_solve(
@@ -144,21 +99,6 @@ def _tsvd_solve(
     return sol, resid, rank
 
 
-def _cutoff_schedule(
-    cutoff: float | tuple[float, ...] | list[float], passes: int | None
-) -> tuple[float, ...]:
-    if np.isscalar(cutoff):
-        return (float(cutoff),) * (passes if passes is not None else 1)
-    sched = tuple(float(c) for c in cutoff)
-    if not sched:
-        raise ValueError("cutoff schedule is empty")
-    if passes is None or passes == len(sched):
-        return sched
-    if passes < len(sched):
-        return sched[:passes]
-    return sched + (sched[-1],) * (passes - len(sched))
-
-
 @dataclass(frozen=True)
 class PotentialRecovery:
     """Recovered potential and per-pass diagnostics.
@@ -167,8 +107,6 @@ class PotentialRecovery:
     fails to shrink the data mismatch is discarded and stops the iteration.
     data_misfits holds the relative measurement mismatch before pass 1 and
     after every accepted pass (length = passes + 1, strictly decreasing).
-    control_misfits / test_misfits are the worst relative Runge residuals of
-    the target fits; in pairs mode no fit happens and they hold nan.
     """
 
     q_est: np.ndarray
@@ -177,9 +115,6 @@ class PotentialRecovery:
     ranks: tuple[int, ...]  # retained spectral rank per pass
     cutoffs: tuple[float, ...]
     data_misfits: tuple[float, ...]
-    control_misfits: tuple[float, ...]
-    test_misfits: tuple[float, ...]
-    mode: str
 
 
 def recover_potential(
@@ -191,28 +126,20 @@ def recover_potential(
     grid: Grid,
     q_start: np.ndarray | Potential | None = None,
     *,
-    targets: np.ndarray | None = None,
-    alpha: float = 1e-8,
     cutoff: float | tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5),
-    mode: str = "pairs",
-    passes: int | None = None,
     dictionary: np.ndarray | None = None,
 ) -> PotentialRecovery:
     """Reconstruct a potential from one measured pairing matrix.
 
     measured holds <L_1 phi_a, psi_b*> over the control/test basis (a
-    DNMeasurement with reversed tests, or the raw matrix).  Mode 'pairs'
-    (the default) uses the raw basis pairings directly: moments are the
-    entries of the data mismatch and rows the products of computed basis
-    states, which carries the entire measurement with no fitting stage.
-    The fitted modes recombine the same information through time-symmetric
-    targets: 'achieved' builds rows from the fields the fits actually reach
-    (exact up to the Born step), 'ideal' from the targets themselves
-    (additionally charged with the Runge misfit).  cutoff is the relative
-    spectral cutoff of the truncated-SVD update, one value per pass
-    (a scalar is repeated; a schedule shorter than passes is extended with
-    its last value).  dictionary, when given, restricts the update to its
-    span (rows = nodal profiles).
+    DNMeasurement with reversed tests, or the raw matrix).  The raw basis
+    pairings are used directly: the moments are the entries of the data
+    mismatch and the rows the weighted products of the computed control and
+    reversed test states, which carries the entire measurement with no
+    fitting stage.  cutoff is the relative spectral cutoff of the
+    truncated-SVD update, one value per pass (a scalar means one pass).
+    dictionary, when given, restricts the update to its span (rows = nodal
+    profiles).
     """
     if isinstance(measured, DNMeasurement):
         if not measured.reversed_tests:
@@ -225,18 +152,9 @@ def recover_potential(
             f"measured matrix is {d_meas.shape}, basis is "
             f"{(len(controls), len(tests))}"
         )
-    if mode not in ("pairs", "achieved", "ideal"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "pairs":
-        if targets is None:
-            raise ValueError(f"mode {mode!r} needs a target family")
-        targets = np.asarray(targets, dtype=float)
-        if targets.ndim != 3 or targets.shape[1:] != (grid.n_t + 1, grid.n_int):
-            raise ValueError("targets must be (n_targets, n_t + 1, n_int)")
-        sym_gap = float(np.max(np.abs(targets - targets[:, ::-1, :])))
-        if sym_gap > 1e-12 * max(float(np.max(np.abs(targets))), 1e-300):
-            raise ValueError("targets must be symmetric about T/2")
-    schedule = _cutoff_schedule(cutoff, passes)
+    schedule = tuple(float(c) for c in np.atleast_1d(cutoff))
+    if not schedule:
+        raise ValueError("cutoff schedule is empty")
     if any(c <= 0.0 or c >= 1.0 for c in schedule):
         raise ValueError(f"cutoffs must lie in (0, 1), got {schedule}")
 
@@ -263,33 +181,18 @@ def recover_potential(
     moment_residuals: list[float] = []
     ranks: list[int] = []
     accepted_cutoffs: list[float] = []
-    control_misfits: list[float] = []
-    test_misfits: list[float] = []
 
     denom = np.linalg.norm(d_meas) + 1e-300
-    states_u, d_model = _bundle(q2 if np.any(q2) else None)
+    states_u, d_model = _bundle(q2)
     delta = d_meas - d_model
     data_misfits = [float(np.linalg.norm(delta) / denom)]
 
     for cut in schedule:
-        q_model = q2 if np.any(q2) else None
-        states_v = _control_states(tests, op, basis, grid, q_model)[:, ::-1]
-
-        if mode == "pairs":
-            moments = delta.reshape(-1)
-            rows = grid.h * np.einsum(
-                "atx,btx,t->abx", states_u, states_v, w
-            ).reshape(len(controls) * len(tests), grid.n_int)
-            c_mis = d_mis = float("nan")
-        else:
-            c_fit, c_ach, c_mis = _fit_targets(states_u, targets, alpha, grid, w)
-            d_fit, d_ach, d_mis = _fit_targets(states_v, targets, alpha, grid, w)
-            moments = np.einsum("Aa,ab,Bb->AB", c_fit, delta, d_fit).reshape(-1)
-            left, right = (c_ach, d_ach) if mode == "achieved" else (targets, targets)
-            n_tar = targets.shape[0]
-            rows = grid.h * np.einsum("Atx,Btx,t->ABx", left, right, w).reshape(
-                n_tar * n_tar, grid.n_int
-            )
+        states_v = _control_states(tests, op, basis, grid, q2)[:, ::-1]
+        moments = delta.reshape(-1)
+        rows = grid.h * np.einsum(
+            "atx,btx,t->abx", states_u, states_v, w
+        ).reshape(len(controls) * len(tests), grid.n_int)
 
         if dic is not None:
             gamma, resid, rank = _tsvd_solve(rows @ dic.T, moments, cut)
@@ -298,7 +201,7 @@ def recover_potential(
             dq, resid, rank = _tsvd_solve(rows, moments, cut)
 
         q_trial = q2 + dq
-        states_trial, d_trial = _bundle(q_trial if np.any(q_trial) else None)
+        states_trial, d_trial = _bundle(q_trial)
         misfit_trial = float(np.linalg.norm(d_meas - d_trial) / denom)
         if misfit_trial >= data_misfits[-1]:
             break  # update would not improve the data fit: discard and stop
@@ -311,8 +214,6 @@ def recover_potential(
         moment_residuals.append(resid)
         ranks.append(rank)
         accepted_cutoffs.append(cut)
-        control_misfits.append(c_mis)
-        test_misfits.append(d_mis)
 
     n_unknowns = dic.shape[0] if dic is not None else grid.n_int
     if ranks and max(ranks) < n_unknowns:
@@ -331,34 +232,7 @@ def recover_potential(
         ranks=tuple(ranks),
         cutoffs=tuple(accepted_cutoffs),
         data_misfits=tuple(data_misfits),
-        control_misfits=tuple(control_misfits),
-        test_misfits=tuple(test_misfits),
-        mode=mode,
     )
-
-
-def _fit_targets(
-    states: np.ndarray,
-    targets: np.ndarray,
-    alpha: float,
-    grid: Grid,
-    w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Tikhonov-fit every target over the given states.
-
-    Returns coefficients (n_targets, n_states), achieved fields, and the
-    worst relative misfit."""
-    gram = grid.h * np.einsum("atx,btx,t->ab", states, states, w)
-    rhs = grid.h * np.einsum("atx,Btx,t->aB", states, targets, w)
-    system = cho_factor(gram + alpha * np.eye(gram.shape[0]))
-    coeffs = cho_solve(system, rhs).T  # (n_targets, n_states)
-    achieved = np.einsum("Ba,atx->Btx", coeffs, states)
-    worst = 0.0
-    for k in range(targets.shape[0]):
-        num = st_norm(achieved[k] - targets[k], grid)
-        den = st_norm(targets[k], grid) + 1e-300
-        worst = max(worst, num / den)
-    return coeffs, achieved, worst
 
 
 # ------------------------------------------------------------- nonlinearity

@@ -27,14 +27,13 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .fields import ExteriorControl, SpaceTimeField
 from .dnmap import _control_states
-from .forward import trapezoid_weights
+from .forward import st_gram, st_inner
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import Potential
 from .spectral import SpectralBasis
 
 __all__ = [
-    "st_inner",
     "st_norm",
     "forward_map",
     "RungeSolution",
@@ -43,12 +42,6 @@ __all__ = [
     "sweep_enrichment",
     "dump_sweep_csv",
 ]
-
-
-def st_inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
-    """Space-time inner product h int_0^T <a, b> dt with trapezoid weights."""
-    w = trapezoid_weights(grid.n_t, grid.dt)
-    return float(grid.h * np.sum(w * np.einsum("ti,ti->t", a, b)))
 
 
 def st_norm(a: np.ndarray, grid: Grid) -> float:
@@ -91,9 +84,8 @@ def _fit(
     alpha: float,
     grid: Grid,
 ) -> tuple[np.ndarray, np.ndarray]:
-    w = trapezoid_weights(grid.n_t, grid.dt)
-    gram = grid.h * np.einsum("atx,btx,t->ab", states, states, w)
-    beta = grid.h * np.einsum("atx,tx,t->a", states, target, w)
+    gram = st_gram(states, states, grid)
+    beta = st_gram(states, target[None], grid)[:, 0]
     system = gram + alpha * np.eye(gram.shape[0])
     coeffs = cho_solve(cho_factor(system), beta)
     return coeffs, gram

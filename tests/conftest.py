@@ -6,6 +6,9 @@ geometry and order.  Grids are cheap and rebuilt per request so
 tests can vary T and n_t freely without spoiling the cache.
 """
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -20,6 +23,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def pytest_configure(config):
+    # `python -m fracwave` subprocesses must import the package the suite
+    # imports, also when it runs from the source tree without being installed
+    src = str(Path(fw.__file__).resolve().parent.parent)
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if src not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
 
 _SPECTRAL_CACHE: dict[tuple, tuple] = {}
 

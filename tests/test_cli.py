@@ -83,6 +83,10 @@ def test_config_errors_exit_with_code_2(tmp_path):
     out = str(tmp_path / "o")
     assert run(["eig", "--out", out, "--set", "bogus=1"]) == 2
     assert run(["eig", "--out", out, "--set", "domain.n_int=x"]) == 2
+    for bad in ("nan", "inf"):
+        sets = ["--set", "model.kind=potential", "--set", f"model.q0={bad}"]
+        assert run(["dn", "--out", out] + sets) == 2
+    assert run(["runge", "--out", out, "--set", "runge.alphas=1e-2,-inf"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -93,13 +97,25 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("eig", "domain.n_int=1", "n_int must be"),
         ("solve", "operator.s=2.0", "integer order"),
         ("solve", "time.n_t=4", "control must vanish"),
+        ("invert-q", "invq.cutoffs=2.0", "invq.cutoffs must lie"),
+        ("invert-q", "invq.cutoffs=", "invq.cutoffs must lie"),
+        ("runge", "runge.alphas=0", "runge.alphas must be"),
+        ("runge", "runge.alphas=", "runge.alphas must be"),
+        ("invert-f", "invf.exponents=1.0,0.5;invf.amps=1,1", "strictly increasing"),
+        ("invert-f", "invf.eps_pow_min=9;invf.eps_pow_max=9", "must exceed"),
+        ("invert-f", "invf.floor=2", "invf.floor must lie"),
+        ("verify", "verify.checks=nosuch", "unknown check"),
+        ("invert-q", "noise.sigma=-1", "noise.sigma must be"),
     ],
-    ids=["cfl", "window", "n_int", "order", "control"],
+    ids=["cfl", "window", "n_int", "order", "control", "cutoff", "no_cutoffs",
+         "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
     # validation errors raised while building the grid, operator, controls
-    # or time step from the config are config errors
-    assert run([cmd, "--out", str(tmp_path / "o"), "--set", override]) == 2
+    # or time step from the config, and config values a pipeline cannot
+    # use, are config errors; ';' separates several overrides
+    sets = [arg for item in override.split(";") for arg in ("--set", item)]
+    assert run([cmd, "--out", str(tmp_path / "o")] + sets) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
 
@@ -184,10 +200,13 @@ def test_invert_q_pipeline_small(tmp_path):
                 "--set", "time.n_t=48", "--set", "invq.freqs=2"])
     assert code == 0
     report = json.loads((out / "recovery_report.json").read_text())
-    assert report["format"] == "fracwave-recovery-q/1"
+    assert report["format"] == "fracwave-recovery-q/2"
     assert len(report["q_est"]) == 16
     assert report["rel_l2_error"] < 1.0
-    assert report["mode"] == "pairs"
+    misfits = report["data_misfits"]
+    assert len(misfits) == len(report["ranks"]) + 1
+    assert all(b < a for a, b in zip(misfits, misfits[1:]))
+    assert not {"mode", "control_misfits", "test_misfits"} & set(report)
     assert report["noise_sigma"] == 0.0
 
 

@@ -196,8 +196,9 @@ def test_picard_rejects_bad_potential_shape():
         lambda x: 1.0 + 0.5 * np.cos(np.pi * x),
         lambda x: 20.0 * np.sin(3 * np.pi * x),
         lambda x: np.full_like(x, -10.0),  # makes A_int + q indefinite
+        np.zeros_like,  # Picard returns the modal solve itself
     ],
-    ids=["smooth", "oscillating", "indefinite"],
+    ids=["smooth", "oscillating", "indefinite", "zero"],
 )
 def test_potential_sweep_matches_picard(profile):
     grid, op, basis = case(n_int=24, s=0.7, n_t=128)

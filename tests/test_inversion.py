@@ -24,26 +24,6 @@ def battery(small):
     return controls, probes
 
 
-# ---------------------------------------------------------------- targets
-
-
-def test_potential_targets_shape_symmetry_and_count(small):
-    grid, op, basis = small
-    targets = inv.potential_targets(grid, 3, n_time=2)
-    assert targets.shape == (6, grid.n_t + 1, grid.n_int)
-    assert np.all(np.isfinite(targets))
-    assert np.max(np.abs(targets)) > 0
-    sym_gap = np.max(np.abs(targets - targets[:, ::-1, :]))
-    assert sym_gap <= 1e-12 * np.max(np.abs(targets))
-    assert inv.potential_targets(grid, 4).shape == (4, grid.n_t + 1, grid.n_int)
-
-
-def test_potential_targets_rejects_empty_family(small):
-    grid, op, basis = small
-    with pytest.raises(ValueError, match="spatial and one temporal"):
-        inv.potential_targets(grid, 0)
-
-
 # ------------------------------------------------- product identity oracle
 
 
@@ -129,36 +109,6 @@ def test_recover_potential_rejects_shape_mismatch(small, battery):
                               op, basis, grid)
 
 
-def test_recover_potential_rejects_unknown_mode(small, battery):
-    grid, op, basis = small
-    controls, probes = battery
-    m = np.zeros((len(controls), len(probes)))
-    with pytest.raises(ValueError, match="unknown mode"):
-        inv.recover_potential(m, controls, probes, op, basis, grid,
-                              mode="born")
-
-
-def test_recover_potential_fitted_mode_needs_targets(small, battery):
-    grid, op, basis = small
-    controls, probes = battery
-    m = np.zeros((len(controls), len(probes)))
-    with pytest.raises(ValueError, match="target family"):
-        inv.recover_potential(m, controls, probes, op, basis, grid,
-                              mode="achieved")
-
-
-def test_recover_potential_rejects_asymmetric_targets(small, battery):
-    grid, op, basis = small
-    controls, probes = battery
-    m = np.zeros((len(controls), len(probes)))
-    targets = inv.potential_targets(grid, 2)
-    targets = targets.copy()
-    targets[0, 1, :] += 0.1 * np.max(np.abs(targets))
-    with pytest.raises(ValueError, match="symmetric about T/2"):
-        inv.recover_potential(m, controls, probes, op, basis, grid,
-                              mode="achieved", targets=targets)
-
-
 def test_recover_potential_rejects_bad_cutoffs(small, battery):
     grid, op, basis = small
     controls, probes = battery
@@ -205,30 +155,11 @@ def test_recover_potential_pairs_closed_loop(small, battery):
         rec = inv.recover_potential(meas, controls, probes, op, basis, grid)
     rel = np.linalg.norm(rec.q_est - q_true) / np.linalg.norm(q_true)
     assert rel <= 0.08
-    assert rec.mode == "pairs"
     misfits = np.asarray(rec.data_misfits)
     assert np.all(np.diff(misfits) < 0)
     assert len(rec.increments) == len(rec.data_misfits) - 1
     assert len(rec.increments) == len(rec.ranks) == len(rec.cutoffs)
-    assert all(np.isnan(t) for t in rec.test_misfits)
     assert np.allclose(rec.q_est, sum(rec.increments))
-
-
-def test_recover_potential_achieved_mode_closed_loop(small, battery):
-    grid, op, basis = small
-    controls, probes = battery
-    x = grid.interior_coords
-    q_true = 0.4 * np.sin(np.pi * x)
-    meas = dn_matrix(op, basis, grid, controls, probes, q_true)
-    targets = inv.potential_targets(grid, 4)
-    with pytest.warns(inv.ConditioningWarning):
-        rec = inv.recover_potential(meas, controls, probes, op, basis, grid,
-                                    targets=targets, mode="achieved")
-    rel = np.linalg.norm(rec.q_est - q_true) / np.linalg.norm(q_true)
-    assert rel <= 0.08
-    assert rec.mode == "achieved"
-    assert all(np.isfinite(c) for c in rec.control_misfits)
-    assert all(np.isfinite(t) for t in rec.test_misfits)
 
 
 def test_recover_potential_dictionary_restores_span_member(small, battery):

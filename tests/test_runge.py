@@ -28,6 +28,13 @@ def test_st_inner_matches_manual(rng):
     manual = grid.h * np.sum(w[:, None] * a * b)
     assert st_inner(a, b, grid) == pytest.approx(manual, rel=1e-13)
     assert st_norm(a, grid) == pytest.approx(np.sqrt(st_inner(a, a, grid)), rel=1e-13)
+    stack_a = rng.standard_normal((3, grid.n_t + 1, grid.n_int))
+    stack_b = rng.standard_normal((2, grid.n_t + 1, grid.n_int))
+    gram = fw.st_gram(stack_a, stack_b, grid)
+    assert gram.shape == (3, 2)
+    for i, u in enumerate(stack_a):
+        for j, v in enumerate(stack_b):
+            assert gram[i, j] == pytest.approx(st_inner(u, v, grid), rel=1e-13)
 
 
 def test_forward_map_linearity():
