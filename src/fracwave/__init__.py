@@ -17,14 +17,10 @@ _EXPORTS = {
     # grid
     "Grid": "grid",
     "build_grid": "grid",
-    "collar_window": "grid",
     # fracop
     "centered_weights": "fracop",
     "FracOperator": "fracop",
     "assemble_operator": "fracop",
-    "apply_operator": "fracop",
-    "dump_operator_csv": "fracop",
-    "load_operator_csv": "fracop",
     # spectral
     "SpectralBasis": "spectral",
     "eigendecompose": "spectral",
@@ -34,8 +30,6 @@ _EXPORTS = {
     "hs_norm": "spectral",
     "dual_norm": "spectral",
     "dual_norm_variational": "spectral",
-    "EllipticSolver": "spectral",
-    "solve_dirichlet_elliptic": "spectral",
     "dump_spectra_csv": "spectral",
     # fields
     "SpaceTimeField": "fields",
@@ -55,7 +49,6 @@ _EXPORTS = {
     "duhamel_coefficient": "forward",
     "solve_linear_modal": "forward",
     "lift_exterior": "forward",
-    "LiftedProblem": "forward",
     "solve_with_potential": "forward",
     "solve_with_potential_picard": "forward",
     "solve_newmark": "forward",
@@ -70,12 +63,6 @@ _EXPORTS = {
     # nonlinearity
     "Potential": "nonlinearity",
     "PolyNonlinearity": "nonlinearity",
-    "integrability_floor": "nonlinearity",
-    "exponent_limit": "nonlinearity",
-    "NonlinearityReport": "nonlinearity",
-    "GrowthRatioWarning": "nonlinearity",
-    "validate_potential": "nonlinearity",
-    "validate_nonlinearity": "nonlinearity",
     "lp_norm": "nonlinearity",
     # dnmap
     "dn_trace": "dnmap",
@@ -97,12 +84,7 @@ _EXPORTS = {
     "ConditioningWarning": "inversion",
     "recover_potential": "inversion",
     "linear_response": "inversion",
-    "LinearizedSolution": "inversion",
-    "linearized_solution": "inversion",
-    "extract_leading_term": "inversion",
-    "fit_homogeneous_coefficient": "inversion",
     "reaction_from_march": "inversion",
-    "remainder_field": "inversion",
     "extrapolate_powers": "inversion",
     "fit_profile": "inversion",
     "ExpansionEstimate": "inversion",

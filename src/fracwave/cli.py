@@ -275,7 +275,7 @@ def _run_solve(cfg, art, seed, rng) -> tuple[int, dict]:
         mask=_checked(grid.w_mask, cfg["control.window"]),
         amplitude=cfg["control.amplitude"],
     )
-    full, _ = solve_exterior(control, op, basis, grid, q)
+    full = solve_exterior(control, op, basis, grid, q)
     lines = [f"t," + ",".join(f"x{j}" for j in range(grid.n_nodes))]
     for t, row in zip(grid.times(), full.values):
         lines.append(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row))

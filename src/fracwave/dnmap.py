@@ -11,8 +11,7 @@ so the control-to-measurement operator is exactly reciprocal under time
 reversal at the discrete level: pairing a solution driven by phi against
 the reversal of psi equals pairing the solution driven by psi against the
 reversal of phi.  The integral identity used for potential recovery pairs
-controls with time-reversed tests, which is the default orientation of
-`dn_matrix`.
+controls with time-reversed tests, the orientation of `dn_matrix`.
 """
 from __future__ import annotations
 
@@ -23,16 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import CauchyData, ExteriorControl, SpaceTimeField
-from .forward import (
-    WaveSolution,
-    lift_exterior,
-    solve_linear_modal,
-    solve_newmark,
-    solve_with_potential,
-    st_gram,
-    st_inner,
-)
+from .fields import ExteriorControl, SpaceTimeField
+from .forward import solve_newmark, solve_with_potential, st_gram, st_inner
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import PolyNonlinearity, Potential
@@ -94,42 +85,13 @@ def solve_exterior(
     basis: SpectralBasis,
     grid: Grid,
     model: Potential | PolyNonlinearity | np.ndarray | None = None,
-) -> tuple[SpaceTimeField, WaveSolution]:
-    """State driven by an exterior control with zero Cauchy data.
-
-    Linear models run through the lifted problem: the modal solver without a
-    potential, the exact forward sweep `solve_with_potential` with one.
-    Power-type nonlinearities run through the explicit march, whose velocity
-    is reconstructed by central differences.  Returns the full-grid
-    trajectory and the interior displacement/velocity pair.
-    """
-    if isinstance(model, PolyNonlinearity):
-        full = solve_newmark(op, grid, model=model, control=control)
-        interior = grid.restrict(full.values)
-        dt = grid.dt
-        vel = np.empty_like(interior)
-        vel[1:-1] = (interior[2:] - interior[:-2]) / (2.0 * dt)
-        vel[0] = (-3.0 * interior[0] + 4.0 * interior[1] - interior[2]) / (2.0 * dt)
-        vel[-1] = (3.0 * interior[-1] - 4.0 * interior[-2] + interior[-3]) / (2.0 * dt)
-        sol = WaveSolution(
-            u=SpaceTimeField(interior, "interior", dt, grid.T),
-            udot=SpaceTimeField(vel, "interior", dt, grid.T),
-        )
-        return full, sol
-
-    lifted = lift_exterior(control, op, grid)
-    zero = CauchyData.zero(grid.n_int)
-    if model is None:
-        sol = solve_linear_modal(basis, zero, lifted.source, grid)
-    else:
-        q = model.values if isinstance(model, Potential) else np.asarray(model, float)
-        u = solve_with_potential(control.values[None], q, op, basis, grid)[0]
-        # u is the fixed point of u = S(lift - q u), so one modal solve of
-        # that source gives the matching velocity
-        vel = solve_linear_modal(basis, zero, lifted.source - q * u, grid)
-        sol = WaveSolution(SpaceTimeField(u, "interior", grid.dt, grid.T), vel.udot)
-    full = lifted.reassemble(sol.u.values, grid)
-    return full, sol
+) -> SpaceTimeField:
+    """Full-grid state driven by an exterior control with zero Cauchy data:
+    the interior from the batched state path every measurement uses, the
+    control values on the exterior nodes."""
+    u = _control_states([control], op, basis, grid, model)[0]
+    full = grid.extend(u) + grid.scatter_exterior(control.values)
+    return SpaceTimeField(full, "full", grid.dt, grid.T)
 
 
 def _control_states(
@@ -173,15 +135,11 @@ def dn_matrix(
     controls: list[ExteriorControl],
     tests: list[ExteriorControl],
     model: Potential | PolyNonlinearity | np.ndarray | None = None,
-    *,
-    reverse_tests: bool = True,
 ) -> np.ndarray:
-    """Pairing matrix M[a, b] = <L phi_a, psi_b> (psi time-reversed by
-    default, the orientation the recovery identity uses).  The control
+    """Pairing matrix M[a, b] = <L phi_a, psi_b*> against the time-reversed
+    tests psi_b*, the orientation the recovery identity uses.  The control
     states are solved once, as a batch, and reused across all tests."""
-    test_block = np.stack([t.values for t in tests])  # (n_te, n_t+1, n_ext)
-    if reverse_tests:
-        test_block = test_block[:, ::-1]
+    test_block = np.stack([t.values[::-1] for t in tests])  # (n_te, n_t+1, n_ext)
     states = _control_states(controls, op, basis, grid, model)
     return _pairings(states, controls, test_block, op, grid)
 

@@ -141,6 +141,8 @@ def tensor_control(
 ) -> ExteriorControl:
     """Single-node control: hat in space at one exterior node, windowed sine
     in time (frequency counts half-periods over the window)."""
+    if not 0 <= ext_index < grid.n_ext:
+        raise ValueError(f"exterior index {ext_index} outside 0..{grid.n_ext - 1}")
     if mask is None:
         mask = np.zeros(grid.n_ext, dtype=bool)
         mask[ext_index] = True
@@ -170,6 +172,8 @@ def control_basis(
     Ordered node-major (all frequencies of the first node first) so nested
     prefixes enrich the time resolution before moving to the next node.
     """
+    if n_freqs < 1:
+        raise ValueError(f"need at least one frequency, got n_freqs = {n_freqs}")
     mask = np.asarray(mask, dtype=bool)
     out = []
     for idx in np.flatnonzero(mask):

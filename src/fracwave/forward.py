@@ -47,7 +47,6 @@ __all__ = [
     "duhamel_coefficient",
     "solve_linear_modal",
     "lift_exterior",
-    "LiftedProblem",
     "solve_with_potential",
     "solve_with_potential_picard",
     "solve_newmark",
@@ -192,32 +191,14 @@ def solve_linear_modal(
     )
 
 
-@dataclass(frozen=True)
-class LiftedProblem:
-    """Zero-exterior reformulation of an exterior-data problem.
-
-    v := u - phi solves v'' + A v = source with zero Cauchy data and zero
-    exterior values; u is recovered by pasting the control back onto the
-    exterior nodes.
-    """
-
-    source: np.ndarray  # (n_t + 1, n_int)
-    control: ExteriorControl
-
-    def reassemble(self, interior: np.ndarray, grid: Grid) -> SpaceTimeField:
-        full = np.zeros((grid.n_t + 1, grid.n_nodes))
-        full[:, grid.interior_slice] = interior
-        full[:, grid.exterior_indices] = self.control.values
-        return SpaceTimeField(full, "full", grid.dt, grid.T)
-
-
-def lift_exterior(control: ExteriorControl, op: FracOperator, grid: Grid) -> LiftedProblem:
-    """Interior source -chi_Omega A (extension of the control)."""
+def lift_exterior(control: ExteriorControl, op: FracOperator, grid: Grid) -> np.ndarray:
+    """Interior source -chi_Omega A (extension of the control), (n_t+1, n_int):
+    v = u - phi then solves v'' + A v = source with zero Cauchy data and
+    zero exterior values."""
     if control.n_t != grid.n_t:
         raise ValueError(f"control has n_t={control.n_t}, grid has {grid.n_t}")
     a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
-    source = -(control.values @ a_ie.T)
-    return LiftedProblem(source=source, control=control)
+    return -(control.values @ a_ie.T)
 
 
 def solve_with_potential(

@@ -33,9 +33,6 @@ __all__ = [
     "FracOperator",
     "centered_weights",
     "assemble_operator",
-    "apply_operator",
-    "dump_operator_csv",
-    "load_operator_csv",
 ]
 
 # assembly fails if the symmetrization correction exceeds this (relative)
@@ -145,46 +142,3 @@ def assemble_operator(grid: Grid, s: float) -> FracOperator:
     return FracOperator(
         s=s, h=grid.h, weights=w, a_full=sym, a_int=a_int, asymmetry=asym
     )
-
-
-def apply_operator(op: FracOperator, field: np.ndarray) -> np.ndarray:
-    """Apply the full-grid operator to node values (single slice or stacked)."""
-    field = np.asarray(field)
-    if field.shape[-1] != op.a_full.shape[0]:
-        raise ValueError(
-            f"field has trailing dimension {field.shape[-1]}, "
-            f"operator expects {op.a_full.shape[0]}"
-        )
-    return field @ op.a_full  # symmetric, so right-multiplication is A @ v
-
-
-def dump_operator_csv(op: FracOperator, path) -> None:
-    """Row-major CSV export with a header carrying s, h and the size."""
-    n = op.a_full.shape[0]
-    with open(path, "w", encoding="ascii") as f:
-        f.write(f"# fracwave operator v1 s={float(op.s)!r} h={float(op.h)!r} n={n}\n")
-        for row in op.a_full:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_operator_csv(path) -> tuple[float, float, np.ndarray]:
-    """Read back (s, h, matrix) from dump_operator_csv output."""
-    with open(path, encoding="ascii") as f:
-        header = f.readline()
-        if not header.startswith("# fracwave operator v1 "):
-            raise ValueError(f"unrecognized operator file header: {header!r}")
-        fields = dict(
-            kv.split("=", 1) for kv in header.split() if "=" in kv
-        )
-        s = float(fields["s"])
-        h = float(fields["h"])
-        n = int(fields["n"])
-        rows = [
-            np.array([float(v) for v in line.split(",")])
-            for line in f
-            if line.strip()
-        ]
-    mat = np.vstack(rows)
-    if mat.shape != (n, n):
-        raise ValueError(f"operator file body {mat.shape} does not match n={n}")
-    return s, h, mat

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Grid", "build_grid", "collar_window"]
+__all__ = ["Grid", "build_grid"]
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,8 @@ class Grid:
 
     def w_mask(self, which: int) -> np.ndarray:
         """Boolean mask over exterior-local indices for window W1 or W2."""
+        if which not in (1, 2):
+            raise ValueError(f"window must be 1 or 2, got {which}")
         idx = self.w1 if which == 1 else self.w2
         mask = np.zeros(self.n_ext, dtype=bool)
         mask[list(idx)] = True
@@ -126,20 +128,6 @@ class Grid:
         return full
 
 
-def collar_window(side: str, start: int, stop: int, m_collar: int) -> tuple[int, ...]:
-    """Exterior-local indices for a contiguous window on one collar side.
-
-    ``start``/``stop`` are collar-local (0 = outermost-left node for the left
-    side, 0 = boundary node for the right side), half-open like range().
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if not 0 <= start < stop <= m_collar:
-        raise ValueError(f"window [{start}, {stop}) outside collar of {m_collar}")
-    offset = 0 if side == "left" else m_collar
-    return tuple(range(offset + start, offset + stop))
-
-
 def build_grid(
     x_min: float,
     x_max: float,
@@ -152,7 +140,7 @@ def build_grid(
 ) -> Grid:
     """Validate inputs and construct a Grid.
 
-    w1/w2 are iterables of exterior-local indices (see collar_window).
+    w1/w2 are iterables of exterior-local indices.
     """
     if not x_max > x_min:
         raise ValueError(f"need x_max > x_min, got [{x_min}, {x_max}]")

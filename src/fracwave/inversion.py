@@ -40,9 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-from .dnmap import DNMeasurement, _control_states, _pairings, solve_exterior
+from .dnmap import DNMeasurement, _control_states, _pairings
 from .fields import ExteriorControl, SpaceTimeField, combine_controls
-from .forward import trapezoid_weights
+from .forward import solve_newmark, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import Potential
@@ -53,12 +53,7 @@ __all__ = [
     "ConditioningWarning",
     "recover_potential",
     "linear_response",
-    "LinearizedSolution",
-    "linearized_solution",
     "reaction_from_march",
-    "remainder_field",
-    "extract_leading_term",
-    "fit_homogeneous_coefficient",
     "extrapolate_powers",
     "fit_profile",
     "ExpansionEstimate",
@@ -127,7 +122,6 @@ def recover_potential(
     q_start: np.ndarray | Potential | None = None,
     *,
     cutoff: float | tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5),
-    dictionary: np.ndarray | None = None,
 ) -> PotentialRecovery:
     """Reconstruct a potential from one measured pairing matrix.
 
@@ -138,8 +132,6 @@ def recover_potential(
     reversed test states, which carries the entire measurement with no
     fitting stage.  cutoff is the relative spectral cutoff of the
     truncated-SVD update, one value per pass (a scalar means one pass).
-    dictionary, when given, restricts the update to its span (rows = nodal
-    profiles).
     """
     if isinstance(measured, DNMeasurement):
         if not measured.reversed_tests:
@@ -161,12 +153,6 @@ def recover_potential(
     if isinstance(q_start, Potential):
         q_start = q_start.values
     q2 = np.zeros(grid.n_int) if q_start is None else np.array(q_start, dtype=float)
-
-    dic = None
-    if dictionary is not None:
-        dic = np.asarray(dictionary, dtype=float)
-        if dic.ndim != 2 or dic.shape[1] != grid.n_int:
-            raise ValueError("dictionary must be (n_atoms, n_int)")
 
     w = trapezoid_weights(grid.n_t, grid.dt)
     rev_block = np.stack([t.values[::-1] for t in tests])  # (n_te, n_t+1, n_ext)
@@ -194,11 +180,7 @@ def recover_potential(
             "atx,btx,t->abx", states_u, states_v, w
         ).reshape(len(controls) * len(tests), grid.n_int)
 
-        if dic is not None:
-            gamma, resid, rank = _tsvd_solve(rows @ dic.T, moments, cut)
-            dq = dic.T @ gamma
-        else:
-            dq, resid, rank = _tsvd_solve(rows, moments, cut)
+        dq, resid, rank = _tsvd_solve(rows, moments, cut)
 
         q_trial = q2 + dq
         states_trial, d_trial = _bundle(q_trial)
@@ -215,11 +197,10 @@ def recover_potential(
         ranks.append(rank)
         accepted_cutoffs.append(cut)
 
-    n_unknowns = dic.shape[0] if dic is not None else grid.n_int
-    if ranks and max(ranks) < n_unknowns:
+    if ranks and max(ranks) < grid.n_int:
         warnings.warn(
             f"moment system rank-deficient (retained {max(ranks)} of "
-            f"{n_unknowns} directions); the update is the minimum-norm "
+            f"{grid.n_int} directions); the update is the minimum-norm "
             "solution on the retained subspace",
             ConditioningWarning,
             stacklevel=2,
@@ -243,69 +224,16 @@ def linear_response(
     op: FracOperator,
     basis: SpectralBasis,
     grid: Grid,
-    *,
-    route: str = "march",
 ) -> np.ndarray:
     """Interior trajectory of the linear (f = 0) problem driven by the
     control: the first-order term of the small-amplitude expansion.
 
-    route 'march' uses the explicit stepper, matching the discretization of
-    marched measurements exactly, so remainders and peeling stages see no
-    integrator mismatch (for dyadic amplitudes the linear march scales
-    bitwise).  route 'modal' uses the spectral solver.
+    The explicit stepper matches the discretization of marched measurements
+    exactly, so remainders and peeling stages see no integrator mismatch
+    (for dyadic amplitudes the linear march scales bitwise).
     """
-    if route == "march":
-        from .forward import solve_newmark
-
-        full = solve_newmark(op, grid, control=control)
-        return grid.restrict(full.values)
-    if route == "modal":
-        _, sol = solve_exterior(control, op, basis, grid, None)
-        return sol.u.values
-    raise ValueError(f"unknown route {route!r} (march | modal)")
-
-
-@dataclass(frozen=True)
-class LinearizedSolution:
-    """Small-amplitude expansion of one semilinear solve: interior
-    trajectories of the measured state and the linear response, their
-    mismatch u_eps - eps v, and its sup-in-time discrete Sobolev norm."""
-
-    u_eps: np.ndarray
-    v: np.ndarray
-    remainder: np.ndarray
-    remainder_norm: float
-
-
-def linearized_solution(
-    model,
-    control: ExteriorControl,
-    eps: float,
-    op: FracOperator,
-    basis: SpectralBasis,
-    grid: Grid,
-) -> LinearizedSolution:
-    """Expand the response to eps * control about the linear problem.
-
-    Both the semilinear state and the linear response come from the
-    explicit march, so the remainder carries no integrator mismatch; for a
-    model without nonlinear terms it is zero to roundoff (exactly zero for
-    dyadic eps).  The reported norm is sup over time of the discrete
-    Sobolev norm sqrt(h r (A_int + I) r).
-    """
-    from .forward import solve_newmark
-
-    if eps < 0.0:
-        raise ValueError(f"amplitude must be nonnegative, got {eps}")
-    v = linear_response(control, op, basis, grid)
-    scaled = combine_controls([control], [float(eps)])
-    full = solve_newmark(op, grid, model=model, control=scaled)
-    u_eps = grid.restrict(full.values)
-    remainder = u_eps - eps * v
-    quad = np.einsum("tx,xy,ty->t", remainder, op.a_int, remainder)
-    mass = np.einsum("tx,tx->t", remainder, remainder)
-    norm = float(np.sqrt(grid.h * np.max(quad + mass)))
-    return LinearizedSolution(u_eps=u_eps, v=v, remainder=remainder, remainder_norm=norm)
+    full = solve_newmark(op, grid, control=control)
+    return grid.restrict(full.values)
 
 
 def reaction_from_march(
@@ -332,99 +260,6 @@ def reaction_from_march(
     if source is not None:
         out = out + np.asarray(source, dtype=float)[1:-1]
     return out
-
-
-def remainder_field(
-    measure: Callable[[ExteriorControl], SpaceTimeField],
-    control: ExteriorControl,
-    eps: float,
-    op: FracOperator,
-    basis: SpectralBasis,
-    grid: Grid,
-    *,
-    linear: np.ndarray | None = None,
-) -> np.ndarray:
-    """Interior remainder u_eps - eps v of the measured response against the
-    scaled linear response; its space-time norm scales like eps^(1 + r_1)."""
-    if linear is None:
-        linear = linear_response(control, op, basis, grid)
-    u_full = measure(combine_controls([control], [eps]))
-    return grid.restrict(u_full.values) - eps * linear
-
-
-def extract_leading_term(
-    measure: Callable[[ExteriorControl], SpaceTimeField],
-    control: ExteriorControl,
-    eps_ladder: tuple[float, ...],
-    r1: float,
-    op: FracOperator,
-    basis: SpectralBasis,
-    grid: Grid,
-    *,
-    r2: float | None = None,
-) -> np.ndarray:
-    """Leading nonlinearity profile f_1(x, v(x, t)) from an amplitude ladder.
-
-    Scales the marched reaction of each measured response by eps^-(1 + r1);
-    Richardson-extrapolates in eps^(r2 - r1) when the next exponent is
-    declared, otherwise returns the smallest-amplitude sample.  Rows cover
-    time steps 1 .. n_t - 1 (reaction differencing cannot see the
-    endpoints).  Scaled samples that diverge as the amplitude shrinks mean
-    the ladder has fallen below the solver noise floor and raise.
-    """
-    eps = np.asarray(eps_ladder, dtype=float)
-    if eps.ndim != 1 or eps.size < 2:
-        raise ValueError("ladder needs at least two amplitudes")
-    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise ValueError("ladder must be positive and strictly decreasing")
-    scaled = np.empty((eps.size, grid.n_t - 1, grid.n_int))
-    norms = np.empty(eps.size)
-    for i, e in enumerate(eps):
-        u_full = measure(combine_controls([control], [float(e)]))
-        scaled[i] = reaction_from_march(u_full, op, grid) / e ** (1.0 + r1)
-        norms[i] = np.linalg.norm(scaled[i])
-    if np.all(np.diff(norms) > 0.0) and norms[-1] > 10.0 * max(norms[0], 1e-300):
-        pretty = ", ".join(f"{n:.3e}" for n in norms)
-        raise ValueError(
-            f"scaled reactions diverge as the amplitude shrinks (noise floor "
-            f"exceeded): norms [{pretty}] over ladder {tuple(float(e) for e in eps)}"
-        )
-    if r2 is None:
-        return scaled[-1]
-    if r2 <= r1:
-        raise ValueError(f"next exponent {r2} must exceed the leading one {r1}")
-    limit, _, _ = extrapolate_powers(eps, scaled, (0.0, float(r2) - float(r1)))
-    return limit
-
-
-def fit_homogeneous_coefficient(
-    samples: np.ndarray,
-    v_rows: np.ndarray,
-    r: float,
-    *,
-    v_min: float | None = None,
-    floor_rel: float = 1e-3,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient profile b(x) from samples of b(x) |v|^r v.
-
-    Accepts any number of leading axes (solution families, time rows);
-    v_min is an absolute excitation threshold and overrides floor_rel,
-    which is relative to the largest excitation.  Nodes never excited
-    above the threshold inherit the nearest informative estimate and are
-    flagged False in the returned mask.
-    """
-    samples = np.asarray(samples, dtype=float)
-    v_rows = np.asarray(v_rows, dtype=float)
-    if samples.shape != v_rows.shape:
-        raise ValueError("sample and response shapes differ")
-    flat_s = samples.reshape(-1, samples.shape[-1])
-    flat_v = v_rows.reshape(-1, v_rows.shape[-1])
-    if v_min is not None:
-        vmax = float(np.max(np.abs(flat_v)))
-        if vmax == 0.0:
-            raise ValueError("response family is identically zero")
-        floor_rel = float(v_min) / vmax
-    return fit_profile(flat_s, flat_v, r, floor_rel=floor_rel)
 
 
 def extrapolate_powers(
@@ -526,6 +361,9 @@ def recover_expansion(
     stage-k extrapolation basis is {0} + {r_j - r_k : j < k} + {r_1} +
     {r_(k+1) - r_k}; a stage whose basis outgrows the ladder is reported
     unresolved (zero profile, error inf) rather than extrapolated badly.
+    Stage-1 scaled reactions that grow along the whole ladder and end more
+    than ten times above the first rung mean the ladder has fallen below
+    the solver noise floor, and raise.
     """
     exps = tuple(float(r) for r in exponents)
     if any(b <= a for a, b in zip(exps, exps[1:])) or not exps:
@@ -539,10 +377,18 @@ def recover_expansion(
 
     reactions = np.empty((eps_arr.size, grid.n_t - 1, grid.n_int))
     states = np.empty_like(reactions)
+    norms = np.empty(eps_arr.size)  # of the scaled stage-1 reactions
     for i, eps in enumerate(eps_arr):
         u_full = measure(combine_controls([control], [float(eps)]))
         reactions[i] = reaction_from_march(u_full, op, grid)
         states[i] = grid.restrict(u_full.values)[1:-1]
+        norms[i] = np.linalg.norm(reactions[i]) / eps ** (1.0 + exps[0])
+    if np.all(np.diff(norms) > 0.0) and norms[-1] > 10.0 * max(norms[0], 1e-300):
+        pretty = ", ".join(f"{n:.3e}" for n in norms)
+        raise ValueError(
+            f"scaled reactions diverge as the amplitude shrinks (noise floor "
+            f"exceeded): norms [{pretty}] over ladder {tuple(float(e) for e in eps_arr)}"
+        )
 
     n_terms = len(exps)
     coeffs = np.zeros((n_terms, grid.n_int))

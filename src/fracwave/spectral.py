@@ -37,8 +37,6 @@ __all__ = [
     "dual_norm_variational",
     "hs_norm",
     "l2_norm",
-    "EllipticSolver",
-    "solve_dirichlet_elliptic",
     "dump_spectra_csv",
 ]
 
@@ -113,31 +111,6 @@ def dual_norm_variational(g: np.ndarray, op: FracOperator) -> float:
     c, low = sla.cho_factor(op.a_int, lower=True)
     z = sla.solve_triangular(c, np.asarray(g, dtype=float), lower=low)
     return float(np.sqrt(op.h) * np.linalg.norm(z))
-
-
-class EllipticSolver:
-    """Reusable Dirichlet solve A_int u = g with one refinement step."""
-
-    def __init__(self, op: FracOperator):
-        self.op = op
-        self._factor = sla.cho_factor(op.a_int, lower=True)
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        g = np.asarray(g, dtype=float)
-        x = sla.cho_solve(self._factor, g)
-        # one iterative refinement pass pushes the residual to the
-        # u*||A||*||x|| floor, needed by the 1e-10 residual contract
-        x = x + sla.cho_solve(self._factor, g - self.op.a_int @ x)
-        return x
-
-
-def solve_dirichlet_elliptic(g: np.ndarray, op: FracOperator) -> np.ndarray:
-    """Solution operator of the interior Dirichlet problem (dense Cholesky).
-
-    Maps H^-s data to the energy space; isometric in the sense
-    ||S g||_s = ||g||_-s.  Factorization failure propagates (fatal).
-    """
-    return EllipticSolver(op).solve(g)
 
 
 def dump_spectra_csv(basis: SpectralBasis, path) -> None:

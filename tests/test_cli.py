@@ -106,9 +106,18 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("invert-f", "invf.floor=2", "invf.floor must lie"),
         ("verify", "verify.checks=nosuch", "unknown check"),
         ("invert-q", "noise.sigma=-1", "noise.sigma must be"),
+        ("solve", "control.window=7;control.node=3", "window must be 1 or 2"),
+        ("solve", "control.node=99", "exterior index 99 outside"),
+        ("invert-f", "invf.node=99", "exterior index 99 outside"),
+        ("solve", "control.window=2;control.node=-1", "exterior index -1 outside"),
+        ("dn", "controls.freqs=0", "at least one frequency"),
+        ("runge", "runge.freqs=0", "at least one frequency"),
+        ("invert-q", "invq.freqs=0", "at least one frequency"),
     ],
     ids=["cfl", "window", "n_int", "order", "control", "cutoff", "no_cutoffs",
-         "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma"],
+         "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
+         "window_number", "node", "invf_node", "negative_node", "dn_freqs",
+         "runge_freqs", "invq_freqs"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
     # validation errors raised while building the grid, operator, controls

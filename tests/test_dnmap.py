@@ -4,6 +4,7 @@ import pytest
 import fracwave as fw
 from fracwave import DNMeasurement, PolyNonlinearity
 from fracwave.dnmap import dn_matrix, dn_pairing, dn_trace, grid_signature, solve_exterior
+from fracwave.forward import solve_newmark
 from conftest import case
 
 
@@ -25,18 +26,33 @@ def test_grid_signature_discriminates():
 def test_dn_trace_shape_and_node_set():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    full, sol = solve_exterior(control, op, basis, grid)
+    full = solve_exterior(control, op, basis, grid)
     trace = dn_trace(full, op, grid)
     assert trace.shape == (grid.n_t + 1, grid.n_ext)
+    interior = fw.SpaceTimeField(grid.restrict(full.values), "interior", grid.dt, grid.T)
     with pytest.raises(ValueError):
-        dn_trace(sol.u, op, grid)
+        dn_trace(interior, op, grid)
 
 
 def test_zero_control_zero_state():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     zero = fw.combine_controls([fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))], [0.0])
-    full, sol = solve_exterior(zero, op, basis, grid)
+    full = solve_exterior(zero, op, basis, grid)
     assert np.max(np.abs(full.values)) == 0.0
+
+
+def test_solve_exterior_carries_control():
+    """The interior is the batched linear sweep with q = 0; the control is
+    pasted unchanged onto the exterior nodes."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    full = solve_exterior(control, op, basis, grid)
+    np.testing.assert_array_equal(
+        full.values[:, grid.exterior_indices], control.values
+    )
+    sweep = fw.solve_with_potential(control.values[None], np.zeros(grid.n_int),
+                                    op, basis, grid)[0]
+    np.testing.assert_array_equal(grid.restrict(full.values), sweep)
 
 
 def test_pairing_linear_in_control():
@@ -52,20 +68,10 @@ def test_pairing_linear_in_control():
 def test_dn_matrix_matches_pairing_helper():
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     controls, tests = batteries(grid, 1)
-    m = dn_matrix(op, basis, grid, controls, tests, reverse_tests=False)
-    full, _ = solve_exterior(controls[0], op, basis, grid)
-    assert m[0, 0] == pytest.approx(dn_pairing(full, tests[0], op, grid), rel=1e-13)
-
-
-def test_reverse_tests_flag_is_manual_reversal():
-    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
-    controls, tests = batteries(grid, 2)
-    auto = dn_matrix(op, basis, grid, controls, tests)
-    manual = dn_matrix(
-        op, basis, grid, controls, [fw.reverse_control(t) for t in tests],
-        reverse_tests=False,
-    )
-    assert np.array_equal(auto, manual)
+    m = dn_matrix(op, basis, grid, controls, tests)
+    full = solve_exterior(controls[0], op, basis, grid)
+    reversed_test = fw.reverse_control(tests[0])
+    assert m[0, 0] == pytest.approx(dn_pairing(full, reversed_test, op, grid), rel=1e-13)
 
 
 def test_reciprocity_under_shared_potential():
@@ -82,11 +88,12 @@ def test_semilinear_route_runs_through_march():
     grid, op, basis = case(n_int=16, s=0.7, n_t=128)
     f = PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    full, sol = solve_exterior(control, op, basis, grid, f)
+    full = solve_exterior(control, op, basis, grid, f)
     assert full.node_set == "full"
-    assert sol.u.values.shape == (grid.n_t + 1, grid.n_int)
+    march = solve_newmark(op, grid, model=f, control=control)
+    assert np.array_equal(full.values, march.values)
     # the nonlinear response must differ from the linear one
-    lin_full, _ = solve_exterior(control, op, basis, grid, None)
+    lin_full = solve_exterior(control, op, basis, grid, None)
     assert np.max(np.abs(full.values - lin_full.values)) > 1e-8
 
 

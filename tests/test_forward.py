@@ -209,7 +209,7 @@ def test_potential_sweep_matches_picard(profile):
     )
     zero = CauchyData.zero(grid.n_int)
     for control, u in zip(controls, states):
-        source = fw.lift_exterior(control, op, grid).source
+        source = fw.lift_exterior(control, op, grid)
         ref, _ = fw.solve_with_potential_picard(basis, q, zero, source, grid)
         scale = np.max(np.abs(ref.u.values))
         assert np.max(np.abs(u - ref.u.values)) <= 1e-12 * scale
@@ -232,16 +232,6 @@ def test_potential_sweep_shape_checks():
         fw.solve_with_potential(values, np.zeros(grid.n_int + 1), op, basis, grid)
     with pytest.raises(ValueError, match="control values"):
         fw.solve_with_potential(values[0], np.zeros(grid.n_int), op, basis, grid)
-
-
-def test_lift_reassemble_carries_control():
-    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
-    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    lifted = fw.lift_exterior(control, op, grid)
-    full = lifted.reassemble(np.zeros((grid.n_t + 1, grid.n_int)), grid)
-    np.testing.assert_array_equal(
-        full.values[:, grid.exterior_indices], control.values
-    )
 
 
 def test_residuals_accept_true_reject_perturbed(rng):

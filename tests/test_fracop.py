@@ -97,19 +97,10 @@ def test_interior_block_consistent_with_zero_extension():
     grid, op, _ = case(n_int=18, s=0.7, n_t=8)
     v = np.sin(np.pi * grid.interior_coords)
     full = grid.extend(v)
-    applied = fw.apply_operator(op, full)
+    applied = full @ op.a_full
     np.testing.assert_allclose(
         grid.restrict(applied), op.a_int @ v, rtol=1e-13, atol=1e-13
     )
-
-
-def test_apply_operator_stacked():
-    grid, op, _ = case(n_int=10, s=0.7, n_t=8)
-    fields = np.arange(3 * grid.n_nodes, dtype=float).reshape(3, grid.n_nodes)
-    out = fw.apply_operator(op, fields)
-    np.testing.assert_allclose(out, fields @ op.a_full, rtol=0, atol=0)
-    with pytest.raises(ValueError):
-        fw.apply_operator(op, np.zeros(grid.n_nodes + 2))
 
 
 @pytest.mark.parametrize("s", [0.0, -0.5, 2.0, 3.0])
@@ -117,12 +108,3 @@ def test_assemble_rejects_bad_orders(s):
     grid, _, _ = case(n_int=10, s=0.7, n_t=8)
     with pytest.raises(ValueError):
         fw.assemble_operator(grid, s)
-
-
-def test_operator_csv_roundtrip(tmp_path):
-    grid, op, _ = case(n_int=10, s=0.7, n_t=8)
-    path = tmp_path / "op.csv"
-    fw.dump_operator_csv(op, path)
-    s, h, matrix = fw.load_operator_csv(path)
-    assert s == op.s and h == op.h
-    assert np.array_equal(matrix, op.a_full)

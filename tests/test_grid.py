@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fracwave as fw
-from fracwave import collar_window
 
 
 def unit_grid(n_int=10, m=3, n_t=8, T=1.0):
@@ -81,6 +80,9 @@ def test_w_masks_disjoint():
     assert m1.sum() == len(g.w1)
     assert m2.sum() == len(g.w2)
     assert not np.any(m1 & m2)
+    for bad in (0, 3, 7):
+        with pytest.raises(ValueError, match="window must be 1 or 2"):
+            g.w_mask(bad)
 
 
 def test_times_grid():
@@ -89,16 +91,6 @@ def test_times_grid():
     assert t.shape == (17,)
     assert t[0] == 0.0 and t[-1] == 2.0
     np.testing.assert_allclose(np.diff(t), g.dt, rtol=0, atol=1e-15)
-
-
-def test_collar_window_offsets():
-    assert collar_window("left", 0, 2, 3) == (0, 1)
-    assert collar_window("right", 0, 2, 3) == (3, 4)
-    assert collar_window("right", 1, 2, 2) == (3,)
-    with pytest.raises(ValueError, match="outside collar"):
-        collar_window("right", 1, 3, 2)
-    with pytest.raises(ValueError, match="side must be"):
-        collar_window("top", 0, 1, 3)
 
 
 @pytest.mark.parametrize(

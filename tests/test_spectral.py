@@ -102,24 +102,6 @@ def test_poincare_inequality(rng):
         assert fw.hs_norm(v, op) >= np.sqrt(lam1) * fw.l2_norm(v, grid.h) * (1 - 1e-12)
 
 
-def test_elliptic_solver_against_direct(rng):
-    grid, op, _ = case(n_int=24, s=0.7)
-    g = rng.standard_normal(grid.n_int)
-    x = fw.solve_dirichlet_elliptic(g, op)
-    ref = np.linalg.solve(op.a_int, g)
-    np.testing.assert_allclose(x, ref, rtol=1e-10)
-    resid = np.linalg.norm(op.a_int @ x - g) / np.linalg.norm(g)
-    assert resid <= 1e-10
-
-
-def test_elliptic_solver_isometry(rng):
-    # the solve maps H^-s data to the energy space isometrically
-    grid, op, basis = case(n_int=24, s=0.7)
-    g = rng.standard_normal(grid.n_int)
-    x = fw.solve_dirichlet_elliptic(g, op)
-    assert fw.hs_norm(x, op) == pytest.approx(fw.dual_norm(g, basis), rel=1e-10)
-
-
 def test_spectra_csv_exact(tmp_path):
     grid, op, basis = case(n_int=10, s=0.7)
     path = tmp_path / "spectra.csv"
