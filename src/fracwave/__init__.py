@@ -63,6 +63,12 @@ _EXPORTS = {
     # nonlinearity
     "Potential": "nonlinearity",
     "PolyNonlinearity": "nonlinearity",
+    "integrability_floor": "nonlinearity",
+    "exponent_limit": "nonlinearity",
+    "NonlinearityReport": "nonlinearity",
+    "GrowthRatioWarning": "nonlinearity",
+    "validate_potential": "nonlinearity",
+    "validate_nonlinearity": "nonlinearity",
     "lp_norm": "nonlinearity",
     # dnmap
     "dn_trace": "dnmap",
