@@ -103,9 +103,10 @@ def _control_states(
 ) -> np.ndarray:
     """Interior displacements (n_controls, n_t+1, n_int).  Every linear
     model, no potential included (as q = 0), takes one batched sweep of
-    `solve_with_potential`; a power-type nonlinearity marches each control."""
+    `solve_with_potential`; a power-type nonlinearity marches all controls
+    as one batch."""
     if isinstance(model, PolyNonlinearity):
-        marches = [solve_newmark(op, grid, model=model, control=c) for c in controls]
+        marches = solve_newmark(op, grid, model=model, control=controls)
         return np.stack([grid.restrict(m.values) for m in marches])
     q = np.zeros(grid.n_int) if model is None else model
     values = np.stack([c.values for c in controls])

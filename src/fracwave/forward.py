@@ -25,10 +25,14 @@ residual identities below inherit.
 Time stepping route.  An explicit central-difference (Stormer-Verlet) march
 on the full grid doubles as an independent oracle for the modal solver and
 as the workhorse for semilinear models, under the usual CFL restriction
-dt <= 2 / sqrt(lambda_max (1 + margin)).
+dt <= 2 / sqrt(lambda_max (1 + margin)).  The march always advances a batch:
+the states of B exterior controls live in one (n_t+1, B, n_nodes) buffer and
+each step costs one (B, n_nodes) product with the interior rows of A, so an
+amplitude ladder or a control basis is one march, not one per control.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -351,19 +355,22 @@ def solve_newmark(
     op: FracOperator,
     grid: Grid,
     model: Potential | PolyNonlinearity | np.ndarray | None = None,
-    control: ExteriorControl | None = None,
+    control: ExteriorControl | Sequence[ExteriorControl] | None = None,
     data: CauchyData | None = None,
     source: np.ndarray | None = None,
     *,
     cfl_margin: float = 0.25,
-) -> SpaceTimeField:
+) -> SpaceTimeField | list[SpaceTimeField]:
     """Explicit central-difference march of
     u'' + A u + q u + f(x, u) = F on the full grid.
 
     Exterior nodes follow the control (zero when absent); interior nodes
-    start from the Cauchy data with a second-order startup step.  Returns
-    the full-grid trajectory.  Raises on CFL violation and aborts with the
-    step index when the march produces non-finite values.
+    start from the Cauchy data with a second-order startup step.  One
+    control (or None) returns its full-grid trajectory; a sequence of
+    controls is marched as one batch, sharing the model, data and source,
+    and returns one full-grid trajectory per control, in order (views into
+    the batch buffer).  Raises on CFL violation and aborts with the step
+    index when the march produces non-finite values.
     """
     dt = grid.dt
     bound = newmark_dt_bound(op, cfl_margin=cfl_margin)
@@ -393,18 +400,25 @@ def solve_newmark(
             raise ValueError(
                 f"source shape {source.shape} != {(grid.n_t + 1, grid.n_int)}"
             )
-    if control is not None and control.n_t != grid.n_t:
-        raise ValueError(f"control has n_t={control.n_t}, grid has {grid.n_t}")
+    single = control is None or isinstance(control, ExteriorControl)
+    controls = [control] if single else list(control)
+    if not controls:
+        raise ValueError("need at least one control")
+    for c in controls:
+        if c is not None and c.n_t != grid.n_t:
+            raise ValueError(f"control has n_t={c.n_t}, grid has {grid.n_t}")
 
     n_t = grid.n_t
-    full = np.zeros((n_t + 1, grid.n_nodes))
-    if control is not None:
-        full[:, grid.exterior_indices] = control.values
+    full = np.zeros((n_t + 1, len(controls), grid.n_nodes))
+    for b, c in enumerate(controls):
+        if c is not None:
+            full[:, b, grid.exterior_indices] = c.values
     interior = grid.interior_slice
+    stiff_t = op.a_full[interior].T  # (n_nodes, n_int): rows of A on the interior
 
     def accel(n: int) -> np.ndarray:
-        a = -(op.a_full @ full[n])[interior]
-        u_int = full[n, interior]
+        a = -(full[n] @ stiff_t)
+        u_int = full[n, :, interior]
         if q is not None:
             a = a - q * u_int
         if nonlin is not None:
@@ -413,16 +427,19 @@ def solve_newmark(
             a = a + source[n]
         return a
 
-    full[0, interior] = data.u0
-    full[1, interior] = data.u0 + dt * data.u1 + 0.5 * dt * dt * accel(0)
+    full[0, :, interior] = data.u0
+    full[1, :, interior] = data.u0 + dt * data.u1 + 0.5 * dt * dt * accel(0)
     for n in range(1, n_t):
-        u_new = 2.0 * full[n, interior] - full[n - 1, interior] + dt * dt * accel(n)
+        u_new = 2.0 * full[n, :, interior] - full[n - 1, :, interior] + dt * dt * accel(n)
         if not np.isfinite(u_new).all():
+            rows = np.flatnonzero(~np.isfinite(u_new).all(axis=1)).tolist()
             raise SolverBlowupError(
-                f"non-finite values at step {n + 1} (t = {(n + 1) * dt:.6g})"
+                f"non-finite values at step {n + 1} (t = {(n + 1) * dt:.6g}) "
+                f"in batch rows {rows}"
             )
-        full[n + 1, interior] = u_new
-    return SpaceTimeField(full, "full", dt, grid.T)
+        full[n + 1, :, interior] = u_new
+    fields = [SpaceTimeField(full[:, b], "full", dt, grid.T) for b in range(len(controls))]
+    return fields[0] if single else fields
 
 
 def very_weak_residual(

@@ -285,7 +285,11 @@ def extrapolate_powers(
         raise ValueError("samples leading axis must match the ladder")
     design = np.stack([eps_values**p for p in powers], axis=1)
     flat = samples.reshape(eps_values.size, -1)
-    coef, _, _, sing = np.linalg.lstsq(design, flat, rcond=None)
+    # one SVD of the small design serves every right-hand side; the cut is
+    # lstsq's rcond=None: singular values <= eps * max(shape) * s_max are 0
+    u, sing, vt = np.linalg.svd(design, full_matrices=False)
+    keep = sing > np.finfo(float).eps * max(design.shape) * sing[0]
+    coef = vt[keep].T @ ((u[:, keep].T @ flat) / sing[keep, None])
     resid = design @ coef - flat
     rms = np.sqrt(np.mean(resid**2, axis=0)).reshape(samples.shape[1:])
     limit = coef[powers.index(0.0)].reshape(samples.shape[1:])
@@ -343,7 +347,7 @@ class ExpansionEstimate:
 
 
 def recover_expansion(
-    measure: Callable[[ExteriorControl], SpaceTimeField],
+    measure: Callable[[list[ExteriorControl]], list[SpaceTimeField]],
     control: ExteriorControl,
     exponents: tuple[float, ...],
     op: FracOperator,
@@ -356,11 +360,15 @@ def recover_expansion(
     """Peel the coefficient profiles of a polyhomogeneous nonlinearity from
     measured small-amplitude responses.
 
-    measure maps an exterior control to the full-grid trajectory of the
-    unknown model (for synthetic studies, wrap the explicit march).  The
-    stage-k extrapolation basis is {0} + {r_j - r_k : j < k} + {r_1} +
-    {r_(k+1) - r_k}; a stage whose basis outgrows the ladder is reported
-    unresolved (zero profile, error inf) rather than extrapolated badly.
+    measure takes the list of ladder controls (the control scaled by each
+    rung, largest first) and returns the full-grid trajectory of the unknown
+    model for each, in the same order; it is called once.  For synthetic
+    studies, pass the list straight to the explicit march, which marches it
+    as one batch.  Only the reactions and interior states are kept from the
+    returned trajectories.  The stage-k extrapolation basis is
+    {0} + {r_j - r_k : j < k} + {r_1} + {r_(k+1) - r_k}; a stage whose basis
+    outgrows the ladder is reported unresolved (zero profile, error inf)
+    rather than extrapolated badly.
     Stage-1 scaled reactions that grow along the whole ladder and end more
     than ten times above the first rung mean the ladder has fallen below
     the solver noise floor, and raise.
@@ -371,18 +379,25 @@ def recover_expansion(
     eps_arr = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
     if eps_arr.size < 2 or np.any(eps_arr <= 0):
         raise ValueError("eps_ladder needs at least two positive values")
+    if np.unique(eps_arr).size != eps_arr.size:
+        raise ValueError(
+            f"eps_ladder repeats a rung: {tuple(float(e) for e in eps_arr)}"
+        )
 
     v = linear_response(control, op, basis, grid)
     v_rows = v[1:-1]
 
+    fields = measure([combine_controls([control], [float(eps)]) for eps in eps_arr])
+    if len(fields) != eps_arr.size:
+        raise ValueError(f"measure returned {len(fields)} fields for {eps_arr.size} controls")
     reactions = np.empty((eps_arr.size, grid.n_t - 1, grid.n_int))
     states = np.empty_like(reactions)
     norms = np.empty(eps_arr.size)  # of the scaled stage-1 reactions
-    for i, eps in enumerate(eps_arr):
-        u_full = measure(combine_controls([control], [float(eps)]))
+    for i, (eps, u_full) in enumerate(zip(eps_arr, fields)):
         reactions[i] = reaction_from_march(u_full, op, grid)
         states[i] = grid.restrict(u_full.values)[1:-1]
         norms[i] = np.linalg.norm(reactions[i]) / eps ** (1.0 + exps[0])
+    del fields, u_full  # free the batch buffer before the peeling stage
     if np.all(np.diff(norms) > 0.0) and norms[-1] > 10.0 * max(norms[0], 1e-300):
         pretty = ", ".join(f"{n:.3e}" for n in norms)
         raise ValueError(
@@ -397,7 +412,7 @@ def recover_expansion(
     resolved: list[bool] = []
     conds: list[float] = []
 
-    peeled = reactions.copy()
+    peeled = reactions  # peeled in place: the raw reactions are not read again
     for k, r_k in enumerate(exps):
         powers = {0.0, exps[0]}
         powers.update(r_j - r_k for r_j in exps[:k])
@@ -431,7 +446,7 @@ def recover_expansion(
         conds.append(cond)
 
         term = b_k[None, None, :] * np.abs(states) ** r_k * states
-        peeled = peeled - term
+        peeled -= term
 
     return ExpansionEstimate(
         exponents=exps,

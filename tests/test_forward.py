@@ -130,6 +130,55 @@ def test_newmark_shape_checks():
         fw.solve_newmark(op, grid, source=np.zeros((grid.n_t, grid.n_int)))
 
 
+def ladder_controls(grid, n):
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    return [fw.combine_controls([control], [2.0**-k]) for k in range(n)]
+
+
+def test_newmark_batch_rows_match_single_marches():
+    grid, op, basis = case(n_int=24, s=0.7, n_t=512)
+    x = grid.interior_coords
+    model = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
+    controls = ladder_controls(grid, 9)
+    batch = fw.solve_newmark(op, grid, model=model, control=controls)
+    assert len(batch) == len(controls)
+    for field, c in zip(batch, controls):
+        single = fw.solve_newmark(op, grid, model=model, control=c)
+        assert field.node_set == "full" and field.values.shape == single.values.shape
+        gap = np.max(np.abs(field.values - single.values))
+        assert gap <= 1e-12 * np.max(np.abs(single.values))
+
+
+def test_newmark_one_element_batch_equals_single_call():
+    grid, op, basis = case(n_int=16, s=0.7, n_t=128)
+    model = PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int)
+    (control,) = ladder_controls(grid, 1)
+    (batched,) = fw.solve_newmark(op, grid, model=model, control=[control])
+    single = fw.solve_newmark(op, grid, model=model, control=control)
+    assert np.array_equal(batched.values, single.values)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_newmark_batch_keeps_guards():
+    grid, op, basis = case(n_int=16, s=0.7, n_t=512)
+    controls = ladder_controls(grid, 3)
+    with pytest.raises(ValueError, match="at least one control"):
+        fw.solve_newmark(op, grid, control=[])
+    (short,) = ladder_controls(case(n_int=16, s=0.7, n_t=64)[0], 1)
+    with pytest.raises(ValueError, match="n_t=64"):
+        fw.solve_newmark(op, grid, control=[*controls, short])
+    bad = PolyNonlinearity.single(2.0, -1e8, n_nodes=grid.n_int)
+    data = CauchyData(np.sin(np.pi * grid.interior_coords), np.zeros(grid.n_int))
+    with pytest.raises(fw.SolverBlowupError, match="step"):
+        fw.solve_newmark(op, grid, model=bad, control=controls, data=data)
+    grid, op, basis = case(n_int=48, s=1.5, n_t=8)
+    still = fw.ExteriorControl(np.zeros((grid.n_t + 1, grid.n_ext)), grid.w_mask(1),
+                               grid.dt, grid.T)
+    with pytest.raises(ValueError, match="CFL"):
+        fw.solve_newmark(op, grid, control=[still, still])
+
+
 def test_picard_zero_potential_short_circuits():
     grid, op, basis = case(n_int=24, s=0.7, n_t=64)
     data, _, _ = mode_data(basis, 0)

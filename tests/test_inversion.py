@@ -258,6 +258,24 @@ def test_extrapolate_powers_recovers_exact_expansion(rng):
     assert cond >= 1.0
 
 
+@pytest.mark.parametrize("eps, powers", [
+    (2.0 ** -np.arange(3, 12), (0.0, 0.5, 1.0)),
+    (2.0 ** -np.arange(3, 12), (0.0, 0.5, 1.0, 1.5)),
+    (np.array([0.5, 0.5, 0.25, 0.125]), (0.0, 0.5, 1.0, 1.5)),  # rank 3
+])
+def test_extrapolate_powers_matches_lstsq(rng, eps, powers):
+    samples = rng.standard_normal((eps.size, 40, 7))
+    limit, rms, cond = inv.extrapolate_powers(eps, samples, powers)
+    design = np.stack([eps**p for p in powers], axis=1)
+    flat = samples.reshape(eps.size, -1)
+    coef, _, _, sing = np.linalg.lstsq(design, flat, rcond=None)
+    ref_limit = coef[powers.index(0.0)].reshape(limit.shape)
+    ref_rms = np.sqrt(np.mean((design @ coef - flat) ** 2, axis=0)).reshape(rms.shape)
+    assert np.max(np.abs(limit - ref_limit)) <= 1e-12 * np.max(np.abs(ref_limit))
+    assert np.max(np.abs(rms - ref_rms)) <= 1e-12 * np.max(ref_rms)
+    assert cond == pytest.approx(sing[0] / sing[-1], rel=1e-12)
+
+
 @pytest.mark.parametrize("powers, eps_n, message", [
     ((0.5, 1.0), 4, "must include 0"),
     ((0.0, 0.5, 0.5), 4, "duplicate"),
@@ -342,6 +360,21 @@ def test_recover_expansion_validates_arguments(fast_case):
     with pytest.raises(ValueError, match="at least two"):
         inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
                               eps_ladder=(0.25,))
+    with pytest.raises(ValueError, match="returned 1 fields for 2 controls"):
+        inv.recover_expansion(lambda cs: measure(cs)[:1], control, (0.5,), op,
+                              basis, grid, eps_ladder=(0.25, 0.125))
+
+
+@pytest.mark.parametrize("ladder", [(0.125, 0.125), (0.125, 0.125, 0.0625, 0.0625)])
+def test_recover_expansion_rejects_repeated_rungs(fast_case, ladder):
+    """Repeated amplitudes make the extrapolation singular and the even/odd
+    sub-ladders identical, so the self-reported error would read 0."""
+    grid, op, basis = fast_case
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    measure = lambda cs: solve_newmark(op, grid, control=cs)
+    with pytest.raises(ValueError, match="repeats a rung"):
+        inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
+                              eps_ladder=ladder)
 
 
 def test_recover_expansion_detects_noise_floor(fast_case):
@@ -350,7 +383,7 @@ def test_recover_expansion_detects_noise_floor(fast_case):
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     frozen = solve_newmark(op, grid, control=control)
-    measure = lambda c: frozen
+    measure = lambda cs: [frozen] * len(cs)
     ladder = tuple(2.0**-k for k in range(3, 8))
     with pytest.raises(ValueError, match="diverge"):
         inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
