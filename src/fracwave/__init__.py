@@ -63,12 +63,6 @@ _EXPORTS = {
     # nonlinearity
     "Potential": "nonlinearity",
     "PolyNonlinearity": "nonlinearity",
-    "integrability_floor": "nonlinearity",
-    "exponent_limit": "nonlinearity",
-    "NonlinearityReport": "nonlinearity",
-    "GrowthRatioWarning": "nonlinearity",
-    "validate_potential": "nonlinearity",
-    "validate_nonlinearity": "nonlinearity",
     "lp_norm": "nonlinearity",
     # dnmap
     "dn_trace": "dnmap",
@@ -87,7 +81,6 @@ _EXPORTS = {
     "dump_sweep_csv": "runge",
     # inversion
     "PotentialRecovery": "inversion",
-    "ConditioningWarning": "inversion",
     "recover_potential": "inversion",
     "linear_response": "inversion",
     "reaction_from_march": "inversion",

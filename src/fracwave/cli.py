@@ -408,6 +408,8 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
         )
     if len(amps) != len(exponents):
         raise ConfigError("invf.amps and invf.exponents must have equal length")
+    if 0.0 in amps:
+        raise ConfigError(f"invf.amps must be nonzero, got {amps}")
     p_lo, p_hi = cfg["invf.eps_pow_min"], cfg["invf.eps_pow_max"]
     if p_hi <= p_lo:
         raise ConfigError("invf.eps_pow_max must exceed invf.eps_pow_min")
@@ -433,7 +435,6 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
         control,
         exponents,
         op,
-        basis,
         grid,
         eps_ladder=ladder,
         floor_rel=cfg["invf.floor"],

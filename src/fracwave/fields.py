@@ -19,6 +19,7 @@ __all__ = [
     "CauchyData",
     "ExteriorControl",
     "time_reverse",
+    "reverse_control",
     "time_window",
     "tensor_control",
     "control_basis",

@@ -34,7 +34,6 @@ nodewise against |v|^(r_k) v on sufficiently excited nodes.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,7 +49,6 @@ from .spectral import SpectralBasis
 
 __all__ = [
     "PotentialRecovery",
-    "ConditioningWarning",
     "recover_potential",
     "linear_response",
     "reaction_from_march",
@@ -59,11 +57,6 @@ __all__ = [
     "ExpansionEstimate",
     "recover_expansion",
 ]
-
-
-class ConditioningWarning(UserWarning):
-    """The moment system was rank-deficient at the requested cutoff; the
-    update is the minimum-norm solution on the retained subspace."""
 
 
 # ---------------------------------------------------------------- potentials
@@ -197,15 +190,6 @@ def recover_potential(
         ranks.append(rank)
         accepted_cutoffs.append(cut)
 
-    if ranks and max(ranks) < grid.n_int:
-        warnings.warn(
-            f"moment system rank-deficient (retained {max(ranks)} of "
-            f"{grid.n_int} directions); the update is the minimum-norm "
-            "solution on the retained subspace",
-            ConditioningWarning,
-            stacklevel=2,
-        )
-
     return PotentialRecovery(
         q_est=q2,
         increments=tuple(increments),
@@ -222,7 +206,6 @@ def recover_potential(
 def linear_response(
     control: ExteriorControl,
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
 ) -> np.ndarray:
     """Interior trajectory of the linear (f = 0) problem driven by the
@@ -351,7 +334,6 @@ def recover_expansion(
     control: ExteriorControl,
     exponents: tuple[float, ...],
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
     *,
     eps_ladder: tuple[float, ...],
@@ -384,7 +366,7 @@ def recover_expansion(
             f"eps_ladder repeats a rung: {tuple(float(e) for e in eps_arr)}"
         )
 
-    v = linear_response(control, op, basis, grid)
+    v = linear_response(control, op, grid)
     v_rows = v[1:-1]
 
     fields = measure([combine_controls([control], [float(eps)]) for eps in eps_arr])

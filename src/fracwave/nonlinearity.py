@@ -4,63 +4,29 @@ The semilinear term has the polyhomogeneous form
 
     f(x, z) = sum_k b_k(x) |z|^(r_k) z,      0 < r_1 < r_2 < ... ,
 
-each term odd in z and homogeneous of degree 1 + r_k, with bounded
-coefficients.  A model is 'serial' when the sum is the exact definition and
-'asymptotic' when it is the expansion of f to the declared order with a
-remainder bounded by c_remainder * |z|^(1 + next exponent).  Admissibility
-on a 1-d domain ties the integrability exponent p of the state space and
-the growth exponents to the operator order s:
-
-    s > 1/2:  p >= 2          (fractional Sobolev embedding into L^infty)
-    s = 1/2:  p > 2
-    s < 1/2:  p >= 1/s
-
-    2 s >= 1: any r > 0
-    2 s <  1: r <= 2 s / (1 - 2 s)
-
-Under these constraints the substitution operator u -> f(., u) maps
-L^p into L^(p / (r+1)) with norm controlled by sup|b| ||u||_p^(r+1),
-which keeps the Duhamel fixed-point argument closed.
+each term odd in z and homogeneous of degree 1 + r_k, with bounded nodal
+coefficient profiles.  The forward march evaluates f, and expansion
+recovery peels it one term at a time.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid
-
 __all__ = [
     "Potential",
     "PolyNonlinearity",
-    "NonlinearityReport",
-    "GrowthRatioWarning",
-    "integrability_floor",
-    "exponent_limit",
-    "validate_potential",
-    "validate_nonlinearity",
     "lp_norm",
 ]
 
 
-class GrowthRatioWarning(UserWarning):
-    """Coefficient bounds grow along the expansion; the serial recovery
-    guarantee does not apply."""
-
-
 @dataclass(frozen=True)
 class Potential:
-    """Bounded multiplication potential q(x) on interior nodes.
-
-    p declares the integrability class the potential is used in; nodal
-    vectors are bounded, so the default is inf.  Whether p is admissible
-    depends on the operator order, checked by validate_potential.
-    """
+    """Bounded multiplication potential q(x) on interior nodes."""
 
     values: np.ndarray
     name: str = "q"
-    p: float = np.inf
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -68,17 +34,7 @@ class Potential:
             raise ValueError(f"potential must be a 1-d nodal vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("potential contains non-finite values")
-        if not self.p >= 1.0:
-            raise ValueError(f"integrability exponent must be >= 1, got {self.p}")
         object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_callable(cls, fn, grid: Grid, name: str = "q") -> "Potential":
-        return cls(np.asarray([fn(x) for x in grid.interior_coords], dtype=float), name)
-
-    @property
-    def bound(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -86,19 +42,12 @@ class PolyNonlinearity:
     """f(x, z) = sum_k coeffs[k](x) |z|^(exponents[k]) z.
 
     exponents are strictly increasing and positive; coeffs rows are nodal
-    coefficient profiles (scalars broadcast at construction).  kind 'serial'
-    means the sum is exact; 'asymptotic' means it is an expansion whose
-    remainder after the listed terms is bounded by
-    c_remainder * |z|^(1 + r_infty).  r_infty defaults to the last listed
-    exponent and caps the growth the admissibility check charges for.
+    coefficient profiles, one per exponent.
     """
 
     exponents: tuple[float, ...]
     coeffs: np.ndarray
     name: str = "f"
-    kind: str = "serial"
-    r_infty: float | None = None
-    c_remainder: float | None = None
 
     def __post_init__(self):
         exps = tuple(float(r) for r in self.exponents)
@@ -115,29 +64,8 @@ class PolyNonlinearity:
             )
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients contain non-finite values")
-        if self.kind not in ("serial", "asymptotic"):
-            raise ValueError(f"kind must be serial or asymptotic, got {self.kind!r}")
-        r_inf = self.r_infty
-        if r_inf is not None:
-            r_inf = float(r_inf)
-            if r_inf < exps[-1]:
-                raise ValueError(
-                    f"r_infty = {r_inf} below the last exponent {exps[-1]}"
-                )
-        if self.c_remainder is not None:
-            if self.kind != "asymptotic":
-                raise ValueError("remainder constant only applies to asymptotic kind")
-            if not float(self.c_remainder) >= 0.0:
-                raise ValueError("remainder constant must be nonnegative")
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "r_infty", r_inf)
-
-    @property
-    def growth_exponent(self) -> float:
-        """The exponent charged for growth: r_infty when declared, else the
-        last listed exponent."""
-        return self.r_infty if self.r_infty is not None else self.exponents[-1]
 
     @classmethod
     def single(cls, exponent: float, coeff: np.ndarray | float, n_nodes: int | None = None,
@@ -148,10 +76,6 @@ class PolyNonlinearity:
                 raise ValueError("scalar coefficient needs n_nodes")
             c = np.full(n_nodes, float(c))
         return cls((float(exponent),), c[None, :], name)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.exponents)
 
     def term(self, k: int) -> "PolyNonlinearity":
         return PolyNonlinearity(
@@ -166,140 +90,6 @@ class PolyNonlinearity:
         for r, b in zip(self.exponents, self.coeffs):
             out += b * au**r * u
         return out
-
-    def derivative(self, u: np.ndarray) -> np.ndarray:
-        """partial_z f(x, u) = sum_k (r_k + 1) b_k |u|^(r_k)."""
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        au = np.abs(u)
-        for r, b in zip(self.exponents, self.coeffs):
-            out += (r + 1.0) * b * au**r
-        return out
-
-    def primitive(self, u: np.ndarray) -> np.ndarray:
-        """F(x, u) = int_0^u f(x, z) dz = sum_k b_k |u|^(r_k + 2) / (r_k + 2)."""
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        au = np.abs(u)
-        for r, b in zip(self.exponents, self.coeffs):
-            out += b * au ** (r + 2.0) / (r + 2.0)
-        return out
-
-
-def integrability_floor(s: float) -> float:
-    """Smallest admissible Lebesgue exponent p for the state space."""
-    if s > 0.5:
-        return 2.0
-    if s == 0.5:
-        return np.nextafter(2.0, np.inf)
-    return 1.0 / s
-
-
-def exponent_limit(s: float) -> float:
-    """Largest admissible growth exponent r (inf when 2s >= 1)."""
-    if 2.0 * s >= 1.0:
-        return np.inf
-    return 2.0 * s / (1.0 - 2.0 * s)
-
-
-def validate_potential(q: Potential, s: float) -> None:
-    """Raise unless the declared integrability exponent is admissible for
-    the operator order."""
-    floor = integrability_floor(s)
-    if q.p < floor or (s == 0.5 and q.p <= 2.0):
-        raise ValueError(
-            f"integrability p = {q.p} below the admissible floor {floor} at s = {s}"
-        )
-
-
-@dataclass(frozen=True)
-class NonlinearityReport:
-    """Quantitative admissibility summary of one polyhomogeneous model.
-
-    derivative_constant is the smallest C observed on the sample box in
-    |d_z f(x, z)| <= C (a(x) + |z|^r) with a(x) = sum_k (r_k+1)|b_k(x)| and
-    r the growth exponent (the analytic bound gives C <= 1, so values near
-    one mean the bound is sharp).  primitive_floor is the constant C_1 in
-    F(x, z) >= -C_1 over the box, zero for coefficientwise-nonnegative
-    models.  growth_ratios are max|b_(k+1)| / max|b_k|; any ratio >= 1
-    voids the serial recovery guarantee and is reported in messages (and
-    warned as GrowthRatioWarning).
-    """
-
-    derivative_constant: float
-    primitive_floor: float
-    growth_ratios: tuple[float, ...]
-    messages: tuple[str, ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.messages
-
-
-def validate_nonlinearity(
-    model: PolyNonlinearity,
-    s: float,
-    *,
-    p: float = np.inf,
-    tau_max: float = 1.0,
-    n_samples: int = 201,
-) -> NonlinearityReport:
-    """Check admissibility of the model at operator order s and summarize
-    its analytic bounds over the box |z| <= tau_max.
-
-    Inadmissible growth (beyond the limit for s) or an inadmissible state
-    exponent p raises; a nondecreasing coefficient-bound sequence only
-    warns, because it voids the recovery guarantee without breaking the
-    forward problem.
-    """
-    floor = integrability_floor(s)
-    if p < floor or (s == 0.5 and p <= 2.0):
-        raise ValueError(
-            f"integrability p = {p} below the admissible floor {floor} at s = {s}"
-        )
-    limit = exponent_limit(s)
-    r_growth = model.growth_exponent
-    if r_growth > limit:
-        raise ValueError(
-            f"growth exponent r = {r_growth} exceeds the admissible limit "
-            f"{limit} at s = {s}"
-        )
-    if tau_max <= 0.0:
-        raise ValueError(f"tau_max must be positive, got {tau_max}")
-
-    tau = np.linspace(-tau_max, tau_max, n_samples)
-    a_profile = np.zeros(model.coeffs.shape[1])
-    dfdz = np.zeros((tau.size, model.coeffs.shape[1]))
-    for r, b in zip(model.exponents, model.coeffs):
-        a_profile += (r + 1.0) * np.abs(b)
-        dfdz += (r + 1.0) * b[None, :] * np.abs(tau)[:, None] ** r
-    envelope = a_profile[None, :] + np.abs(tau)[:, None] ** r_growth
-    derivative_constant = float(np.max(np.abs(dfdz) / envelope))
-
-    primitive = model.primitive(np.broadcast_to(tau[:, None], dfdz.shape))
-    primitive_floor = float(max(0.0, -np.min(primitive)))
-
-    bounds = np.max(np.abs(model.coeffs), axis=1)
-    ratios = tuple(
-        float(bounds[k + 1] / bounds[k]) if bounds[k] > 0 else np.inf
-        for k in range(len(bounds) - 1)
-    )
-    messages = []
-    for k, rho in enumerate(ratios):
-        if rho >= 1.0:
-            msg = (
-                f"coefficient bounds grow at term {k + 1} "
-                f"(ratio {rho:.3g} >= 1): serial recovery guarantee void"
-            )
-            messages.append(msg)
-            warnings.warn(msg, GrowthRatioWarning, stacklevel=2)
-
-    return NonlinearityReport(
-        derivative_constant=derivative_constant,
-        primitive_floor=primitive_floor,
-        growth_ratios=ratios,
-        messages=tuple(messages),
-    )
 
 
 def lp_norm(v: np.ndarray, p: float, h: float) -> float:

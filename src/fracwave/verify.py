@@ -29,7 +29,7 @@ from .inversion import reaction_from_march
 from .runge import approximate_target, forward_map
 from .spectral import dual_norm, dual_norm_variational, eigendecompose
 
-__all__ = ["CHECKS", "run_checks"]
+__all__ = ["CHECKS", "THRESHOLDS", "run_checks", "report_lines"]
 
 CHECKS: dict[str, Callable[[np.random.Generator], dict]] = {}
 

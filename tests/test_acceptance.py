@@ -244,16 +244,12 @@ def test_c08_runge_sweeps_monotone_and_span_target_reached():
 def test_c09_potential_recovered_within_ten_percent():
     """A smooth potential is recovered within 10% relative L2 from
     noiseless synthetic pairing data at n_int=64, n_t=256."""
-    import warnings
-
     grid, op, basis = case(n_int=64, s=0.7, n_t=256, T=1.0)
     q_true = np.sin(np.pi * grid.interior_coords)
     controls = control_basis(grid, grid.w_mask(1), 4)
     probes = control_basis(grid, grid.w_mask(2), 4)
     measured = dn_matrix(op, basis, grid, controls, probes, q_true)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rec = recover_potential(measured, controls, probes, op, basis, grid)
+    rec = recover_potential(measured, controls, probes, op, basis, grid)
     rel = np.linalg.norm(rec.q_est - q_true) / np.linalg.norm(q_true)
     assert rel <= 0.10, f"potential recovery error {rel:.4f}"
 
@@ -276,7 +272,7 @@ def test_c10_amplitude_scaling_laws(expansion_setup):
     error with slope r2 - r1 (+- 20%)."""
     grid, op, basis, model, control, profiles = expansion_setup
     ladder = tuple(2.0 ** -k for k in range(3, 10))
-    v = linear_response(control, op, basis, grid)
+    v = linear_response(control, op, grid)
     truth1 = model.term(0).evaluate(v[1:-1])
 
     rem_norms, ext_errs = [], []
@@ -304,9 +300,9 @@ def test_c11_two_term_expansion_recovered(expansion_setup):
     measure = lambda c: solve_newmark(op, grid, model=model, control=c)
     ladder_a = tuple(2.0 ** -k for k in range(3, 10))
     ladder_b = tuple(0.75 * 2.0 ** -k for k in range(3, 10))
-    est_a = recover_expansion(measure, control, (0.5, 1.0), op, basis, grid,
+    est_a = recover_expansion(measure, control, (0.5, 1.0), op, grid,
                               eps_ladder=ladder_a)
-    est_b = recover_expansion(measure, control, (0.5, 1.0), op, basis, grid,
+    est_b = recover_expansion(measure, control, (0.5, 1.0), op, grid,
                               eps_ladder=ladder_b)
     assert est_a.resolved == (True, True)
     assert est_b.resolved == (True, True)

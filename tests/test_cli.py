@@ -113,11 +113,12 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("dn", "controls.freqs=0", "at least one frequency"),
         ("runge", "runge.freqs=0", "at least one frequency"),
         ("invert-q", "invq.freqs=0", "at least one frequency"),
+        ("invert-f", "invf.amps=0,1", "invf.amps must be nonzero"),
     ],
     ids=["cfl", "window", "n_int", "order", "control", "cutoff", "no_cutoffs",
          "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
          "window_number", "node", "invf_node", "negative_node", "dn_freqs",
-         "runge_freqs", "invq_freqs"],
+         "runge_freqs", "invq_freqs", "zero_amp"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
     # validation errors raised while building the grid, operator, controls
@@ -201,8 +202,6 @@ def test_runge_writes_sweep(tmp_path):
     assert len(lines) == 3
 
 
-@pytest.mark.filterwarnings(
-    "ignore::fracwave.inversion.ConditioningWarning")
 def test_invert_q_pipeline_small(tmp_path):
     out = tmp_path / "invq"
     code = run(["invert-q", "--out", str(out), "--set", "domain.n_int=16",

@@ -124,11 +124,8 @@ def test_recover_potential_stops_at_consistent_start(small, battery):
     x = grid.interior_coords
     q_true = 0.8 + 0.3 * np.cos(np.pi * x)
     meas = dn_matrix(op, basis, grid, controls, probes, q_true)
-    import warnings as _w
-    with _w.catch_warnings():
-        _w.simplefilter("ignore", inv.ConditioningWarning)
-        rec = inv.recover_potential(meas, controls, probes, op, basis, grid,
-                                    q_start=fw.Potential(q_true))
+    rec = inv.recover_potential(meas, controls, probes, op, basis, grid,
+                                q_start=fw.Potential(q_true))
     assert rec.data_misfits[0] <= 1e-12
     assert np.max(np.abs(rec.q_est - q_true)) <= 1e-8
 
@@ -139,8 +136,7 @@ def test_recover_potential_pairs_closed_loop(small, battery):
     x = grid.interior_coords
     q_true = 0.4 * np.sin(np.pi * x)
     meas = dn_matrix(op, basis, grid, controls, probes, q_true)
-    with pytest.warns(inv.ConditioningWarning, match="rank-deficient"):
-        rec = inv.recover_potential(meas, controls, probes, op, basis, grid)
+    rec = inv.recover_potential(meas, controls, probes, op, basis, grid)
     rel = np.linalg.norm(rec.q_est - q_true) / np.linalg.norm(q_true)
     assert rel <= 0.08
     misfits = np.asarray(rec.data_misfits)
@@ -157,15 +153,15 @@ def test_linear_response_scales_bitwise_for_dyadic_factor(small):
     grid, op, basis = small
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     half = fw.combine_controls([control], [0.5])
-    v_full = inv.linear_response(control, op, basis, grid)
-    v_half = inv.linear_response(half, op, basis, grid)
+    v_full = inv.linear_response(control, op, grid)
+    v_half = inv.linear_response(half, op, grid)
     assert np.array_equal(v_half, 0.5 * v_full)
 
 
 def test_linear_response_routes_agree(small):
     grid, op, basis = small
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    v_march = inv.linear_response(control, op, basis, grid)
+    v_march = inv.linear_response(control, op, grid)
     v_sweep = grid.restrict(solve_exterior(control, op, basis, grid, None).values)
     gap = np.max(np.abs(v_march - v_sweep)) / np.max(np.abs(v_march))
     assert gap <= 1e-3
@@ -310,7 +306,7 @@ def test_recover_expansion_single_term(fast_case):
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     measure = lambda c: solve_newmark(op, grid, model=model, control=c)
     ladder = tuple(2.0**-k for k in range(3, 9))
-    est = inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
+    est = inv.recover_expansion(measure, control, (0.5,), op, grid,
                                 eps_ladder=ladder)
     assert est.exponents == (0.5,)
     assert est.resolved == (True,)
@@ -332,7 +328,7 @@ def test_recover_expansion_reports_unresolved_stages(fast_case):
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     measure = lambda c: solve_newmark(op, grid, model=model, control=c)
     est = inv.recover_expansion(measure, control, (0.5, 1.0, 1.5),
-                                op, basis, grid, eps_ladder=(0.125, 0.0625))
+                                op, grid, eps_ladder=(0.125, 0.0625))
     assert est.resolved == (True, False, False)
     assert np.all(est.coeffs[1] == 0)
     assert np.all(est.coeffs[2] == 0)
@@ -345,7 +341,7 @@ def test_recover_expansion_zero_model_yields_zero_coefficients(fast_case):
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     measure = lambda c: solve_newmark(op, grid, model=model, control=c)
     ladder = tuple(2.0**-k for k in range(3, 9))
-    est = inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
+    est = inv.recover_expansion(measure, control, (0.5,), op, grid,
                                 eps_ladder=ladder)
     assert np.max(np.abs(est.coeffs)) <= 1e-6
 
@@ -355,14 +351,14 @@ def test_recover_expansion_validates_arguments(fast_case):
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     measure = lambda c: solve_newmark(op, grid, control=c)
     with pytest.raises(ValueError, match="strictly increasing"):
-        inv.recover_expansion(measure, control, (1.0, 0.5), op, basis, grid,
+        inv.recover_expansion(measure, control, (1.0, 0.5), op, grid,
                               eps_ladder=(0.25, 0.125))
     with pytest.raises(ValueError, match="at least two"):
-        inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
+        inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=(0.25,))
     with pytest.raises(ValueError, match="returned 1 fields for 2 controls"):
         inv.recover_expansion(lambda cs: measure(cs)[:1], control, (0.5,), op,
-                              basis, grid, eps_ladder=(0.25, 0.125))
+                              grid, eps_ladder=(0.25, 0.125))
 
 
 @pytest.mark.parametrize("ladder", [(0.125, 0.125), (0.125, 0.125, 0.0625, 0.0625)])
@@ -373,7 +369,7 @@ def test_recover_expansion_rejects_repeated_rungs(fast_case, ladder):
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     measure = lambda cs: solve_newmark(op, grid, control=cs)
     with pytest.raises(ValueError, match="repeats a rung"):
-        inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
+        inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=ladder)
 
 
@@ -386,5 +382,5 @@ def test_recover_expansion_detects_noise_floor(fast_case):
     measure = lambda cs: [frozen] * len(cs)
     ladder = tuple(2.0**-k for k in range(3, 8))
     with pytest.raises(ValueError, match="diverge"):
-        inv.recover_expansion(measure, control, (0.5,), op, basis, grid,
+        inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=ladder)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fracwave as fw
-from fracwave import GrowthRatioWarning, PolyNonlinearity, Potential
+from fracwave import PolyNonlinearity, Potential
 
 
 def two_term(n=8):
@@ -15,23 +15,11 @@ def two_term(n=8):
 
 def test_potential_metadata():
     q = Potential(np.zeros(4))
-    assert q.p == np.inf and q.name == "q"
-    with pytest.raises(ValueError):
-        Potential(np.zeros(4), p=0.5)
+    assert q.name == "q"
     with pytest.raises(ValueError, match="1-d nodal vector"):
         Potential(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         Potential(np.array([0.0, np.nan]))
-
-
-@pytest.mark.parametrize(
-    "s,bad_p,good_p",
-    [(0.3, 3.0, 4.0), (0.5, 2.0, 2.5), (0.8, 1.5, 2.0)],
-)
-def test_validate_potential_floor(s, bad_p, good_p):
-    fw.validate_potential(Potential(np.zeros(4), p=good_p), s)
-    with pytest.raises(ValueError):
-        fw.validate_potential(Potential(np.zeros(4), p=bad_p), s)
 
 
 @pytest.mark.parametrize(
@@ -43,27 +31,12 @@ def test_validate_potential_floor(s, bad_p, good_p):
         dict(exponents=(1.0, 0.5), coeffs=np.ones((2, 4))),
         dict(exponents=(0.5, 0.5), coeffs=np.ones((2, 4))),
         dict(exponents=(0.5,), coeffs=np.ones((2, 4))),
-        dict(exponents=(0.5,), coeffs=np.ones((1, 4)), kind="diagonal"),
-        dict(exponents=(0.5,), coeffs=np.ones((1, 4)), r_infty=0.2),
-        dict(exponents=(0.5,), coeffs=np.ones((1, 4)), c_remainder=1.0),
-        dict(exponents=(0.5,), coeffs=np.ones((1, 4)), kind="asymptotic",
-             c_remainder=-1.0),
         dict(exponents=(0.5,), coeffs=np.full((1, 4), np.nan)),
     ],
 )
 def test_poly_construction_rejects(kwargs):
     with pytest.raises(ValueError):
         PolyNonlinearity(**kwargs)
-
-
-def test_poly_kinds_and_growth_exponent():
-    serial = two_term()
-    assert serial.kind == "serial"
-    assert serial.growth_exponent == 1.0
-    asym = PolyNonlinearity(
-        (0.5,), np.ones((1, 4)), kind="asymptotic", r_infty=0.9, c_remainder=2.0
-    )
-    assert asym.growth_exponent == 0.9
 
 
 def test_single_and_term():
@@ -92,73 +65,6 @@ def test_evaluate_odd_and_broadcasts():
     np.testing.assert_array_equal(f.evaluate(-u), -f.evaluate(u))
     traj = np.tile(u, (5, 1))
     assert f.evaluate(traj).shape == (5, 8)
-
-
-def test_derivative_matches_finite_difference():
-    f = two_term()
-    u = np.linspace(0.2, 1.5, 8)  # away from the |u|^r kink at zero
-    eps = 1e-7
-    fd = (f.evaluate(u + eps) - f.evaluate(u - eps)) / (2 * eps)
-    np.testing.assert_allclose(f.derivative(u), fd, rtol=1e-5)
-
-
-def test_primitive_matches_finite_difference():
-    f = two_term()
-    u = np.linspace(-1.5, 1.5, 8)
-    eps = 1e-6
-    fd = (f.primitive(u + eps) - f.primitive(u - eps)) / (2 * eps)
-    np.testing.assert_allclose(fd, f.evaluate(u), rtol=1e-5, atol=1e-9)
-    assert np.all(f.primitive(np.zeros(8)) == 0.0)
-
-
-def test_integrability_floor_table():
-    assert fw.integrability_floor(0.3) == pytest.approx(1 / 0.3)
-    assert fw.integrability_floor(0.5) > 2.0
-    assert fw.integrability_floor(0.8) == 2.0
-    assert fw.integrability_floor(1.5) == 2.0
-
-
-def test_exponent_limit_table():
-    assert fw.exponent_limit(0.3) == pytest.approx(0.6 / 0.4)
-    assert np.isinf(fw.exponent_limit(0.5))
-    assert np.isinf(fw.exponent_limit(0.8))
-
-
-def test_validate_nonlinearity_clean():
-    f = two_term()
-    report = fw.validate_nonlinearity(f, 0.7, tau_max=2.0)
-    assert report.clean
-    assert report.messages == ()
-    assert 0.0 < report.derivative_constant <= 1.0 + 1e-12
-    assert report.primitive_floor == 0.0
-    assert report.growth_ratios == (0.5,)
-
-
-def test_validate_nonlinearity_negative_term_floor():
-    f = PolyNonlinearity.single(1.0, -2.0, n_nodes=4)
-    report = fw.validate_nonlinearity(f, 0.7, tau_max=1.0)
-    # F(z) = -2 |z|^3 / 3 dips to -2/3 on the box
-    assert report.primitive_floor == pytest.approx(2.0 / 3.0, rel=1e-12)
-
-
-def test_validate_nonlinearity_growth_warning():
-    f = PolyNonlinearity((0.5, 1.0), np.stack([np.full(4, 1.0), np.full(4, 2.0)]))
-    with pytest.warns(GrowthRatioWarning):
-        report = fw.validate_nonlinearity(f, 0.7)
-    assert not report.clean
-    assert report.growth_ratios == (2.0,)
-    assert "recovery guarantee" in report.messages[0]
-
-
-def test_validate_nonlinearity_rejects():
-    f = PolyNonlinearity.single(2.0, 1.0, n_nodes=4)
-    with pytest.raises(ValueError):  # growth beyond the limit at small s
-        fw.validate_nonlinearity(f, 0.3)
-    g = PolyNonlinearity.single(0.5, 1.0, n_nodes=4)
-    with pytest.raises(ValueError):  # inadmissible state exponent
-        fw.validate_nonlinearity(g, 0.3, p=2.0)
-    with pytest.raises(ValueError):
-        fw.validate_nonlinearity(g, 0.7, tau_max=0.0)
 
 
 def test_lp_norm_special_cases():
