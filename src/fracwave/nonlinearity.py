@@ -41,7 +41,7 @@ class Potential:
 class PolyNonlinearity:
     """f(x, z) = sum_k coeffs[k](x) |z|^(exponents[k]) z.
 
-    exponents are strictly increasing and positive; coeffs rows are nodal
+    exponents are finite, positive and strictly increasing; coeffs rows are nodal
     coefficient profiles, one per exponent.
     """
 
@@ -53,8 +53,8 @@ class PolyNonlinearity:
         exps = tuple(float(r) for r in self.exponents)
         if not exps:
             raise ValueError("at least one term is required")
-        if any(r <= 0 for r in exps):
-            raise ValueError(f"exponents must be positive, got {exps}")
+        if not all(0 < r < np.inf for r in exps):
+            raise ValueError(f"exponents must be finite and positive, got {exps}")
         if any(b <= a for a, b in zip(exps, exps[1:])):
             raise ValueError(f"exponents must be strictly increasing, got {exps}")
         c = np.atleast_2d(np.asarray(self.coeffs, dtype=float))

@@ -31,7 +31,11 @@ def test_potential_metadata():
         dict(exponents=(1.0, 0.5), coeffs=np.ones((2, 4))),
         dict(exponents=(0.5, 0.5), coeffs=np.ones((2, 4))),
         dict(exponents=(0.5,), coeffs=np.ones((2, 4))),
-        dict(exponents=(0.5,), coeffs=np.full((1, 4), np.nan)),
+        dict(exponents=(np.nan,), coeffs=np.ones((1, 4))),
+        dict(exponents=(np.inf,), coeffs=np.ones((1, 4))),
+        # id kept from when four more cases preceded this one
+        pytest.param(dict(exponents=(0.5,), coeffs=np.full((1, 4), np.nan)),
+                     id="kwargs10"),
     ],
 )
 def test_poly_construction_rejects(kwargs):
