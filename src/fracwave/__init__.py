@@ -61,7 +61,6 @@ _EXPORTS = {
     "sup_energy": "forward",
     "data_energy": "forward",
     # nonlinearity
-    "Potential": "nonlinearity",
     "PolyNonlinearity": "nonlinearity",
     "lp_norm": "nonlinearity",
     # dnmap

@@ -208,7 +208,6 @@ class _Artifacts:
 def _build(cfg):
     from .fracop import assemble_operator
     from .grid import build_grid
-    from .spectral import eigendecompose
 
     grid = _checked(
         build_grid,
@@ -222,8 +221,7 @@ def _build(cfg):
         n_t=cfg["time.n_t"],
     )
     op = _checked(assemble_operator, grid, cfg["operator.s"])
-    basis = eigendecompose(op, grid)
-    return grid, op, basis
+    return grid, op
 
 
 def _cosine_profile(grid, base: float, amp: float):
@@ -247,7 +245,8 @@ def _run_eig(cfg, art, seed, rng) -> tuple[int, dict]:
 
     from .spectral import dump_spectra_csv
 
-    grid, op, basis = _build(cfg)
+    grid, op = _build(cfg)
+    basis = op.basis
     dump_spectra_csv(basis, art.dir / "spectra.csv")
     art.register("spectra.csv")
     eye = np.eye(basis.n_modes)
@@ -265,7 +264,7 @@ def _run_solve(cfg, art, seed, rng) -> tuple[int, dict]:
     from .dnmap import solve_exterior
     from .fields import tensor_control
 
-    grid, op, basis = _build(cfg)
+    grid, op = _build(cfg)
     q = _model_potential(cfg, grid)
     control = _checked(
         tensor_control,
@@ -275,7 +274,7 @@ def _run_solve(cfg, art, seed, rng) -> tuple[int, dict]:
         mask=_checked(grid.w_mask, cfg["control.window"]),
         amplitude=cfg["control.amplitude"],
     )
-    full = solve_exterior(control, op, basis, grid, q)
+    full = solve_exterior(control, op, grid, q)
     lines = [f"t," + ",".join(f"x{j}" for j in range(grid.n_nodes))]
     for t, row in zip(grid.times(), full.values):
         lines.append(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row))
@@ -289,11 +288,11 @@ def _run_dn(cfg, art, seed, rng) -> tuple[int, dict]:
     from .dnmap import DNMeasurement, dn_matrix, grid_signature
     from .fields import control_basis
 
-    grid, op, basis = _build(cfg)
+    grid, op = _build(cfg)
     q = _model_potential(cfg, grid)
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["controls.freqs"])
     tests = _checked(control_basis, grid, grid.w_mask(2), cfg["tests.freqs"])
-    matrix = dn_matrix(op, basis, grid, controls, tests, q)
+    matrix = dn_matrix(op, grid, controls, tests, q)
     meas = DNMeasurement(
         s=cfg["operator.s"],
         grid_sig=grid_signature(grid, cfg["operator.s"]),
@@ -308,12 +307,13 @@ def _run_dn(cfg, art, seed, rng) -> tuple[int, dict]:
     return 0, {"matrix_shape": list(matrix.shape)}
 
 
-def _runge_target(cfg, grid, basis):
+def _runge_target(cfg, grid, op):
     import numpy as np
 
     kind = cfg["runge.target"]
     t = grid.times()
     if kind == "mode":
+        basis = op.basis
         k = cfg["runge.target_mode"]
         if not 1 <= k <= basis.n_modes:
             raise ConfigError(f"runge.target_mode {k} out of range 1..{basis.n_modes}")
@@ -336,11 +336,11 @@ def _run_runge(cfg, art, seed, rng) -> tuple[int, dict]:
     alphas = cfg["runge.alphas"]
     if not alphas or min(alphas) <= 0.0:
         raise ConfigError(f"runge.alphas must be positive and nonempty, got {alphas}")
-    grid, op, basis = _build(cfg)
+    grid, op = _build(cfg)
     q = _model_potential(cfg, grid)
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["runge.freqs"])
-    target = _runge_target(cfg, grid, basis)
-    sweep = sweep_alpha(target, controls, op, basis, grid, q, alphas=alphas)
+    target = _runge_target(cfg, grid, op)
+    sweep = sweep_alpha(target, controls, op, grid, q, alphas=alphas)
     dump_sweep_csv(art.dir / "runge_sweep.csv", sweep)
     art.register("runge_sweep.csv")
     best = min(s.residual for s in sweep)
@@ -361,18 +361,18 @@ def _run_invert_q(cfg, art, seed, rng) -> tuple[int, dict]:
     sigma = cfg["noise.sigma"]
     if sigma < 0.0:
         raise ConfigError(f"noise.sigma must be >= 0, got {sigma}")
-    grid, op, basis = _build(cfg)
+    grid, op = _build(cfg)
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["invq.freqs"])
     tests = _checked(control_basis, grid, grid.w_mask(2), cfg["invq.freqs"])
     q_true = _cosine_profile(grid, cfg["qtrue.q0"], cfg["qtrue.qcos"])
 
-    measured = dn_matrix(op, basis, grid, controls, tests, q_true)
+    measured = dn_matrix(op, grid, controls, tests, q_true)
     if sigma > 0:
         measured = measured + sigma * np.max(np.abs(measured)) * rng.standard_normal(
             measured.shape
         )
 
-    rec = recover_potential(measured, controls, tests, op, basis, grid, cutoff=cutoffs)
+    rec = recover_potential(measured, controls, tests, op, grid, cutoff=cutoffs)
     rel = float(
         np.linalg.norm(rec.q_est - q_true) / max(np.linalg.norm(q_true), 1e-300)
     )
@@ -415,7 +415,7 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
         raise ConfigError("invf.eps_pow_max must exceed invf.eps_pow_min")
     if not 0.0 <= cfg["invf.floor"] < 1.0:
         raise ConfigError(f"invf.floor must lie in [0, 1), got {cfg['invf.floor']}")
-    grid, op, basis = _build(cfg)
+    grid, op = _build(cfg)
     xh = (grid.interior_coords - grid.x_min) / (grid.x_max - grid.x_min)
     profiles = np.stack(
         [a * (1.0 + 0.3 * np.cos((k + 1) * np.pi * xh)) for k, a in enumerate(amps)]

@@ -26,8 +26,7 @@ from .fields import ExteriorControl, SpaceTimeField
 from .forward import solve_newmark, solve_with_potential, st_gram, st_inner
 from .fracop import FracOperator
 from .grid import Grid
-from .nonlinearity import PolyNonlinearity, Potential
-from .spectral import SpectralBasis
+from .nonlinearity import PolyNonlinearity
 
 __all__ = [
     "dn_trace",
@@ -82,14 +81,13 @@ def dn_pairing(
 def solve_exterior(
     control: ExteriorControl,
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
-    model: Potential | PolyNonlinearity | np.ndarray | None = None,
+    model: PolyNonlinearity | np.ndarray | None = None,
 ) -> SpaceTimeField:
     """Full-grid state driven by an exterior control with zero Cauchy data:
     the interior from the batched state path every measurement uses, the
     control values on the exterior nodes."""
-    u = _control_states([control], op, basis, grid, model)[0]
+    u = _control_states([control], op, grid, model)[0]
     full = grid.extend(u) + grid.scatter_exterior(control.values)
     return SpaceTimeField(full, "full", grid.dt, grid.T)
 
@@ -97,12 +95,11 @@ def solve_exterior(
 def _control_states(
     controls: list[ExteriorControl],
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
-    model: Potential | PolyNonlinearity | np.ndarray | None,
+    model: PolyNonlinearity | np.ndarray | None,
 ) -> np.ndarray:
-    """Interior displacements (n_controls, n_t+1, n_int).  Every linear
-    model, no potential included (as q = 0), takes one batched sweep of
+    """Interior displacements (n_controls, n_t+1, n_int).  A potential
+    (an interior array, or None for q = 0) takes one batched sweep of
     `solve_with_potential`; a power-type nonlinearity marches all controls
     as one batch."""
     if isinstance(model, PolyNonlinearity):
@@ -110,7 +107,7 @@ def _control_states(
         return np.stack([grid.restrict(m.values) for m in marches])
     q = np.zeros(grid.n_int) if model is None else model
     values = np.stack([c.values for c in controls])
-    return solve_with_potential(values, q, op, basis, grid)
+    return solve_with_potential(values, q, op, grid)
 
 
 def _pairings(
@@ -131,17 +128,16 @@ def _pairings(
 
 def dn_matrix(
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
     controls: list[ExteriorControl],
     tests: list[ExteriorControl],
-    model: Potential | PolyNonlinearity | np.ndarray | None = None,
+    model: PolyNonlinearity | np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairing matrix M[a, b] = <L phi_a, psi_b*> against the time-reversed
     tests psi_b*, the orientation the recovery identity uses.  The control
     states are solved once, as a batch, and reused across all tests."""
     test_block = np.stack([t.values[::-1] for t in tests])  # (n_te, n_t+1, n_ext)
-    states = _control_states(controls, op, basis, grid, model)
+    states = _control_states(controls, op, grid, model)
     return _pairings(states, controls, test_block, op, grid)
 
 

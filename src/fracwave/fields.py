@@ -46,13 +46,6 @@ class SpaceTimeField:
             raise ValueError("trajectory contains non-finite values")
         object.__setattr__(self, "values", v)
 
-    @property
-    def n_t(self) -> int:
-        return self.values.shape[0] - 1
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_t + 1)
-
 
 @dataclass(frozen=True)
 class CauchyData:

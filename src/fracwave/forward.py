@@ -25,10 +25,11 @@ residual identities below inherit.
 Time stepping route.  An explicit central-difference (Stormer-Verlet) march
 on the full grid doubles as an independent oracle for the modal solver and
 as the workhorse for semilinear models, under the usual CFL restriction
-dt <= 2 / sqrt(lambda_max (1 + margin)).  The march always advances a batch:
-the states of B exterior controls live in one (n_t+1, B, n_nodes) buffer and
-each step costs one (B, n_nodes) product with the interior rows of A, so an
-amplitude ladder or a control basis is one march, not one per control.
+dt <= 2 / sqrt(lambda_max (1 + CFL_MARGIN)).  The march always advances a
+batch: the states of B exterior controls live in one (n_t+1, B, n_nodes)
+buffer and each step costs one (B, n_nodes) product with the interior rows
+of A, so an amplitude ladder or a control basis is one march, not one per
+control.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ import numpy as np
 from .fields import CauchyData, ExteriorControl, SpaceTimeField, time_reverse
 from .fracop import FracOperator
 from .grid import Grid
-from .nonlinearity import PolyNonlinearity, Potential
+from .nonlinearity import PolyNonlinearity
 from .spectral import SpectralBasis, project_l2, reconstruct
 
 __all__ = [
@@ -64,6 +65,9 @@ __all__ = [
     "data_energy",
 ]
 
+# relative headroom of the march's CFL bound over the Gershgorin lambda_max
+CFL_MARGIN = 0.25
+
 
 @dataclass(frozen=True)
 class WaveSolution:
@@ -83,6 +87,16 @@ class PicardError(RuntimeError):
 
 class SolverBlowupError(RuntimeError):
     """Time march produced non-finite values."""
+
+
+def _potential(q: np.ndarray, grid: Grid) -> np.ndarray:
+    """A potential as a float array of finite values, one per interior node."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (grid.n_int,):
+        raise ValueError(f"potential shape {q.shape} != ({grid.n_int},)")
+    if not np.isfinite(q).all():
+        raise ValueError("potential contains non-finite values")
+    return q
 
 
 def trapezoid_weights(n_t: int, dt: float) -> np.ndarray:
@@ -207,45 +221,45 @@ def lift_exterior(control: ExteriorControl, op: FracOperator, grid: Grid) -> np.
 
 def solve_with_potential(
     values: np.ndarray,
-    q: np.ndarray | Potential,
+    q: np.ndarray,
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
 ) -> np.ndarray:
     """Interior displacements (B, n_t+1, n_int) of u'' + A u + q u = 0 driven
     by a stack of exterior control values (B, n_t+1, n_ext), zero Cauchy data.
 
-    One forward sweep (see the module docstring): step j rebuilds c_j from
-    running cos/sin sums of the earlier forcing, then forms its own forcing
-    f_j = lift_j - c_j M_q, M_q = h Phi^T diag(q) Phi.  Exact for any q, also
-    where A_int + diag(q) is indefinite.
+    One forward sweep in the eigenbasis `op.basis` (see the module
+    docstring): step j rebuilds c_j from running cos/sin sums of the earlier
+    forcing, then forms its own forcing f_j = lift_j - c_j M_q,
+    M_q = h Phi^T diag(q) Phi.  Exact for any q, also where A_int + diag(q)
+    is indefinite.
     """
-    q = np.asarray(q.values if isinstance(q, Potential) else q, dtype=float)
-    if q.shape != (grid.n_int,):
-        raise ValueError(f"potential shape {q.shape} != ({grid.n_int},)")
+    q = _potential(q, grid)
     values = np.asarray(values, dtype=float)
     if values.shape[1:] != (grid.n_t + 1, grid.n_ext):
         raise ValueError(
             f"control values {values.shape} != (B, {grid.n_t + 1}, {grid.n_ext})"
         )
-    dt, h, phi, om = grid.dt, grid.h, basis.modes, basis.omegas
+    dt, h, phi, om = grid.dt, grid.h, op.basis.modes, op.basis.omegas
     phase = grid.times()[:, None] * om[None, :]
-    cos_t, sin_t = np.cos(phase), np.sin(phase)
+    # trig[:, j]: (cos, sin) of the phases at t_j, broadcasting over (2, B, K)
+    trig = np.empty((2, grid.n_t + 1, 1, om.size))
+    np.cos(phase, out=trig[0, :, 0])
+    np.sin(phase, out=trig[1, :, 0])
     a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
     to_modes = -h * (a_ie.T @ phi)  # control values straight to modes, (n_ext, K)
     m_q = h * (phi.T * q) @ phi  # (K, K)
 
     states = np.zeros((values.shape[0], grid.n_t + 1, grid.n_int))
     f = values[:, 0] @ to_modes
-    acc_cos = 0.5 * dt * f * cos_t[0]
-    acc_sin = 0.5 * dt * f * sin_t[0]
+    acc = 0.5 * dt * f * trig[:, 0]  # running (cos, sin) sums, (2, B, K)
     # the sums omit the current step's half weight, which cancels in c_j
     for j in range(1, grid.n_t + 1):
-        c = (sin_t[j] * acc_cos - cos_t[j] * acc_sin) / om
+        trig_j = trig[:, j]
+        c = (trig_j[1] * acc[0] - trig_j[0] * acc[1]) / om
         states[:, j] = c @ phi.T
         f = values[:, j] @ to_modes - c @ m_q
-        acc_cos += dt * f * cos_t[j]
-        acc_sin += dt * f * sin_t[j]
+        acc += dt * f * trig_j
     return states
 
 
@@ -265,7 +279,7 @@ def _theta_norm(values: np.ndarray, theta: float, tgrid: np.ndarray, h: float) -
 
 def solve_with_potential_picard(
     basis: SpectralBasis,
-    q: np.ndarray | Potential | None,
+    q: np.ndarray | None,
     data: CauchyData,
     source: np.ndarray | None,
     grid: Grid,
@@ -284,12 +298,8 @@ def solve_with_potential_picard(
     the cap a PicardError carries the diagnostic report.  tol is relative to
     the size of the first iterate.
     """
-    if isinstance(q, Potential):
-        q = q.values
     if q is not None:
-        q = np.asarray(q, dtype=float)
-        if q.shape != (grid.n_int,):
-            raise ValueError(f"potential shape {q.shape} != ({grid.n_int},)")
+        q = _potential(q, grid)
     tgrid = grid.times()
     base = solve_linear_modal(basis, data, source, grid)
     if q is None or not np.any(q):
@@ -344,25 +354,24 @@ def solve_with_potential_picard(
         theta *= 2.0
 
 
-def newmark_dt_bound(op: FracOperator, *, cfl_margin: float = 0.25) -> float:
-    """Stable step bound 2 / sqrt(lambda_max (1 + margin)); lambda_max is the
-    Gershgorin row-sum bound of the interior block (safe overestimate)."""
+def newmark_dt_bound(op: FracOperator) -> float:
+    """Stable step bound 2 / sqrt(lambda_max (1 + CFL_MARGIN)); lambda_max is
+    the Gershgorin row-sum bound of the interior block (safe overestimate)."""
     lam_max = float(np.abs(op.a_int).sum(axis=1).max())
-    return 2.0 / np.sqrt(lam_max * (1.0 + cfl_margin))
+    return 2.0 / np.sqrt(lam_max * (1.0 + CFL_MARGIN))
 
 
 def solve_newmark(
     op: FracOperator,
     grid: Grid,
-    model: Potential | PolyNonlinearity | np.ndarray | None = None,
+    model: PolyNonlinearity | np.ndarray | None = None,
     control: ExteriorControl | Sequence[ExteriorControl] | None = None,
     data: CauchyData | None = None,
     source: np.ndarray | None = None,
-    *,
-    cfl_margin: float = 0.25,
 ) -> SpaceTimeField | list[SpaceTimeField]:
     """Explicit central-difference march of
-    u'' + A u + q u + f(x, u) = F on the full grid.
+    u'' + A u + q u + f(x, u) = F on the full grid; model is the potential
+    q (an interior array) or the nonlinearity f.
 
     Exterior nodes follow the control (zero when absent); interior nodes
     start from the Cauchy data with a second-order startup step.  One
@@ -373,24 +382,19 @@ def solve_newmark(
     index when the march produces non-finite values.
     """
     dt = grid.dt
-    bound = newmark_dt_bound(op, cfl_margin=cfl_margin)
+    bound = newmark_dt_bound(op)
     if dt > bound:
         raise ValueError(
             f"CFL violation: dt = {dt:.6e} exceeds stable bound {bound:.6e} "
-            f"(Gershgorin lambda_max {(2.0 / bound) ** 2 / (1 + cfl_margin):.6e}, "
-            f"margin {cfl_margin})"
+            f"(Gershgorin lambda_max {(2.0 / bound) ** 2 / (1 + CFL_MARGIN):.6e}, "
+            f"margin {CFL_MARGIN})"
         )
 
-    q = None
-    nonlin = None
-    if isinstance(model, Potential):
-        q = model.values
-    elif isinstance(model, PolyNonlinearity):
+    q = nonlin = None
+    if isinstance(model, PolyNonlinearity):
         nonlin = model
     elif model is not None:
-        q = np.asarray(model, dtype=float)
-        if q.shape != (grid.n_int,):
-            raise ValueError(f"potential shape {q.shape} != ({grid.n_int},)")
+        q = _potential(model, grid)
 
     if data is None:
         data = CauchyData.zero(grid.n_int)
@@ -446,7 +450,7 @@ def very_weak_residual(
     u: SpaceTimeField,
     data: CauchyData,
     source: np.ndarray | None,
-    q: np.ndarray | Potential | None,
+    q: np.ndarray | None,
     g: np.ndarray,
     basis: SpectralBasis,
     grid: Grid,
@@ -467,7 +471,7 @@ def very_weak_residual(
 
     g_rev = g[::-1].copy()
     zero = CauchyData.zero(grid.n_int)
-    if q is None or (not isinstance(q, Potential) and not np.any(q)):
+    if q is None or not np.any(q):
         back = solve_linear_modal(basis, zero, g_rev, grid)
     else:
         back, _ = solve_with_potential_picard(basis, q, zero, g_rev, grid)
@@ -486,7 +490,7 @@ def distributional_residual(
     u: SpaceTimeField,
     data: CauchyData,
     source: np.ndarray | None,
-    q: np.ndarray | Potential | None,
+    q: np.ndarray | None,
     phi: np.ndarray,
     op: FracOperator,
     grid: Grid,
@@ -501,8 +505,6 @@ def distributional_residual(
         raise ValueError(f"phi shape {phi.shape} != {(grid.n_t + 1, grid.n_int)}")
     if np.any(phi[-2:] != 0.0):
         raise ValueError("phi must vanish on the last two time slices")
-    if isinstance(q, Potential):
-        q = q.values
 
     dt = grid.dt
     d2 = np.empty_like(phi)

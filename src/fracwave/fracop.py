@@ -18,16 +18,26 @@ For j >= 1 and s in (0, 1) the reflection formula removes the Gamma poles:
 
 so every Gamma evaluation happens through log-Gamma on positive arguments
 (no overflow for any j).  g_0 = exp(lgamma(2s+1) - 2 lgamma(s+1)).
+
+An assembled operator carries its interior eigenbasis (`FracOperator.basis`):
+the eigensolve runs on first use and its result is kept, so every solver
+that needs the spectral form of A_int gets it from the operator itself and
+a pipeline that never reads it never pays for it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammaln
 
 from .grid import Grid
+
+if TYPE_CHECKING:
+    from .spectral import SpectralBasis
 
 __all__ = [
     "FracOperator",
@@ -103,6 +113,14 @@ class FracOperator:
     a_full: np.ndarray
     a_int: np.ndarray
     asymmetry: float
+
+    @cached_property
+    def basis(self) -> SpectralBasis:
+        """Eigenbasis of a_int (`spectral.eigendecompose`), computed on
+        first use and kept."""
+        from . import spectral  # spectral imports this module
+
+        return spectral.eigendecompose(self)
 
 
 def assemble_operator(grid: Grid, s: float) -> FracOperator:

@@ -44,8 +44,6 @@ from .fields import ExteriorControl, SpaceTimeField, combine_controls
 from .forward import solve_newmark, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
-from .nonlinearity import Potential
-from .spectral import SpectralBasis
 
 __all__ = [
     "PotentialRecovery",
@@ -110,9 +108,8 @@ def recover_potential(
     controls: list[ExteriorControl],
     tests: list[ExteriorControl],
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
-    q_start: np.ndarray | Potential | None = None,
+    q_start: np.ndarray | None = None,
     *,
     cutoff: float | tuple[float, ...] = (1e-2, 1e-3, 1e-4, 1e-5),
 ) -> PotentialRecovery:
@@ -143,8 +140,6 @@ def recover_potential(
     if any(c <= 0.0 or c >= 1.0 for c in schedule):
         raise ValueError(f"cutoffs must lie in (0, 1), got {schedule}")
 
-    if isinstance(q_start, Potential):
-        q_start = q_start.values
     q2 = np.zeros(grid.n_int) if q_start is None else np.array(q_start, dtype=float)
 
     w = trapezoid_weights(grid.n_t, grid.dt)
@@ -153,7 +148,7 @@ def recover_potential(
     def _bundle(q_model) -> tuple[np.ndarray, np.ndarray]:
         """Control states and their pairing matrix at one background, from
         the same solves."""
-        states = _control_states(controls, op, basis, grid, q_model)
+        states = _control_states(controls, op, grid, q_model)
         return states, _pairings(states, controls, rev_block, op, grid)
 
     increments: list[np.ndarray] = []
@@ -167,7 +162,7 @@ def recover_potential(
     data_misfits = [float(np.linalg.norm(delta) / denom)]
 
     for cut in schedule:
-        states_v = _control_states(tests, op, basis, grid, q2)[:, ::-1]
+        states_v = _control_states(tests, op, grid, q2)[:, ::-1]
         moments = delta.reshape(-1)
         rows = grid.h * np.einsum(
             "atx,btx,t->abx", states_u, states_v, w

@@ -1,6 +1,8 @@
-"""Zeroth-order models: bounded potentials and odd power-type nonlinearities.
+"""Odd power-type nonlinearities, and the discrete L^p norm.
 
-The semilinear term has the polyhomogeneous form
+A potential needs no type of its own: it is a float array with one finite
+value per interior node, checked where a solver takes it.  The semilinear
+term has the polyhomogeneous form
 
     f(x, z) = sum_k b_k(x) |z|^(r_k) z,      0 < r_1 < r_2 < ... ,
 
@@ -15,26 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Potential",
     "PolyNonlinearity",
     "lp_norm",
 ]
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Bounded multiplication potential q(x) on interior nodes."""
-
-    values: np.ndarray
-    name: str = "q"
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"potential must be a 1-d nodal vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("potential contains non-finite values")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ from .dnmap import _control_states
 from .forward import st_gram, st_inner
 from .fracop import FracOperator
 from .grid import Grid
-from .nonlinearity import Potential
-from .spectral import SpectralBasis
 
 __all__ = [
     "st_norm",
@@ -51,14 +49,13 @@ def st_norm(a: np.ndarray, grid: Grid) -> float:
 def forward_map(
     controls: list[ExteriorControl],
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
-    q: np.ndarray | Potential | None = None,
+    q: np.ndarray | None = None,
 ) -> np.ndarray:
     """Interior trajectories of the controlled states, stacked
     (n_controls, n_t + 1, n_int).  This is the expensive step; reuse its
     output across alpha sweeps and nested-basis studies."""
-    return _control_states(controls, op, basis, grid, q)
+    return _control_states(controls, op, grid, q)
 
 
 @dataclass(frozen=True)
@@ -95,9 +92,8 @@ def approximate_target(
     target: np.ndarray,
     controls: list[ExteriorControl],
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
-    q: np.ndarray | Potential | None = None,
+    q: np.ndarray | None = None,
     *,
     alpha: float = 1e-8,
     states: np.ndarray | None = None,
@@ -113,7 +109,7 @@ def approximate_target(
     if target.shape != (grid.n_t + 1, grid.n_int):
         raise ValueError(f"target shape {target.shape} != {(grid.n_t + 1, grid.n_int)}")
     if states is None:
-        states = forward_map(controls, op, basis, grid, q)
+        states = forward_map(controls, op, grid, q)
     elif states.shape != (len(controls), grid.n_t + 1, grid.n_int):
         raise ValueError("states do not match the control list and grid")
 
@@ -138,16 +134,15 @@ def sweep_alpha(
     target: np.ndarray,
     controls: list[ExteriorControl],
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
-    q: np.ndarray | Potential | None = None,
+    q: np.ndarray | None = None,
     *,
     alphas: tuple[float, ...] = tuple(10.0**-k for k in range(2, 11)),
 ) -> list[RungeSolution]:
     """Regularization sweep at a fixed basis; states are solved once."""
-    states = forward_map(controls, op, basis, grid, q)
+    states = forward_map(controls, op, grid, q)
     return [
-        approximate_target(target, controls, op, basis, grid, q, alpha=a, states=states)
+        approximate_target(target, controls, op, grid, q, alpha=a, states=states)
         for a in alphas
     ]
 
@@ -156,15 +151,14 @@ def sweep_enrichment(
     target: np.ndarray,
     controls: list[ExteriorControl],
     op: FracOperator,
-    basis: SpectralBasis,
     grid: Grid,
-    q: np.ndarray | Potential | None = None,
+    q: np.ndarray | None = None,
     *,
     alpha: float = 1e-8,
     sizes: tuple[int, ...] | None = None,
 ) -> list[tuple[int, RungeSolution]]:
     """Nested-basis study: fit with the first k controls for each k."""
-    states = forward_map(controls, op, basis, grid, q)
+    states = forward_map(controls, op, grid, q)
     if sizes is None:
         sizes = tuple(range(1, len(controls) + 1))
     out = []
@@ -172,7 +166,7 @@ def sweep_enrichment(
         if not 1 <= k <= len(controls):
             raise ValueError(f"basis size {k} out of range 1..{len(controls)}")
         sol = approximate_target(
-            target, controls[:k], op, basis, grid, q, alpha=alpha, states=states[:k]
+            target, controls[:k], op, grid, q, alpha=alpha, states=states[:k]
         )
         out.append((k, sol))
     return out

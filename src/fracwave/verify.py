@@ -27,7 +27,7 @@ from .fields import CauchyData
 from .grid import build_grid
 from .inversion import reaction_from_march
 from .runge import approximate_target, forward_map
-from .spectral import dual_norm, dual_norm_variational, eigendecompose
+from .spectral import dual_norm, dual_norm_variational
 
 __all__ = ["CHECKS", "THRESHOLDS", "run_checks", "report_lines"]
 
@@ -47,9 +47,7 @@ def _small_setup(s: float = 0.7, n_int: int = 24, n_t: int = 128, T: float = 1.0
         x_min=0.0, x_max=1.0, n_int=n_int, m_collar=3,
         w1=(0, 1, 2), w2=(3, 4, 5), T=T, n_t=n_t,
     )
-    op = assemble_operator(grid, s)
-    basis = eigendecompose(op, grid)
-    return grid, op, basis
+    return grid, assemble_operator(grid, s)
 
 
 @_register("weights")
@@ -81,7 +79,8 @@ def check_operator_symmetry(rng: np.random.Generator) -> dict:
 
 @_register("gram")
 def check_gram(rng: np.random.Generator) -> dict:
-    grid, op, basis = _small_setup()
+    grid, op = _small_setup()
+    basis = op.basis
     g_l2 = grid.h * basis.modes.T @ basis.modes
     dev_l2 = float(np.max(np.abs(g_l2 - np.eye(basis.n_modes))))
     scaled = basis.modes / np.sqrt(basis.lambdas)[None, :]
@@ -92,11 +91,11 @@ def check_gram(rng: np.random.Generator) -> dict:
 
 @_register("dual_norm")
 def check_dual_norm(rng: np.random.Generator) -> dict:
-    grid, op, basis = _small_setup()
+    grid, op = _small_setup()
     worst = 0.0
     for _ in range(10):
         g = rng.standard_normal(grid.n_int)
-        a = dual_norm(g, basis)
+        a = dual_norm(g, op.basis)
         b = dual_norm_variational(g, op)
         worst = max(worst, abs(a - b) / max(a, b))
     return {"relative_gap": worst}
@@ -116,7 +115,8 @@ def check_duhamel(rng: np.random.Generator) -> dict:
 
 @_register("energy")
 def check_energy(rng: np.random.Generator) -> dict:
-    grid, op, basis = _small_setup()
+    grid, op = _small_setup()
+    basis = op.basis
     bound = np.sqrt(3.0) * max(1.0, np.sqrt(grid.T))
     worst = -np.inf
     for _ in range(8):
@@ -133,7 +133,8 @@ def check_energy(rng: np.random.Generator) -> dict:
 
 @_register("picard")
 def check_picard(rng: np.random.Generator) -> dict:
-    grid, op, basis = _small_setup(n_t=256, T=0.5)
+    grid, op = _small_setup(n_t=256, T=0.5)
+    basis = op.basis
     q0 = 2.0
     q = np.full(grid.n_int, q0)
     mode1 = basis.modes[:, 0]
@@ -151,7 +152,8 @@ def check_picard(rng: np.random.Generator) -> dict:
 
 @_register("transposition")
 def check_transposition(rng: np.random.Generator) -> dict:
-    grid, op, basis = _small_setup()
+    grid, op = _small_setup()
+    basis = op.basis
     data = CauchyData(
         rng.standard_normal(grid.n_int), rng.standard_normal(grid.n_int)
     )
@@ -164,11 +166,11 @@ def check_transposition(rng: np.random.Generator) -> dict:
 
 @_register("reciprocity")
 def check_reciprocity(rng: np.random.Generator) -> dict:
-    grid, op, basis = _small_setup(n_t=96)
+    grid, op = _small_setup(n_t=96)
     controls = control_basis(grid, grid.w_mask(1), 2)
     tests = control_basis(grid, grid.w_mask(2), 2)
-    m12 = dn_matrix(op, basis, grid, controls, tests)
-    m21 = dn_matrix(op, basis, grid, tests, controls)
+    m12 = dn_matrix(op, grid, controls, tests)
+    m21 = dn_matrix(op, grid, tests, controls)
     gap = float(np.max(np.abs(m12 - m21.T)))
     scale = float(np.max(np.abs(m12)))
     return {"asymmetry": gap / max(scale, 1e-300)}
@@ -176,18 +178,18 @@ def check_reciprocity(rng: np.random.Generator) -> dict:
 
 @_register("runge")
 def check_runge(rng: np.random.Generator) -> dict:
-    grid, op, basis = _small_setup(n_t=96)
+    grid, op = _small_setup(n_t=96)
     # one node, three time frequencies: independent states, benign Gram;
     # amplitudes sized so the states are O(1) and alpha is not scale-starved
     controls = [
         combine_controls([c], [100.0]) for c in control_basis(grid, grid.w_mask(1), 3)[:3]
     ]
-    states = forward_map(controls, op, basis, grid)
+    states = forward_map(controls, op, grid)
     target = np.einsum("a,atx->tx", np.array([1.0, -0.5, 0.25]), states)
     residuals = []
     for alpha in (1e-2, 1e-6, 1e-10):
         sol = approximate_target(
-            target, controls, op, basis, grid, alpha=alpha, states=states
+            target, controls, op, grid, alpha=alpha, states=states
         )
         residuals.append(sol.residual)
     drops = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
@@ -202,7 +204,7 @@ def check_reaction(rng: np.random.Generator) -> dict:
     from .forward import solve_newmark
     from .nonlinearity import PolyNonlinearity
 
-    grid, op, basis = _small_setup(n_t=512, T=0.5)
+    grid, op = _small_setup(n_t=512, T=0.5)
     model = PolyNonlinearity.single(1.0, 0.3, n_nodes=grid.n_int)
     control = tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     full = solve_newmark(op, grid, model=model, control=control)

@@ -1,9 +1,10 @@
 """Shared fixtures.
 
 Operator assembly and eigendecomposition are the shared setup cost, so
-(operator, basis) pairs are memoized for the whole session, keyed by
-geometry and order.  Grids are cheap and rebuilt per request so
-tests can vary T and n_t freely without spoiling the cache.
+operators are memoized for the whole session, keyed by geometry and order;
+each carries its eigenbasis (`op.basis`, computed on first use), so the
+basis is cached with the operator.  Grids are cheap and rebuilt per request
+so tests can vary T and n_t freely without spoiling the cache.
 """
 
 import os
@@ -33,12 +34,12 @@ def pytest_configure(config):
     if src not in paths:
         os.environ["PYTHONPATH"] = os.pathsep.join([src, *paths])
 
-_SPECTRAL_CACHE: dict[tuple, tuple] = {}
+_OPERATOR_CACHE: dict[tuple, fw.FracOperator] = {}
 
 
 def case(n_int=24, s=0.7, n_t=96, T=1.0, m_collar=3):
-    """(grid, op, basis) for a unit interval with collar windows at both
-    ends; the spectral pair is shared across all callers with the same
+    """(grid, op, op.basis) for a unit interval with collar windows at both
+    ends; the operator is shared across all callers with the same
     (n_int, s, m_collar)."""
     grid = fw.build_grid(
         x_min=0.0,
@@ -51,11 +52,10 @@ def case(n_int=24, s=0.7, n_t=96, T=1.0, m_collar=3):
         n_t=n_t,
     )
     key = (n_int, s, m_collar)
-    if key not in _SPECTRAL_CACHE:
-        op = fw.assemble_operator(grid, s)
-        _SPECTRAL_CACHE[key] = (op, fw.eigendecompose(op, grid))
-    op, basis = _SPECTRAL_CACHE[key]
-    return grid, op, basis
+    if key not in _OPERATOR_CACHE:
+        _OPERATOR_CACHE[key] = fw.assemble_operator(grid, s)
+    op = _OPERATOR_CACHE[key]
+    return grid, op, op.basis
 
 
 @pytest.fixture(scope="session")

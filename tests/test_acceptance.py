@@ -206,8 +206,8 @@ def test_c07_dn_reciprocity_under_shared_potential():
     q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
     controls = control_basis(grid, grid.w_mask(1), 3)[:8]
     probes = control_basis(grid, grid.w_mask(2), 3)[:8]
-    m12 = dn_matrix(op, basis, grid, controls, probes, q)
-    m21 = dn_matrix(op, basis, grid, probes, controls, q)
+    m12 = dn_matrix(op, grid, controls, probes, q)
+    m21 = dn_matrix(op, grid, probes, controls, q)
     asym = np.max(np.abs(m12 - m21.T)) / np.max(np.abs(m12))
     assert asym <= 1e-8, f"reciprocity asymmetry {asym:.3e}"
 
@@ -221,20 +221,20 @@ def test_c08_runge_sweeps_monotone_and_span_target_reached():
     x = grid.interior_coords
     target = np.outer(time_window(grid), np.sin(np.pi * x))
 
-    rows = sweep_alpha(target, controls, op, basis, grid,
+    rows = sweep_alpha(target, controls, op, grid,
                        alphas=tuple(10.0 ** -k for k in range(2, 11)))
     res_a = np.array([r.residual for r in rows])
     assert np.all(np.diff(res_a) <= 1e-12), f"alpha sweep {res_a}"
 
-    enr = sweep_enrichment(target, controls, op, basis, grid, alpha=1e-8)
+    enr = sweep_enrichment(target, controls, op, grid, alpha=1e-8)
     res_e = np.array([r.residual for _, r in enr])
     assert np.all(np.diff(res_e) <= 1e-12), f"enrichment sweep {res_e}"
 
     amp_controls = [combine_controls([c], [100.0]) for c in controls[:4]]
-    states = forward_map(amp_controls, op, basis, grid)
+    states = forward_map(amp_controls, op, grid)
     coeffs = np.array([1.0, -0.5, 0.25, 0.1])
     span_target = np.einsum("a,atx->tx", coeffs, states)
-    residuals = [approximate_target(span_target, amp_controls, op, basis,
+    residuals = [approximate_target(span_target, amp_controls, op,
                                     grid, alpha=alpha, states=states).residual
                  for alpha in (1e-2, 1e-6, 1e-10)]
     assert residuals[2] <= residuals[1] <= residuals[0]
@@ -248,8 +248,8 @@ def test_c09_potential_recovered_within_ten_percent():
     q_true = np.sin(np.pi * grid.interior_coords)
     controls = control_basis(grid, grid.w_mask(1), 4)
     probes = control_basis(grid, grid.w_mask(2), 4)
-    measured = dn_matrix(op, basis, grid, controls, probes, q_true)
-    rec = recover_potential(measured, controls, probes, op, basis, grid)
+    measured = dn_matrix(op, grid, controls, probes, q_true)
+    rec = recover_potential(measured, controls, probes, op, grid)
     rel = np.linalg.norm(rec.q_est - q_true) / np.linalg.norm(q_true)
     assert rel <= 0.10, f"potential recovery error {rel:.4f}"
 

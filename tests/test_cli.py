@@ -162,6 +162,43 @@ def test_eig_rerun_is_byte_identical(tmp_path):
     assert m1["config_sha256"] == m2["config_sha256"]
 
 
+# small-size settings of every pipeline that solves states
+PIPELINE_SETS = {
+    "solve": SMALL,
+    "dn": SMALL + ["--set", "controls.freqs=2", "--set", "tests.freqs=2"],
+    "runge": SMALL + ["--set", "runge.freqs=2", "--set", "runge.alphas=1e-2,1e-4"],
+    "invert-q": ["--set", "domain.n_int=16", "--set", "time.n_t=48",
+                 "--set", "invq.freqs=2"],
+    "invert-f": ["--set", "domain.n_int=16", "--set", "time.n_t=64",
+                 "--set", "invf.exponents=0.5", "--set", "invf.amps=1.0",
+                 "--set", "invf.eps_pow_max=6"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(PIPELINE_SETS))
+def test_pipeline_rerun_is_byte_identical(tmp_path, cmd):
+    manifests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run([cmd, "--out", str(out)] + PIPELINE_SETS[cmd]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[0]["artifacts"] and manifests[0]["artifacts"] == manifests[1]["artifacts"]
+    for name in manifests[0]["artifacts"]:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_invert_f_runs_without_an_eigensolve(tmp_path, monkeypatch):
+    import fracwave.spectral
+
+    def refuse(*args):
+        raise RuntimeError("no eigensolve expected")
+
+    monkeypatch.setattr(fracwave.spectral, "eigendecompose", refuse)
+    out = str(tmp_path / "o")
+    assert run(["eig", "--out", out] + SMALL) == 1  # the patch is in effect
+    assert run(["invert-f", "--out", out] + PIPELINE_SETS["invert-f"]) == 0
+
+
 def test_config_hash_tracks_settings(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["eig", "--out", str(out1)] + SMALL) == 0

@@ -26,7 +26,7 @@ def test_grid_signature_discriminates():
 def test_dn_trace_shape_and_node_set():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    full = solve_exterior(control, op, basis, grid)
+    full = solve_exterior(control, op, grid)
     trace = dn_trace(full, op, grid)
     assert trace.shape == (grid.n_t + 1, grid.n_ext)
     interior = fw.SpaceTimeField(grid.restrict(full.values), "interior", grid.dt, grid.T)
@@ -37,7 +37,7 @@ def test_dn_trace_shape_and_node_set():
 def test_zero_control_zero_state():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     zero = fw.combine_controls([fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))], [0.0])
-    full = solve_exterior(zero, op, basis, grid)
+    full = solve_exterior(zero, op, grid)
     assert np.max(np.abs(full.values)) == 0.0
 
 
@@ -46,21 +46,21 @@ def test_solve_exterior_carries_control():
     pasted unchanged onto the exterior nodes."""
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    full = solve_exterior(control, op, basis, grid)
+    full = solve_exterior(control, op, grid)
     np.testing.assert_array_equal(
         full.values[:, grid.exterior_indices], control.values
     )
     sweep = fw.solve_with_potential(control.values[None], np.zeros(grid.n_int),
-                                    op, basis, grid)[0]
+                                    op, grid)[0]
     np.testing.assert_array_equal(grid.restrict(full.values), sweep)
 
 
 def test_pairing_linear_in_control():
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     controls, tests = batteries(grid, 2)
-    m = dn_matrix(op, basis, grid, controls, tests)
+    m = dn_matrix(op, grid, controls, tests)
     combo = fw.combine_controls(controls[:4], [2.0, -1.0, 0.5, 0.0])
-    m_combo = dn_matrix(op, basis, grid, [combo], tests)
+    m_combo = dn_matrix(op, grid, [combo], tests)
     expected = 2.0 * m[0] - 1.0 * m[1] + 0.5 * m[2]
     np.testing.assert_allclose(m_combo[0], expected, rtol=1e-10, atol=1e-14)
 
@@ -68,8 +68,8 @@ def test_pairing_linear_in_control():
 def test_dn_matrix_matches_pairing_helper():
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     controls, tests = batteries(grid, 1)
-    m = dn_matrix(op, basis, grid, controls, tests)
-    full = solve_exterior(controls[0], op, basis, grid)
+    m = dn_matrix(op, grid, controls, tests)
+    full = solve_exterior(controls[0], op, grid)
     reversed_test = fw.reverse_control(tests[0])
     assert m[0, 0] == pytest.approx(dn_pairing(full, reversed_test, op, grid), rel=1e-13)
 
@@ -78,8 +78,8 @@ def test_reciprocity_under_shared_potential():
     grid, op, basis = case(n_int=20, s=0.7, n_t=96)
     q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
     controls, tests = batteries(grid, 2)
-    m12 = dn_matrix(op, basis, grid, controls, tests, q)
-    m21 = dn_matrix(op, basis, grid, tests, controls, q)
+    m12 = dn_matrix(op, grid, controls, tests, q)
+    m21 = dn_matrix(op, grid, tests, controls, q)
     asym = np.max(np.abs(m12 - m21.T)) / np.max(np.abs(m12))
     assert asym <= 1e-10
 
@@ -88,19 +88,19 @@ def test_semilinear_route_runs_through_march():
     grid, op, basis = case(n_int=16, s=0.7, n_t=128)
     f = PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    full = solve_exterior(control, op, basis, grid, f)
+    full = solve_exterior(control, op, grid, f)
     assert full.node_set == "full"
     march = solve_newmark(op, grid, model=f, control=control)
     assert np.array_equal(full.values, march.values)
     # the nonlinear response must differ from the linear one
-    lin_full = solve_exterior(control, op, basis, grid, None)
+    lin_full = solve_exterior(control, op, grid, None)
     assert np.max(np.abs(full.values - lin_full.values)) > 1e-8
 
 
 def test_measurement_roundtrip(tmp_path):
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     controls, tests = batteries(grid, 1)
-    matrix = dn_matrix(op, basis, grid, controls, tests)
+    matrix = dn_matrix(op, grid, controls, tests)
     sig = grid_signature(grid, 0.7)
     meas = DNMeasurement(
         s=0.7,

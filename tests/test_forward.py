@@ -124,8 +124,10 @@ def test_newmark_blowup_abort():
 
 def test_newmark_shape_checks():
     grid, op, basis = case(n_int=16, s=0.7, n_t=128)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="potential shape"):
         fw.solve_newmark(op, grid, model=np.zeros(grid.n_int + 1))
+    with pytest.raises(ValueError, match="non-finite"):
+        fw.solve_newmark(op, grid, model=np.full(grid.n_int, np.nan))
     with pytest.raises(ValueError):
         fw.solve_newmark(op, grid, source=np.zeros((grid.n_t, grid.n_int)))
 
@@ -233,10 +235,11 @@ def test_picard_reports_failure():
 
 def test_picard_rejects_bad_potential_shape():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
-    with pytest.raises(ValueError):
-        fw.solve_with_potential_picard(
-            basis, np.zeros(grid.n_int + 3), CauchyData.zero(grid.n_int), None, grid
-        )
+    zero = CauchyData.zero(grid.n_int)
+    with pytest.raises(ValueError, match="potential shape"):
+        fw.solve_with_potential_picard(basis, np.zeros(grid.n_int + 3), zero, None, grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        fw.solve_with_potential_picard(basis, np.full(grid.n_int, np.inf), zero, None, grid)
 
 
 @pytest.mark.parametrize(
@@ -254,7 +257,7 @@ def test_potential_sweep_matches_picard(profile):
     q = profile(grid.interior_coords)
     controls = fw.control_basis(grid, grid.w_mask(1), 2)
     states = fw.solve_with_potential(
-        np.stack([c.values for c in controls]), q, op, basis, grid
+        np.stack([c.values for c in controls]), q, op, grid
     )
     zero = CauchyData.zero(grid.n_int)
     for control, u in zip(controls, states):
@@ -266,11 +269,11 @@ def test_potential_sweep_matches_picard(profile):
 
 def test_potential_sweep_batch_matches_single():
     grid, op, basis = case(n_int=24, s=0.7, n_t=128)
-    q = fw.Potential(1.0 + 0.5 * np.cos(np.pi * grid.interior_coords))
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
     values = np.stack([c.values for c in fw.control_basis(grid, grid.w_mask(2), 3)])
-    batch = fw.solve_with_potential(values, q, op, basis, grid)
+    batch = fw.solve_with_potential(values, q, op, grid)
     for v, u in zip(values, batch):
-        single = fw.solve_with_potential(v[None], q, op, basis, grid)[0]
+        single = fw.solve_with_potential(v[None], q, op, grid)[0]
         assert np.max(np.abs(u - single)) <= 1e-12 * np.max(np.abs(single))
 
 
@@ -278,9 +281,11 @@ def test_potential_sweep_shape_checks():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     values = np.zeros((1, grid.n_t + 1, grid.n_ext))
     with pytest.raises(ValueError, match="potential shape"):
-        fw.solve_with_potential(values, np.zeros(grid.n_int + 1), op, basis, grid)
+        fw.solve_with_potential(values, np.zeros(grid.n_int + 1), op, grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        fw.solve_with_potential(values, np.array([np.nan] * grid.n_int), op, grid)
     with pytest.raises(ValueError, match="control values"):
-        fw.solve_with_potential(values[0], np.zeros(grid.n_int), op, basis, grid)
+        fw.solve_with_potential(values[0], np.zeros(grid.n_int), op, grid)
 
 
 def test_residuals_accept_true_reject_perturbed(rng):

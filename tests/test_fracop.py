@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,3 +110,21 @@ def test_assemble_rejects_bad_orders(s):
     grid, _, _ = case(n_int=10, s=0.7, n_t=8)
     with pytest.raises(ValueError):
         fw.assemble_operator(grid, s)
+
+
+def test_operator_basis_with_fracop_imported_alone():
+    # fracop and spectral import each other's names; the basis must still
+    # come up when fracop is the only module a program imports
+    code = (
+        "import sys\n"
+        "import fracwave.fracop as fracop\n"
+        "from fracwave.grid import build_grid\n"
+        "grid = build_grid(x_min=0.0, x_max=1.0, n_int=12, m_collar=3,\n"
+        "                  w1=(0, 1, 2), w2=(3, 4, 5), T=1.0, n_t=8)\n"
+        "op = fracop.assemble_operator(grid, 0.7)\n"
+        "assert 'fracwave.spectral' not in sys.modules\n"
+        "print(op.basis.n_modes, op.basis.h == op.h)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["12", "True"]

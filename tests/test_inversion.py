@@ -38,12 +38,12 @@ def test_pairing_difference_equals_weighted_product_integral(small, battery):
     q1 = 1.0 + 0.5 * np.cos(np.pi * x)
     q2 = 1.0 + 0.2 * np.sin(np.pi * x)
 
-    lhs = (dn_matrix(op, basis, grid, controls, probes, q1)
-           - dn_matrix(op, basis, grid, controls, probes, q2))
+    lhs = (dn_matrix(op, grid, controls, probes, q1)
+           - dn_matrix(op, grid, controls, probes, q2))
 
     w = trapezoid_weights(grid.n_t, grid.dt)
     def states(family, q):
-        return np.stack([grid.restrict(solve_exterior(c, op, basis, grid, q).values)
+        return np.stack([grid.restrict(solve_exterior(c, op, grid, q).values)
                          for c in family])
 
     u1, u2 = states(controls, q1), states(controls, q2)
@@ -95,7 +95,7 @@ def test_recover_potential_rejects_unreversed_measurement(small, battery):
         matrix=np.zeros((len(controls), len(probes))),
         controls_meta=(), tests_meta=(), reversed_tests=False)
     with pytest.raises(ValueError, match="time-reversed"):
-        inv.recover_potential(meas, controls, probes, op, basis, grid)
+        inv.recover_potential(meas, controls, probes, op, grid)
 
 
 def test_recover_potential_rejects_shape_mismatch(small, battery):
@@ -103,7 +103,7 @@ def test_recover_potential_rejects_shape_mismatch(small, battery):
     controls, probes = battery
     with pytest.raises(ValueError, match="basis is"):
         inv.recover_potential(np.zeros((3, 2)), controls, probes,
-                              op, basis, grid)
+                              op, grid)
 
 
 def test_recover_potential_rejects_bad_cutoffs(small, battery):
@@ -112,7 +112,7 @@ def test_recover_potential_rejects_bad_cutoffs(small, battery):
     m = np.zeros((len(controls), len(probes)))
     for bad in (0.0, 1.0, -0.5, (1e-2, 2.0)):
         with pytest.raises(ValueError, match="cutoffs must lie"):
-            inv.recover_potential(m, controls, probes, op, basis, grid,
+            inv.recover_potential(m, controls, probes, op, grid,
                                   cutoff=bad)
 
 
@@ -123,9 +123,9 @@ def test_recover_potential_stops_at_consistent_start(small, battery):
     controls, probes = battery
     x = grid.interior_coords
     q_true = 0.8 + 0.3 * np.cos(np.pi * x)
-    meas = dn_matrix(op, basis, grid, controls, probes, q_true)
-    rec = inv.recover_potential(meas, controls, probes, op, basis, grid,
-                                q_start=fw.Potential(q_true))
+    meas = dn_matrix(op, grid, controls, probes, q_true)
+    rec = inv.recover_potential(meas, controls, probes, op, grid,
+                                q_start=q_true)
     assert rec.data_misfits[0] <= 1e-12
     assert np.max(np.abs(rec.q_est - q_true)) <= 1e-8
 
@@ -135,8 +135,8 @@ def test_recover_potential_pairs_closed_loop(small, battery):
     controls, probes = battery
     x = grid.interior_coords
     q_true = 0.4 * np.sin(np.pi * x)
-    meas = dn_matrix(op, basis, grid, controls, probes, q_true)
-    rec = inv.recover_potential(meas, controls, probes, op, basis, grid)
+    meas = dn_matrix(op, grid, controls, probes, q_true)
+    rec = inv.recover_potential(meas, controls, probes, op, grid)
     rel = np.linalg.norm(rec.q_est - q_true) / np.linalg.norm(q_true)
     assert rel <= 0.08
     misfits = np.asarray(rec.data_misfits)
@@ -162,7 +162,7 @@ def test_linear_response_routes_agree(small):
     grid, op, basis = small
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     v_march = inv.linear_response(control, op, grid)
-    v_sweep = grid.restrict(solve_exterior(control, op, basis, grid, None).values)
+    v_sweep = grid.restrict(solve_exterior(control, op, grid, None).values)
     gap = np.max(np.abs(v_march - v_sweep)) / np.max(np.abs(v_march))
     assert gap <= 1e-3
 
@@ -173,12 +173,12 @@ def test_linear_response_routes_agree(small):
 def test_reaction_rows_match_potential_term_exactly(small):
     grid, op, basis = small
     x = grid.interior_coords
-    q = fw.Potential(1.0 + 0.5 * np.cos(np.pi * x))
+    q = 1.0 + 0.5 * np.cos(np.pi * x)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     u_full = solve_newmark(op, grid, model=q, control=control)
     rows = inv.reaction_from_march(u_full, op, grid)
     u_int = grid.restrict(u_full.values)
-    truth = q.values[None, :] * u_int[1:-1]
+    truth = q[None, :] * u_int[1:-1]
     assert rows.shape == (grid.n_t - 1, grid.n_int)
     assert np.max(np.abs(rows - truth)) <= 1e-10
 

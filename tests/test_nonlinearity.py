@@ -4,22 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import fracwave as fw
-from fracwave import PolyNonlinearity, Potential
+from fracwave import PolyNonlinearity
 
 
 def two_term(n=8):
     b1 = np.full(n, 1.0)
     b2 = np.full(n, 0.5)
     return PolyNonlinearity((0.5, 1.0), np.stack([b1, b2]))
-
-
-def test_potential_metadata():
-    q = Potential(np.zeros(4))
-    assert q.name == "q"
-    with pytest.raises(ValueError, match="1-d nodal vector"):
-        Potential(np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="non-finite"):
-        Potential(np.array([0.0, np.nan]))
 
 
 @pytest.mark.parametrize(

@@ -24,18 +24,20 @@ def test_eigendecompose_sign_convention():
 
 
 def test_eigendecompose_rerun_is_byte_identical():
+    # the operator's cached basis is the same eigensolve, kept
     grid, op, _ = case(n_int=40, s=0.7)
-    first = fw.eigendecompose(op, grid)
-    second = fw.eigendecompose(op, grid)
-    assert first.lambdas.tobytes() == second.lambdas.tobytes()
-    assert first.modes.tobytes() == second.modes.tobytes()
+    first = fw.eigendecompose(op)
+    for other in (fw.eigendecompose(op), op.basis):
+        assert first.lambdas.tobytes() == other.lambdas.tobytes()
+        assert first.modes.tobytes() == other.modes.tobytes()
+    assert op.basis is op.basis
 
 
 def test_eigendecompose_rejects_indefinite_block():
     grid, op, _ = case(n_int=8, s=0.7)
     shifted = SimpleNamespace(a_int=op.a_int - 2.0 * op.a_int[0, 0] * np.eye(8))
     with pytest.raises(ValueError, match="not positive"):
-        fw.eigendecompose(shifted, grid)
+        fw.eigendecompose(shifted)
 
 
 def test_eigendecompose_residual_and_gram():
