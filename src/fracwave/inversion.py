@@ -29,8 +29,13 @@ residual differencing, so the scaled reaction
 converges to b_k |v|^(r_k) v with known contamination powers: eps^(r_j - r_k)
 from earlier-stage estimation error and eps^(r_1), eps^(r_(k+1) - r_k) from
 nonlinear feedback and the next term.  A small least-squares extrapolation
-in exactly those powers removes them; the surviving profile is fitted
-nodewise against |v|^(r_k) v on sufficiently excited nodes.
+in exactly those powers removes them, and b_k follows from a nodewise least
+squares fit against |v|^(r_k) v on sufficiently excited rows.  Both steps
+are linear in the samples: the limit is a fixed combination of the rungs
+and the fit a time sum, in which the earlier profiles bhat_j(x) factor
+out.  So each trajectory is reduced, as it is read, to per-node moments
+against the masked regressors (of its reaction and of |u_eps|^(r_j) u_eps),
+and extrapolation and peeling run on (rungs, nodes) arrays.
 """
 from __future__ import annotations
 
@@ -275,6 +280,36 @@ def extrapolate_powers(
     return limit, rms, cond
 
 
+def _regressors(
+    v_rows: np.ndarray, exponents: tuple[float, ...], floor_rel: float
+) -> np.ndarray:
+    """Masked regressors |v|^r v, one per exponent, stacked on a leading
+    axis; zero on rows where |v| falls below floor_rel * max|v|."""
+    mag = np.abs(v_rows)
+    active = mag >= floor_rel * np.max(mag)
+    g = np.empty((len(exponents), *v_rows.shape))
+    for k, r in enumerate(exponents):
+        np.multiply(mag**r, v_rows, out=g[k])
+    g[:, ~active] = 0.0
+    return g
+
+
+def _solve_nodes(sg: np.ndarray, gsq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodewise normal equations b = sg / gsq from the fit moments
+    sg = sum_t g s and gsq = sum_t g^2; nodes with gsq = 0 inherit the
+    estimate of the nearest informative node and are flagged False."""
+    informative = gsq > 0.0
+    if not informative.any():
+        raise ValueError("control never excites the domain above the floor")
+    b = np.zeros(gsq.shape)
+    b[informative] = sg[informative] / gsq[informative]
+    if not informative.all():
+        idx = np.where(informative)[0]
+        for j in np.where(~informative)[0]:
+            b[j] = b[idx[np.argmin(np.abs(idx - j))]]
+    return b, informative
+
+
 def fit_profile(
     s_limit: np.ndarray,
     v_rows: np.ndarray,
@@ -286,24 +321,14 @@ def fit_profile(
 
     Rows where |v| falls below floor_rel * max|v| carry no information and
     are masked out; nodes with no informative rows inherit the estimate of
-    the nearest informative node and are flagged False in the mask.
+    the nearest informative node and are flagged False in the mask.  This
+    is the sample route: recover_expansion takes the same fit from moments
+    of the ladder trajectories, and tests compare the two.
     """
     if s_limit.shape != v_rows.shape:
         raise ValueError("sample and response shapes differ")
-    g = np.abs(v_rows) ** r * v_rows
-    active = np.abs(v_rows) >= floor_rel * np.max(np.abs(v_rows))
-    gsq = np.where(active, g * g, 0.0).sum(axis=0)
-    sg = np.where(active, s_limit * g, 0.0).sum(axis=0)
-    informative = gsq > 0.0
-    b = np.zeros(v_rows.shape[1])
-    b[informative] = sg[informative] / gsq[informative]
-    if not informative.all():
-        if not informative.any():
-            raise ValueError("control never excites the domain above the floor")
-        idx = np.where(informative)[0]
-        for j in np.where(~informative)[0]:
-            b[j] = b[idx[np.argmin(np.abs(idx - j))]]
-    return b, informative
+    g = _regressors(v_rows, (r,), floor_rel)[0]
+    return _solve_nodes(np.einsum("tx,tx->x", g, s_limit), np.einsum("tx,tx->x", g, g))
 
 
 @dataclass(frozen=True)
@@ -341,8 +366,9 @@ def recover_expansion(
     rung, largest first) and returns the full-grid trajectory of the unknown
     model for each, in the same order; it is called once.  For synthetic
     studies, pass the list straight to the explicit march, which marches it
-    as one batch.  Only the reactions and interior states are kept from the
-    returned trajectories.  The stage-k extrapolation basis is
+    as one batch.  Each returned trajectory is read once, in order, reduced
+    to its per-node fit moments and not kept, so no (rungs, n_t, n_int)
+    array is built.  The stage-k extrapolation basis is
     {0} + {r_j - r_k : j < k} + {r_1} + {r_(k+1) - r_k}; a stage whose basis
     outgrows the ladder is reported unresolved (zero profile, error inf)
     rather than extrapolated badly.
@@ -361,20 +387,28 @@ def recover_expansion(
             f"eps_ladder repeats a rung: {tuple(float(e) for e in eps_arr)}"
         )
 
-    v = linear_response(control, op, grid)
-    v_rows = v[1:-1]
+    n_rungs, n_terms = eps_arr.size, len(exps)
+    g = _regressors(linear_response(control, op, grid)[1:-1], exps, floor_rel)
+    gram = np.einsum("ktx,ktx->kx", g, g)
 
     fields = measure([combine_controls([control], [float(eps)]) for eps in eps_arr])
-    if len(fields) != eps_arr.size:
-        raise ValueError(f"measure returned {len(fields)} fields for {eps_arr.size} controls")
-    reactions = np.empty((eps_arr.size, grid.n_t - 1, grid.n_int))
-    states = np.empty_like(reactions)
-    norms = np.empty(eps_arr.size)  # of the scaled stage-1 reactions
-    for i, (eps, u_full) in enumerate(zip(eps_arr, fields)):
-        reactions[i] = reaction_from_march(u_full, op, grid)
-        states[i] = grid.restrict(u_full.values)[1:-1]
-        norms[i] = np.linalg.norm(reactions[i]) / eps ** (1.0 + exps[0])
-    del fields, u_full  # free the batch buffer before the peeling stage
+    if len(fields) != n_rungs:
+        raise ValueError(f"measure returned {len(fields)} fields for {n_rungs} controls")
+    pending = list(fields)[::-1]
+    del fields
+    # fit moments per rung i: fits[k, i] = sum_t g_k reaction_i and
+    # peels[k, j, i] = sum_t g_k |s_i|^(r_j) s_i for j < k
+    fits = np.empty((n_terms, n_rungs, grid.n_int))
+    peels = np.zeros((n_terms, n_terms, n_rungs, grid.n_int))
+    norms = np.empty(n_rungs)  # of the scaled stage-1 reactions
+    for i, eps in enumerate(eps_arr):
+        u_full = pending.pop()  # read once, not kept
+        reaction = reaction_from_march(u_full, op, grid)
+        norms[i] = np.linalg.norm(reaction) / eps ** (1.0 + exps[0])
+        fits[:, i] = np.einsum("ktx,tx->kx", g, reaction)
+        s = grid.restrict(u_full.values)[1:-1]
+        for j, r_j in enumerate(exps[:-1]):
+            peels[j + 1 :, j, i] = np.einsum("ktx,tx->kx", g[j + 1 :], np.abs(s) ** r_j * s)
     if np.all(np.diff(norms) > 0.0) and norms[-1] > 10.0 * max(norms[0], 1e-300):
         pretty = ", ".join(f"{n:.3e}" for n in norms)
         raise ValueError(
@@ -382,38 +416,38 @@ def recover_expansion(
             f"exceeded): norms [{pretty}] over ladder {tuple(float(e) for e in eps_arr)}"
         )
 
-    n_terms = len(exps)
     coeffs = np.zeros((n_terms, grid.n_int))
     masks = np.zeros((n_terms, grid.n_int), dtype=bool)
     errors: list[float] = []
     resolved: list[bool] = []
     conds: list[float] = []
 
-    peeled = reactions  # peeled in place: the raw reactions are not read again
+    even, odd = np.arange(0, n_rungs, 2), np.arange(1, n_rungs, 2)
     for k, r_k in enumerate(exps):
         powers = {0.0, exps[0]}
         powers.update(r_j - r_k for r_j in exps[:k])
         if k + 1 < n_terms:
             powers.add(exps[k + 1] - r_k)
         powers = tuple(sorted(powers))
-        if eps_arr.size < len(powers):
+        if n_rungs < len(powers):
             errors.append(np.inf)
             resolved.append(False)
             conds.append(np.inf)
             continue
 
-        scaled = peeled / (eps_arr ** (1.0 + r_k))[:, None, None]
+        # the extrapolated limit is a fixed combination of the rungs and the
+        # fit a time sum, so both act on the moments of the peeled reactions
+        peeled = fits[k] - np.einsum("jx,jix->ix", coeffs[:k], peels[k, :k])
+        scaled = peeled / (eps_arr ** (1.0 + r_k))[:, None]
         limit, _, cond = extrapolate_powers(eps_arr, scaled, powers)
-        b_k, mask = fit_profile(limit, v_rows, r_k, floor_rel=floor_rel)
+        b_k, mask = _solve_nodes(limit, gram[k])
 
         err = np.inf
-        even, odd = np.arange(0, eps_arr.size, 2), np.arange(1, eps_arr.size, 2)
         if min(even.size, odd.size) >= len(powers):
             b_parts = []
             for sel in (even, odd):
                 lim_s, _, _ = extrapolate_powers(eps_arr[sel], scaled[sel], powers)
-                b_s, _ = fit_profile(lim_s, v_rows, r_k, floor_rel=floor_rel)
-                b_parts.append(b_s)
+                b_parts.append(_solve_nodes(lim_s, gram[k])[0])
             err = float(np.max(np.abs(b_parts[0] - b_parts[1])))
 
         coeffs[k] = b_k
@@ -421,9 +455,6 @@ def recover_expansion(
         errors.append(err)
         resolved.append(True)
         conds.append(cond)
-
-        term = b_k[None, None, :] * np.abs(states) ** r_k * states
-        peeled -= term
 
     return ExpansionEstimate(
         exponents=exps,

@@ -3,8 +3,9 @@
 Each check builds its own small configuration, exercises one structural
 property the rest of the package relies on, and returns a flat dict of
 scalar diagnostics.  `run_checks` executes a deterministic batch from a
-seed; the CLI serializes the result, and reruns with the same seed must
-produce identical bytes.
+seed, in which the checks share one operator (and eigenbasis) per order
+and size; the CLI serializes the result, and reruns with the same seed
+must produce identical bytes.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .forward import (
     very_weak_residual,
 )
 from .dnmap import dn_matrix
-from .fracop import assemble_operator, centered_weights
+from .fracop import FracOperator, assemble_operator, centered_weights
 from .fields import CauchyData
 from .grid import build_grid
 from .inversion import reaction_from_march
@@ -31,7 +32,10 @@ from .spectral import dual_norm, dual_norm_variational
 
 __all__ = ["CHECKS", "THRESHOLDS", "run_checks", "report_lines"]
 
-CHECKS: dict[str, Callable[[np.random.Generator], dict]] = {}
+# (s, n_int, n_t, T) -> (grid, op); a check takes a seeded generator and the
+# setup factory of its batch
+Setup = Callable[..., tuple]
+CHECKS: dict[str, Callable[[np.random.Generator, Setup], dict]] = {}
 
 
 def _register(name: str):
@@ -42,16 +46,26 @@ def _register(name: str):
     return deco
 
 
-def _small_setup(s: float = 0.7, n_int: int = 24, n_t: int = 128, T: float = 1.0):
-    grid = build_grid(
-        x_min=0.0, x_max=1.0, n_int=n_int, m_collar=3,
-        w1=(0, 1, 2), w2=(3, 4, 5), T=T, n_t=n_t,
-    )
-    return grid, assemble_operator(grid, s)
+def _setups() -> Setup:
+    """Small-configuration factory for one batch of checks.  Grids are built
+    per call; the operator depends only on s and the spatial grid, so one
+    operator (and with it one eigensolve) per (s, n_int) is shared."""
+    ops: dict[tuple[float, int], FracOperator] = {}
+
+    def setup(s: float = 0.7, n_int: int = 24, n_t: int = 128, T: float = 1.0):
+        grid = build_grid(
+            x_min=0.0, x_max=1.0, n_int=n_int, m_collar=3,
+            w1=(0, 1, 2), w2=(3, 4, 5), T=T, n_t=n_t,
+        )
+        if (s, n_int) not in ops:
+            ops[s, n_int] = assemble_operator(grid, s)
+        return grid, ops[s, n_int]
+
+    return setup
 
 
 @_register("weights")
-def check_weights(rng: np.random.Generator) -> dict:
+def check_weights(rng: np.random.Generator, setup: Setup) -> dict:
     w = centered_weights(0.5, 40)
     closed_form_gap = abs(w[0] - 4.0 / np.pi)
     # three-term recurrence g_{j+1} = g_j (j - s) / (j + s + 1)
@@ -65,21 +79,17 @@ def check_weights(rng: np.random.Generator) -> dict:
 
 
 @_register("operator_symmetry")
-def check_operator_symmetry(rng: np.random.Generator) -> dict:
+def check_operator_symmetry(rng: np.random.Generator, setup: Setup) -> dict:
     out = {}
     for s in (0.4, 1.0, 1.5):
-        grid = build_grid(
-            x_min=0.0, x_max=1.0, n_int=20, m_collar=3,
-            w1=(0, 1, 2), w2=(3, 4, 5), T=1.0, n_t=8,
-        )
-        op = assemble_operator(grid, s)
+        _, op = setup(s, n_int=20, n_t=8)
         out[f"asymmetry_s{s}"] = op.asymmetry
     return out
 
 
 @_register("gram")
-def check_gram(rng: np.random.Generator) -> dict:
-    grid, op = _small_setup()
+def check_gram(rng: np.random.Generator, setup: Setup) -> dict:
+    grid, op = setup()
     basis = op.basis
     g_l2 = grid.h * basis.modes.T @ basis.modes
     dev_l2 = float(np.max(np.abs(g_l2 - np.eye(basis.n_modes))))
@@ -90,8 +100,8 @@ def check_gram(rng: np.random.Generator) -> dict:
 
 
 @_register("dual_norm")
-def check_dual_norm(rng: np.random.Generator) -> dict:
-    grid, op = _small_setup()
+def check_dual_norm(rng: np.random.Generator, setup: Setup) -> dict:
+    grid, op = setup()
     worst = 0.0
     for _ in range(10):
         g = rng.standard_normal(grid.n_int)
@@ -102,7 +112,7 @@ def check_dual_norm(rng: np.random.Generator) -> dict:
 
 
 @_register("duhamel")
-def check_duhamel(rng: np.random.Generator) -> dict:
+def check_duhamel(rng: np.random.Generator, setup: Setup) -> dict:
     t = np.linspace(0.0, 1.0, 257)
     c, _ = duhamel_coefficient(4.0, 1.0, 2.0, None, t)
     exact = np.cos(2 * t) + np.sin(2 * t)
@@ -114,8 +124,8 @@ def check_duhamel(rng: np.random.Generator) -> dict:
 
 
 @_register("energy")
-def check_energy(rng: np.random.Generator) -> dict:
-    grid, op = _small_setup()
+def check_energy(rng: np.random.Generator, setup: Setup) -> dict:
+    grid, op = setup()
     basis = op.basis
     bound = np.sqrt(3.0) * max(1.0, np.sqrt(grid.T))
     worst = -np.inf
@@ -132,8 +142,8 @@ def check_energy(rng: np.random.Generator) -> dict:
 
 
 @_register("picard")
-def check_picard(rng: np.random.Generator) -> dict:
-    grid, op = _small_setup(n_t=256, T=0.5)
+def check_picard(rng: np.random.Generator, setup: Setup) -> dict:
+    grid, op = setup(n_t=256, T=0.5)
     basis = op.basis
     q0 = 2.0
     q = np.full(grid.n_int, q0)
@@ -151,8 +161,8 @@ def check_picard(rng: np.random.Generator) -> dict:
 
 
 @_register("transposition")
-def check_transposition(rng: np.random.Generator) -> dict:
-    grid, op = _small_setup()
+def check_transposition(rng: np.random.Generator, setup: Setup) -> dict:
+    grid, op = setup()
     basis = op.basis
     data = CauchyData(
         rng.standard_normal(grid.n_int), rng.standard_normal(grid.n_int)
@@ -165,8 +175,8 @@ def check_transposition(rng: np.random.Generator) -> dict:
 
 
 @_register("reciprocity")
-def check_reciprocity(rng: np.random.Generator) -> dict:
-    grid, op = _small_setup(n_t=96)
+def check_reciprocity(rng: np.random.Generator, setup: Setup) -> dict:
+    grid, op = setup(n_t=96)
     controls = control_basis(grid, grid.w_mask(1), 2)
     tests = control_basis(grid, grid.w_mask(2), 2)
     m12 = dn_matrix(op, grid, controls, tests)
@@ -177,8 +187,8 @@ def check_reciprocity(rng: np.random.Generator) -> dict:
 
 
 @_register("runge")
-def check_runge(rng: np.random.Generator) -> dict:
-    grid, op = _small_setup(n_t=96)
+def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
+    grid, op = setup(n_t=96)
     # one node, three time frequencies: independent states, benign Gram;
     # amplitudes sized so the states are O(1) and alpha is not scale-starved
     controls = [
@@ -200,11 +210,11 @@ def check_runge(rng: np.random.Generator) -> dict:
 
 
 @_register("reaction")
-def check_reaction(rng: np.random.Generator) -> dict:
+def check_reaction(rng: np.random.Generator, setup: Setup) -> dict:
     from .forward import solve_newmark
     from .nonlinearity import PolyNonlinearity
 
-    grid, op = _small_setup(n_t=512, T=0.5)
+    grid, op = setup(n_t=512, T=0.5)
     model = PolyNonlinearity.single(1.0, 0.3, n_nodes=grid.n_int)
     control = tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     full = solve_newmark(op, grid, model=model, control=control)
@@ -229,16 +239,18 @@ def _pyify(value):
 
 def run_checks(names: list[str] | None = None, seed: int = 0) -> dict:
     """Run the named checks (all by default) with a fresh seeded generator
-    per check, so the batch composition never shifts the draws."""
+    per check, so the batch composition never shifts the draws; the checks
+    of one call share their operators."""
     if names is None:
         names = sorted(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise KeyError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+    setup = _setups()
     results = {}
     for name in names:
         rng = np.random.Generator(np.random.PCG64(seed))
-        results[name] = {k: _pyify(v) for k, v in CHECKS[name](rng).items()}
+        results[name] = {k: _pyify(v) for k, v in CHECKS[name](rng, setup).items()}
     return {"seed": seed, "checks": results}
 
 

@@ -279,6 +279,26 @@ def test_verify_single_check_passes(tmp_path, capsys):
     assert "FAIL" not in report
 
 
+def test_verify_checks_share_one_eigensolve_per_call(monkeypatch):
+    """The checks of one run_checks call share one operator per (s, n_int),
+    so the seven that read the 24-node eigenbasis run one eigensolve; the
+    next call builds its own operators."""
+    import fracwave.spectral
+    from fracwave.verify import run_checks
+
+    real, calls = fracwave.spectral.eigendecompose, []
+
+    def counted(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(fracwave.spectral, "eigendecompose", counted)
+    run_checks()
+    assert len(calls) == 1
+    run_checks(["gram"])
+    assert len(calls) == 2
+
+
 def test_verify_rejects_unknown_check(tmp_path):
     out = tmp_path / "verify"
     code = run(["verify", "--out", str(out),

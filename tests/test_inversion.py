@@ -1,5 +1,7 @@
 """Tests for potential recovery and nonlinearity-expansion recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -384,3 +386,99 @@ def test_recover_expansion_detects_noise_floor(fast_case):
     with pytest.raises(ValueError, match="diverge"):
         inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=ladder)
+
+
+# --------------------------------------- moment route against sample route
+
+
+def _sample_route(measure, control, exps, op, grid, ladder, floor_rel=1e-3):
+    """Expansion recovery on the full (n_rungs, n_t - 1, n_int) samples:
+    every reaction is kept, peeled term by term, scaled, extrapolated
+    sample by sample and fitted with fit_profile.  Returns
+    (coeffs, errors, masks, extrap_conds)."""
+    eps_arr = np.asarray(sorted(ladder, reverse=True))
+    v_rows = inv.linear_response(control, op, grid)[1:-1]
+    fields = measure([fw.combine_controls([control], [e]) for e in eps_arr])
+    peeled = np.stack([inv.reaction_from_march(u, op, grid) for u in fields])
+    states = np.stack([grid.restrict(u.values)[1:-1] for u in fields])
+    coeffs = np.zeros((len(exps), grid.n_int))
+    masks = np.zeros((len(exps), grid.n_int), dtype=bool)
+    errors, conds = [], []
+    even, odd = np.arange(0, eps_arr.size, 2), np.arange(1, eps_arr.size, 2)
+    for k, r_k in enumerate(exps):
+        powers = {0.0, exps[0], *(r_j - r_k for r_j in exps[:k])}
+        if k + 1 < len(exps):
+            powers.add(exps[k + 1] - r_k)
+        powers = tuple(sorted(powers))
+        scaled = peeled / (eps_arr ** (1.0 + r_k))[:, None, None]
+        limit, _, cond = inv.extrapolate_powers(eps_arr, scaled, powers)
+        coeffs[k], masks[k] = inv.fit_profile(limit, v_rows, r_k,
+                                              floor_rel=floor_rel)
+        parts = [inv.fit_profile(inv.extrapolate_powers(eps_arr[sel], scaled[sel],
+                                                        powers)[0],
+                                 v_rows, r_k, floor_rel=floor_rel)[0]
+                 for sel in (even, odd)]
+        errors.append(float(np.max(np.abs(parts[0] - parts[1]))))
+        conds.append(cond)
+        peeled = peeled - coeffs[k] * np.abs(states) ** r_k * states
+    return coeffs, errors, masks, conds
+
+
+def _profiles(grid, n_terms):
+    x = grid.interior_coords
+    xh = (x - x[0]) / (x[-1] - x[0])
+    return np.stack([(1.0 - 0.2 * k) * (1 + 0.3 * np.cos((k + 1) * np.pi * xh))
+                     for k in range(n_terms)])
+
+
+@pytest.mark.parametrize("exps, n_t, ladder, floor_rel", [
+    ((0.5, 1.0), 256, tuple(2.0 ** -k for k in range(3, 10)), 1e-3),
+    ((0.5, 1.0), 256, tuple(0.75 * 2.0 ** -k for k in range(3, 10)), 1e-3),
+    ((0.5, 1.0, 1.5), 512, tuple(2.0 ** -k for k in range(3, 11)), 1e-3),
+    ((0.5, 1.0), 256, tuple(2.0 ** -k for k in range(3, 10)), 0.05),
+])
+def test_recover_expansion_moments_match_sample_route(exps, n_t, ladder,
+                                                      floor_rel):
+    """recover_expansion fits per-node moments of the ladder; by linearity
+    it equals the route that extrapolates and fits the full samples.  The
+    high floor leaves the far nodes unexcited, so both fill them from the
+    nearest informative node."""
+    grid, op, basis = case(n_int=48, s=0.7, n_t=n_t, T=1.0)
+    model = fw.PolyNonlinearity(exps, _profiles(grid, len(exps)))
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    measure = lambda cs: solve_newmark(op, grid, model=model, control=cs)
+    est = inv.recover_expansion(measure, control, exps, op, grid,
+                                eps_ladder=ladder, floor_rel=floor_rel)
+    coeffs, errors, masks, conds = _sample_route(measure, control, exps, op,
+                                                 grid, ladder, floor_rel)
+    assert est.resolved == (True,) * len(exps)
+    assert est.masks.all() == (floor_rel < 0.01)
+    for k in range(len(exps)):
+        gap = np.max(np.abs(est.coeffs[k] - coeffs[k]))
+        assert gap <= 1e-8 * np.max(np.abs(coeffs[k])), f"term {k + 1}"
+    np.testing.assert_allclose(est.errors, errors, rtol=1e-6, atol=0.0)
+    assert np.array_equal(est.masks, masks)
+    assert est.extrap_conds == tuple(conds)
+
+
+def test_recover_expansion_streams_the_ladder():
+    """With the trajectories measured beforehand, the recovery allocates
+    less than 1.5 times one (n_rungs, n_t - 1, n_int) sample array: each
+    trajectory is reduced to its fit moments when it is read."""
+    grid, op, basis = case(n_int=48, s=0.7, n_t=1024, T=1.0)
+    model = fw.PolyNonlinearity((0.5, 1.0), _profiles(grid, 2))
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    ladder = tuple(2.0 ** -k for k in range(3, 10))
+    fields = solve_newmark(op, grid, model=model,
+                           control=[fw.combine_controls([control], [e])
+                                    for e in ladder])
+    budget = 1.5 * len(ladder) * (grid.n_t - 1) * grid.n_int * 8
+    tracemalloc.start()
+    try:
+        est = inv.recover_expansion(lambda cs: fields, control, (0.5, 1.0),
+                                    op, grid, eps_ladder=ladder)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.resolved == (True, True)
+    assert peak <= budget, f"peak {peak / budget * 1.5:.2f}x one sample array"
