@@ -29,7 +29,17 @@ dt <= 2 / sqrt(lambda_max (1 + CFL_MARGIN)).  The march always advances a
 batch: the states of B exterior controls live in one (n_t+1, B, n_nodes)
 buffer and each step costs one (B, n_nodes) product with the interior rows
 of A, so an amplitude ladder or a control basis is one march, not one per
-control.
+control.  The last two interior states roll through contiguous (B, n_int)
+buffers and each step works in place in one force buffer
+
+    g = dt^2 (A u + q u + f(x, u) - F),    u_new = 2 u - u_prev - g,
+
+which is bit for bit the textbook step 2 u - u_prev + dt^2 (-A u - q u - f + F),
+since negation is exact: fl(-x - y) = -fl(x + y) up to the sign of an exact
+zero.  `inversion.reaction_from_march` reads
+q u + f(x, u) back off a trajectory through that relation, so it recovers f
+exactly only while the march keeps this order of operations; a fused step
+matrix 2I - dt^2 A changes it (see `solve_newmark`).
 """
 from __future__ import annotations
 
@@ -379,7 +389,20 @@ def solve_newmark(
     controls is marched as one batch, sharing the model, data and source,
     and returns one full-grid trajectory per control, in order (views into
     the batch buffer).  Raises on CFL violation and aborts with the step
-    index when the march produces non-finite values.
+    index and the batch rows when the march produces non-finite values.
+
+    Each step forms the force g = A u + q u + f(x, u) - F of the current
+    interior rows u in one preallocated buffer, scales it by dt^2 and sets
+    u_new = 2 u - u_prev - g; u and u_prev are rolling contiguous (B, n_int)
+    buffers and u_new is copied once into the full-grid buffer.  This is
+    bitwise the step 2 u - u_prev + dt^2 accel with accel = -A u - q u - f + F,
+    negation being exact.  That floating-point order is a contract with
+    `inversion.reaction_from_march`, which inverts it to read q u + f back.
+    A fused step matrix 2I - dt^2 A is cheaper but not the same arithmetic:
+    at n_int = 48, n_t = 8192 it moved the trajectories by a few 1e-12 and
+    the recovered second term of f (invert-f, two terms) from 2.0e-4 to
+    3.7e-3 relative error, because the amplitude ladder divides the
+    reaction's roundoff by small rungs.
     """
     dt = grid.dt
     bound = newmark_dt_bound(op)
@@ -420,28 +443,38 @@ def solve_newmark(
     interior = grid.interior_slice
     stiff_t = op.a_full[interior].T  # (n_nodes, n_int): rows of A on the interior
 
-    def accel(n: int) -> np.ndarray:
-        a = -(full[n] @ stiff_t)
-        u_int = full[n, :, interior]
-        if q is not None:
-            a = a - q * u_int
-        if nonlin is not None:
-            a = a - nonlin.evaluate(u_int)
-        if source is not None:
-            a = a + source[n]
-        return a
-
     full[0, :, interior] = data.u0
-    full[1, :, interior] = data.u0 + dt * data.u1 + 0.5 * dt * dt * accel(0)
+    u_prev = full[0, :, interior].copy()  # rolling contiguous (B, n_int) rows
+    g = np.empty_like(u_prev)
+
+    def force(n: int, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """A u + q u + f(x, u) - F at step n on the interior rows, into g."""
+        np.matmul(full[n], stiff_t, out=g)
+        if q is not None:
+            g += q * u
+        if nonlin is not None:
+            g += nonlin.evaluate(u)
+        if source is not None:
+            g -= source[n]
+        return g
+
+    u = data.u0 + dt * data.u1 - 0.5 * dt * dt * force(0, u_prev, g)
+    full[1, :, interior] = u
+    new = np.empty_like(u)
     for n in range(1, n_t):
-        u_new = 2.0 * full[n, :, interior] - full[n - 1, :, interior] + dt * dt * accel(n)
-        if not np.isfinite(u_new).all():
-            rows = np.flatnonzero(~np.isfinite(u_new).all(axis=1)).tolist()
+        force(n, u, g)
+        g *= dt * dt
+        np.multiply(u, 2.0, out=new)
+        new -= u_prev
+        new -= g
+        if not np.isfinite(new).all():
+            rows = np.flatnonzero(~np.isfinite(new).all(axis=1)).tolist()
             raise SolverBlowupError(
                 f"non-finite values at step {n + 1} (t = {(n + 1) * dt:.6g}) "
                 f"in batch rows {rows}"
             )
-        full[n + 1, :, interior] = u_new
+        full[n + 1, :, interior] = new
+        u_prev, u, new = u, new, u_prev
     fields = [SpaceTimeField(full[:, b], "full", dt, grid.T) for b in range(len(controls))]
     return fields[0] if single else fields
 

@@ -68,12 +68,25 @@ class PolyNonlinearity:
         )
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """f(x, u) nodewise; u is (..., n_nodes)."""
+        """f(x, u) nodewise; u is (..., n_nodes).
+
+        Each term b |u|^r u is built in a buffer of its own, in place, and the
+        terms are summed in order.  The result is bitwise equal to the sum
+        0.0 + term_1 + term_2 + ..., signs of zero included: the first term
+        gets + 0.0, which turns a -0.0 into +0.0.  u is left unchanged.
+        """
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
         au = np.abs(u)
+        out = None
         for r, b in zip(self.exponents, self.coeffs):
-            out += b * au**r * u
+            term = au**r
+            term *= b
+            term *= u
+            if out is None:
+                out = term
+                out += 0.0
+            else:
+                out += term
         return out
 
 

@@ -172,6 +172,7 @@ PIPELINE_SETS = {
     "invert-f": ["--set", "domain.n_int=16", "--set", "time.n_t=64",
                  "--set", "invf.exponents=0.5", "--set", "invf.amps=1.0",
                  "--set", "invf.eps_pow_max=6"],
+    "verify": ["--set", "verify.checks=weights,duhamel,reaction"],
 }
 
 

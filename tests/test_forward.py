@@ -174,11 +174,71 @@ def test_newmark_batch_keeps_guards():
     data = CauchyData(np.sin(np.pi * grid.interior_coords), np.zeros(grid.n_int))
     with pytest.raises(fw.SolverBlowupError, match="step"):
         fw.solve_newmark(op, grid, model=bad, control=controls, data=data)
+    # only the loud row leaves the finite range, and the message names it alone
+    (control,) = ladder_controls(grid, 1)
+    mixed = [fw.combine_controls([control], [a]) for a in (1e-6, 1.0, 1e-6)]
+    with pytest.raises(fw.SolverBlowupError, match=r"step \d+ .* batch rows \[1\]$"):
+        fw.solve_newmark(op, grid, model=bad, control=mixed)
     grid, op, basis = case(n_int=48, s=1.5, n_t=8)
     still = fw.ExteriorControl(np.zeros((grid.n_t + 1, grid.n_ext)), grid.w_mask(1),
                                grid.dt, grid.T)
     with pytest.raises(ValueError, match="CFL"):
         fw.solve_newmark(op, grid, control=[still, still])
+
+
+def march_by_old_step(op, grid, model, controls, data, source):
+    """The march written as 2 u - u_prev + dt^2 accel(n) on strided views,
+    the form that `inversion.reaction_from_march` inverts."""
+    dt, interior = grid.dt, grid.interior_slice
+    full = np.zeros((grid.n_t + 1, len(controls), grid.n_nodes))
+    for b, c in enumerate(controls):
+        if c is not None:
+            full[:, b, grid.exterior_indices] = c.values
+    stiff_t = op.a_full[interior].T
+
+    def accel(n):
+        a = -(full[n] @ stiff_t)
+        u_int = full[n, :, interior]
+        if isinstance(model, PolyNonlinearity):
+            a = a - model.evaluate(u_int)
+        elif model is not None:
+            a = a - model * u_int
+        if source is not None:
+            a = a + source[n]
+        return a
+
+    full[0, :, interior] = data.u0
+    full[1, :, interior] = data.u0 + dt * data.u1 + 0.5 * dt * dt * accel(0)
+    for n in range(1, grid.n_t):
+        u, u_prev = full[n, :, interior], full[n - 1, :, interior]
+        full[n + 1, :, interior] = 2.0 * u - u_prev + dt * dt * accel(n)
+    return full
+
+
+def test_newmark_matches_old_step_exactly():
+    grid, op, basis = case(n_int=24, s=0.7, n_t=512)
+    x = grid.interior_coords
+    rng = np.random.default_rng(7)
+    two_term = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
+    data = CauchyData(0.1 * np.sin(np.pi * x), 0.2 * np.cos(3.0 * x))
+    source = 0.05 * rng.standard_normal((grid.n_t + 1, grid.n_int))
+    (control,) = ladder_controls(grid, 1)
+    zero = CauchyData.zero(grid.n_int)
+    cases = [
+        (1.0 + 0.5 * np.sin(3.0 * x), control, data, source),
+        (two_term, ladder_controls(grid, 9), zero, None),
+        (two_term, None, data, None),
+    ]
+    for model, controls, cauchy, src in cases:
+        marched = fw.solve_newmark(op, grid, model=model, control=controls, data=cauchy,
+                                   source=src)
+        single = not isinstance(controls, list)
+        rows = [controls] if single else controls
+        expected = march_by_old_step(op, grid, model, rows, cauchy, src)
+        fields = [marched] if single else marched
+        assert len(fields) == len(rows)
+        for b, field in enumerate(fields):
+            assert np.array_equal(field.values, expected[:, b])
 
 
 def test_picard_zero_potential_short_circuits():

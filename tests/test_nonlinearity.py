@@ -62,6 +62,28 @@ def test_evaluate_odd_and_broadcasts():
     assert f.evaluate(traj).shape == (5, 8)
 
 
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(9, 8), (33, 8)])
+def test_evaluate_is_bitwise_the_plain_sum(n_terms, shape):
+    rng = np.random.default_rng(n_terms)
+    exps = (0.5, 1.0, 2.0)[:n_terms]
+    coeffs = rng.standard_normal((n_terms, shape[1]))
+    coeffs[:, 0] = -1.0  # a negative coefficient on a zero input gives -0.0
+    f = PolyNonlinearity(exps, coeffs)
+    u = rng.standard_normal(shape)
+    u[:, :3] = [0.0, -0.0, 0.0]
+    u[0] = -0.0
+    before = u.copy()
+    out = f.evaluate(u)
+    plain = np.zeros_like(u)
+    for r, b in zip(exps, coeffs):
+        plain = plain + b * np.abs(u) ** r * u
+    assert np.array_equal(out, plain)
+    assert np.array_equal(np.signbit(out), np.signbit(plain))
+    assert np.array_equal(np.signbit(u), np.signbit(before)) and np.array_equal(u, before)
+    assert not np.shares_memory(out, u)
+
+
 def test_lp_norm_special_cases():
     v = np.array([3.0, -4.0])
     h = 0.25
