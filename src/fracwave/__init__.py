@@ -32,10 +32,8 @@ _EXPORTS = {
     "dual_norm_variational": "spectral",
     "dump_spectra_csv": "spectral",
     # fields
-    "SpaceTimeField": "fields",
     "CauchyData": "fields",
     "ExteriorControl": "fields",
-    "time_reverse": "fields",
     "reverse_control": "fields",
     "time_window": "fields",
     "tensor_control": "fields",

@@ -276,10 +276,10 @@ def _run_solve(cfg, art, seed, rng) -> tuple[int, dict]:
     )
     full = solve_exterior(control, op, grid, q)
     lines = [f"t," + ",".join(f"x{j}" for j in range(grid.n_nodes))]
-    for t, row in zip(grid.times(), full.values):
+    for t, row in zip(grid.times(), full):
         lines.append(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row))
     art.write_text("trajectory.csv", "\n".join(lines) + "\n")
-    peak = float(abs(full.values).max())
+    peak = float(abs(full).max())
     print(f"solve: trajectory written, peak |u| = {peak:.6e}")
     return 0, {"peak_abs": peak}
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ExteriorControl, SpaceTimeField
-from .forward import solve_newmark, solve_with_potential, st_gram, st_inner
+from .fields import ExteriorControl
+from .forward import _trajectory, solve_newmark, solve_with_potential, st_gram, st_inner
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import PolyNonlinearity
@@ -59,15 +59,15 @@ def grid_signature(grid: Grid, s: float) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def dn_trace(u_full: SpaceTimeField, op: FracOperator, grid: Grid) -> np.ndarray:
-    """Exterior trace of A u, shape (n_t + 1, n_ext)."""
-    if u_full.node_set != "full":
-        raise ValueError("dn_trace needs a full-grid trajectory")
-    return (u_full.values @ op.a_full)[:, grid.exterior_indices]
+def dn_trace(u_full: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
+    """Exterior trace of A u for a full-grid trajectory u (n_t + 1, n_nodes),
+    shape (n_t + 1, n_ext)."""
+    u_full = _trajectory(u_full, grid.n_nodes, grid)
+    return (u_full @ op.a_full)[:, grid.exterior_indices]
 
 
 def dn_pairing(
-    u_full: SpaceTimeField,
+    u_full: np.ndarray,
     test: ExteriorControl,
     op: FracOperator,
     grid: Grid,
@@ -83,13 +83,12 @@ def solve_exterior(
     op: FracOperator,
     grid: Grid,
     model: PolyNonlinearity | np.ndarray | None = None,
-) -> SpaceTimeField:
-    """Full-grid state driven by an exterior control with zero Cauchy data:
-    the interior from the batched state path every measurement uses, the
-    control values on the exterior nodes."""
+) -> np.ndarray:
+    """Full-grid state (n_t + 1, n_nodes) driven by an exterior control with
+    zero Cauchy data: the interior from the batched state path every
+    measurement uses, the control values on the exterior nodes."""
     u = _control_states([control], op, grid, model)[0]
-    full = grid.extend(u) + grid.scatter_exterior(control.values)
-    return SpaceTimeField(full, "full", grid.dt, grid.T)
+    return grid.extend(u) + grid.scatter_exterior(control.values)
 
 
 def _control_states(
@@ -103,8 +102,7 @@ def _control_states(
     `solve_with_potential`; a power-type nonlinearity marches all controls
     as one batch."""
     if isinstance(model, PolyNonlinearity):
-        marches = solve_newmark(op, grid, model=model, control=controls)
-        return np.stack([grid.restrict(m.values) for m in marches])
+        return grid.restrict(solve_newmark(op, grid, model=model, control=controls))
     q = np.zeros(grid.n_int) if model is None else model
     values = np.stack([c.values for c in controls])
     return solve_with_potential(values, q, op, grid)

@@ -1,50 +1,30 @@
-"""Space-time data containers: trajectories, Cauchy data, exterior controls.
+"""Space-time data: Cauchy data and exterior controls.
 
-Trajectories are stored dense, shape (n_t + 1, nodes), slice i at time
-t_i = i * dt.  Exterior controls carry values on all exterior-local nodes
-plus the window mask they are allowed to touch; the discrete stand-in for a
-smooth compactly supported control is exact zeros on the first and last two
-time slices (zero value and zero one-sided derivative at both endpoints).
+Trajectories are plain float arrays, shape (n_t + 1, nodes), slice i at
+time t_i = i * dt; the last axis is n_int (interior) or n_nodes (full
+grid) and says which.  Exterior controls carry values on all
+exterior-local nodes plus the window mask they are allowed to touch; the
+discrete stand-in for a smooth compactly supported control is exact zeros
+on the first and last two time slices (zero value and zero one-sided
+derivative at both endpoints).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid
 
 __all__ = [
-    "SpaceTimeField",
     "CauchyData",
     "ExteriorControl",
-    "time_reverse",
     "reverse_control",
     "time_window",
     "tensor_control",
     "control_basis",
     "combine_controls",
 ]
-
-
-@dataclass(frozen=True)
-class SpaceTimeField:
-    """Dense trajectory on interior or full nodes."""
-
-    values: np.ndarray  # (n_t + 1, nodes)
-    node_set: str  # 'interior' | 'full'
-    dt: float
-    T: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValueError(f"trajectory must be 2-D, got shape {v.shape}")
-        if self.node_set not in ("interior", "full"):
-            raise ValueError(f"node_set must be interior/full, got {self.node_set!r}")
-        if not np.isfinite(v).all():
-            raise ValueError("trajectory contains non-finite values")
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -97,13 +77,6 @@ class ExteriorControl:
     @property
     def n_t(self) -> int:
         return self.values.shape[0] - 1
-
-
-def time_reverse(f: SpaceTimeField) -> SpaceTimeField:
-    """u*(x, t) = u(x, T - t); an involution on the time grid."""
-    return SpaceTimeField(
-        values=f.values[::-1].copy(), node_set=f.node_set, dt=f.dt, T=f.T
-    )
 
 
 def reverse_control(c: ExteriorControl) -> ExteriorControl:

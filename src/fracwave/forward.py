@@ -1,6 +1,10 @@
 """Wave solvers: modal Duhamel, exterior lifting, potentials (exact sweep and
 Picard oracle), explicit time stepping, and the weak-form residual checks.
 
+Trajectories are plain float arrays, (n_t+1, n_int) or (n_t+1, n_nodes);
+`_trajectory` checks one that enters from outside, as `_potential` does a
+potential.
+
 Modal route.  Expanding in the interior eigenbasis, each coefficient obeys
 c_k'' + lambda_k c_k = F_k, solved in closed form plus a Duhamel convolution:
 
@@ -29,8 +33,9 @@ dt <= 2 / sqrt(lambda_max (1 + CFL_MARGIN)).  The march always advances a
 batch: the states of B exterior controls live in one (n_t+1, B, n_nodes)
 buffer and each step costs one (B, n_nodes) product with the interior rows
 of A, so an amplitude ladder or a control basis is one march, not one per
-control.  The last two interior states roll through contiguous (B, n_int)
-buffers and each step works in place in one force buffer
+control; the march returns the (B, n_t+1, n_nodes) view of that buffer.
+The last two interior states roll through contiguous (B, n_int) buffers
+and each step works in place in one force buffer
 
     g = dt^2 (A u + q u + f(x, u) - F),    u_new = 2 u - u_prev - g,
 
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CauchyData, ExteriorControl, SpaceTimeField, time_reverse
+from .fields import CauchyData, ExteriorControl
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import PolyNonlinearity
@@ -83,8 +88,8 @@ CFL_MARGIN = 0.25
 class WaveSolution:
     """Displacement and velocity trajectories on interior nodes."""
 
-    u: SpaceTimeField
-    udot: SpaceTimeField
+    u: np.ndarray  # (n_t + 1, n_int)
+    udot: np.ndarray  # (n_t + 1, n_int)
 
 
 class PicardError(RuntimeError):
@@ -107,6 +112,17 @@ def _potential(q: np.ndarray, grid: Grid) -> np.ndarray:
     if not np.isfinite(q).all():
         raise ValueError("potential contains non-finite values")
     return q
+
+
+def _trajectory(u: np.ndarray, n_nodes: int, grid: Grid) -> np.ndarray:
+    """A trajectory as a float array of finite values, shape (n_t+1, n_nodes):
+    n_nodes is grid.n_int for an interior and grid.n_nodes for a full-grid one."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.n_t + 1, n_nodes):
+        raise ValueError(f"trajectory shape {u.shape} != {(grid.n_t + 1, n_nodes)}")
+    if not np.isfinite(u).all():
+        raise ValueError("trajectory contains non-finite values")
+    return u
 
 
 def trapezoid_weights(n_t: int, dt: float) -> np.ndarray:
@@ -211,12 +227,7 @@ def solve_linear_modal(
             )
         fk = project_l2(source, basis).T  # (K, n_t + 1)
     c, cdot = _modal_coefficients(basis.lambdas, u0k, u1k, fk, tgrid)
-    u = reconstruct(c.T, basis)
-    udot = reconstruct(cdot.T, basis)
-    return WaveSolution(
-        u=SpaceTimeField(u, "interior", grid.dt, grid.T),
-        udot=SpaceTimeField(udot, "interior", grid.dt, grid.T),
-    )
+    return WaveSolution(u=reconstruct(c.T, basis), udot=reconstruct(cdot.T, basis))
 
 
 def lift_exterior(control: ExteriorControl, op: FracOperator, grid: Grid) -> np.ndarray:
@@ -321,7 +332,7 @@ def solve_with_potential_picard(
     last_report = None
     while True:
         thetas.append(theta)
-        scale = max(_theta_norm(base.u.values, theta, tgrid, grid.h), 1e-300)
+        scale = max(_theta_norm(base.u, theta, tgrid, grid.h), 1e-300)
         current = base
         contraction = 0.0
         prev_update = None
@@ -330,11 +341,11 @@ def solve_with_potential_picard(
         iterations = 0
         update = np.inf
         for iterations in range(1, max_iter + 1):
-            src = -q[None, :] * current.u.values
+            src = -q[None, :] * current.u
             if source is not None:
                 src = src + source
             nxt = solve_linear_modal(basis, data, src, grid)
-            update = _theta_norm(nxt.u.values - current.u.values, theta, tgrid, grid.h)
+            update = _theta_norm(nxt.u - current.u, theta, tgrid, grid.h)
             if prev_update is not None and prev_update > 1e3 * np.finfo(float).eps * scale:
                 ratio = update / prev_update
                 contraction = max(contraction, ratio)
@@ -378,18 +389,19 @@ def solve_newmark(
     control: ExteriorControl | Sequence[ExteriorControl] | None = None,
     data: CauchyData | None = None,
     source: np.ndarray | None = None,
-) -> SpaceTimeField | list[SpaceTimeField]:
+) -> np.ndarray:
     """Explicit central-difference march of
     u'' + A u + q u + f(x, u) = F on the full grid; model is the potential
     q (an interior array) or the nonlinearity f.
 
     Exterior nodes follow the control (zero when absent); interior nodes
     start from the Cauchy data with a second-order startup step.  One
-    control (or None) returns its full-grid trajectory; a sequence of
-    controls is marched as one batch, sharing the model, data and source,
-    and returns one full-grid trajectory per control, in order (views into
-    the batch buffer).  Raises on CFL violation and aborts with the step
-    index and the batch rows when the march produces non-finite values.
+    control (or None) returns its full-grid trajectory (n_t+1, n_nodes); a
+    sequence of B controls is marched as one batch, sharing the model, data
+    and source, and returns the (B, n_t+1, n_nodes) trajectories in control
+    order, a view of the batch buffer.  Raises on CFL violation and aborts
+    with the step index and the batch rows when the march produces
+    non-finite values.
 
     Each step forms the force g = A u + q u + f(x, u) - F of the current
     interior rows u in one preallocated buffer, scales it by dt^2 and sets
@@ -475,12 +487,11 @@ def solve_newmark(
             )
         full[n + 1, :, interior] = new
         u_prev, u, new = u, new, u_prev
-    fields = [SpaceTimeField(full[:, b], "full", dt, grid.T) for b in range(len(controls))]
-    return fields[0] if single else fields
+    return full[:, 0] if single else full.transpose(1, 0, 2)
 
 
 def very_weak_residual(
-    u: SpaceTimeField,
+    u: np.ndarray,
     data: CauchyData,
     source: np.ndarray | None,
     q: np.ndarray | None,
@@ -488,7 +499,8 @@ def very_weak_residual(
     basis: SpectralBasis,
     grid: Grid,
 ) -> float:
-    """Transposition-identity defect of a trajectory against a test source.
+    """Transposition-identity defect of an interior trajectory u
+    (n_t+1, n_int) against a test source.
 
     Solves the backward problem v'' + A v + q v = G, v(T) = v'(T) = 0 by
     time reversal and compares int <u, G> with
@@ -497,7 +509,9 @@ def very_weak_residual(
     identity to roundoff; independently produced fields are checked at face
     value.
     """
-    uv = u.values if u.node_set == "interior" else grid.restrict(u.values)
+    u = _trajectory(u, grid.n_int, grid)
+    if q is not None:
+        q = _potential(q, grid)
     g = np.asarray(g, dtype=float)
     if g.shape != (grid.n_t + 1, grid.n_int):
         raise ValueError(f"test source shape {g.shape} != {(grid.n_t + 1, grid.n_int)}")
@@ -508,19 +522,19 @@ def very_weak_residual(
         back = solve_linear_modal(basis, zero, g_rev, grid)
     else:
         back, _ = solve_with_potential_picard(basis, q, zero, g_rev, grid)
-    v = time_reverse(back.u)
-    v0 = back.u.values[-1]
-    vdot0 = -back.udot.values[-1]  # chain rule under t -> T - t
+    v = back.u[::-1]
+    v0 = back.u[-1]
+    vdot0 = -back.udot[-1]  # chain rule under t -> T - t
 
-    lhs = st_inner(uv, g, grid)
+    lhs = st_inner(u, g, grid)
     rhs = grid.h * float(data.u1 @ v0) - grid.h * float(data.u0 @ vdot0)
     if source is not None:
-        rhs += st_inner(np.asarray(source, dtype=float), v.values, grid)
+        rhs += st_inner(np.asarray(source, dtype=float), v, grid)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
 def distributional_residual(
-    u: SpaceTimeField,
+    u: np.ndarray,
     data: CauchyData,
     source: np.ndarray | None,
     q: np.ndarray | None,
@@ -529,10 +543,13 @@ def distributional_residual(
     grid: Grid,
 ) -> float:
     """Defect of int u (phi'' + A phi + q phi) against
-    int <F, phi> + <u0, phi'(0)> - <u1, phi(0)> for a smooth interior test
-    function phi vanishing near t = T.  Second-order differencing in time,
-    so the residual of a true solution is O(dt^2)."""
-    uv = u.values if u.node_set == "interior" else grid.restrict(u.values)
+    int <F, phi> + <u0, phi'(0)> - <u1, phi(0)> for an interior trajectory u
+    (n_t+1, n_int) and a smooth interior test function phi vanishing near
+    t = T.  Second-order differencing in time, so the residual of a true
+    solution is O(dt^2)."""
+    u = _trajectory(u, grid.n_int, grid)
+    if q is not None:
+        q = _potential(q, grid)
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (grid.n_t + 1, grid.n_int):
         raise ValueError(f"phi shape {phi.shape} != {(grid.n_t + 1, grid.n_int)}")
@@ -548,7 +565,7 @@ def distributional_residual(
     waveop = d2 + phi @ op.a_int
     if q is not None:
         waveop = waveop + q[None, :] * phi
-    lhs = st_inner(uv, waveop, grid)
+    lhs = st_inner(u, waveop, grid)
 
     dphi0 = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * dt)
     rhs = grid.h * float(data.u0 @ dphi0) - grid.h * float(data.u1 @ phi[0])
@@ -559,8 +576,8 @@ def distributional_residual(
 
 def sup_energy(sol: WaveSolution, basis: SpectralBasis, grid: Grid) -> float:
     """sup_t ( ||u(t)||_L2 + ||u'(t)||_H^-s )."""
-    l2 = np.sqrt(grid.h) * np.linalg.norm(sol.u.values, axis=1)
-    coeffs = project_l2(sol.udot.values, basis)
+    l2 = np.sqrt(grid.h) * np.linalg.norm(sol.u, axis=1)
+    coeffs = project_l2(sol.udot, basis)
     dual = np.sqrt(np.sum(coeffs * coeffs / basis.lambdas[None, :], axis=1))
     return float(np.max(l2 + dual))
 

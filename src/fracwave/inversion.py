@@ -39,14 +39,14 @@ and extrapolation and peeling run on (rungs, nodes) arrays.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .dnmap import DNMeasurement, _control_states, _pairings
-from .fields import ExteriorControl, SpaceTimeField, combine_controls
-from .forward import solve_newmark, trapezoid_weights
+from .fields import ExteriorControl, combine_controls
+from .forward import _trajectory, solve_newmark, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
 
@@ -215,26 +215,24 @@ def linear_response(
     exactly, so remainders and peeling stages see no integrator mismatch
     (for dyadic amplitudes the linear march scales bitwise).
     """
-    full = solve_newmark(op, grid, control=control)
-    return grid.restrict(full.values)
+    return grid.restrict(solve_newmark(op, grid, control=control))
 
 
 def reaction_from_march(
-    u_full: SpaceTimeField,
+    u_full: np.ndarray,
     op: FracOperator,
     grid: Grid,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Bulk reaction samples implied by a central-difference trajectory.
+    """Bulk reaction samples implied by a full-grid central-difference
+    trajectory u_full (n_t + 1, n_nodes).
 
     For a trajectory produced by the explicit march the returned rows equal
     q u + f(x, u) at steps n = 1 .. n_t - 1 exactly, because the march
     defined u^(n+1) through the same relation.  Endpoint rows are not
     recoverable and are omitted.
     """
-    if u_full.node_set != "full":
-        raise ValueError("reaction differencing needs the full-grid trajectory")
-    v = u_full.values
+    v = _trajectory(u_full, grid.n_nodes, grid)
     interior = grid.interior_slice
     vi = v[:, interior]
     # -d2 - A v (+ F), evaluated in that order in one buffer so the rows are
@@ -354,7 +352,7 @@ class ExpansionEstimate:
 
 
 def recover_expansion(
-    measure: Callable[[list[ExteriorControl]], list[SpaceTimeField]],
+    measure: Callable[[list[ExteriorControl]], Sequence[np.ndarray]],
     control: ExteriorControl,
     exponents: tuple[float, ...],
     op: FracOperator,
@@ -367,12 +365,13 @@ def recover_expansion(
     measured small-amplitude responses.
 
     measure takes the list of ladder controls (the control scaled by each
-    rung, largest first) and returns the full-grid trajectory of the unknown
-    model for each, in the same order; it is called once.  For synthetic
-    studies, pass the list straight to the explicit march, which marches it
-    as one batch.  Each returned trajectory is read once, in order, reduced
-    to its per-node fit moments and not kept, so no (rungs, n_t, n_int)
-    array is built.  The stage-k extrapolation basis is
+    rung, largest first) and returns the full-grid trajectory
+    (n_t + 1, n_nodes) of the unknown model for each, in the same order; it
+    is called once.  For synthetic studies, pass the list straight to the
+    explicit march, which marches it as one batch and returns the
+    (rungs, n_t + 1, n_nodes) stack.  Each returned trajectory is read
+    once, in order, reduced to its per-node fit moments and not kept, so no
+    (rungs, n_t, n_int) array is built.  The stage-k extrapolation basis is
     {0} + {r_j - r_k : j < k} + {r_1} + {r_(k+1) - r_k}; a stage whose basis
     outgrows the ladder is reported unresolved (zero profile, error inf)
     rather than extrapolated badly.
@@ -410,7 +409,7 @@ def recover_expansion(
         reaction = reaction_from_march(u_full, op, grid)
         norms[i] = np.linalg.norm(reaction) / eps ** (1.0 + exps[0])
         fits[:, i] = np.einsum("ktx,tx->kx", g, reaction)
-        s = grid.restrict(u_full.values)[1:-1]
+        s = grid.restrict(u_full)[1:-1]
         for j, r_j in enumerate(exps[:-1]):
             peels[j + 1 :, j, i] = np.einsum("ktx,tx->kx", g[j + 1 :], np.abs(s) ** r_j * s)
     if np.all(np.diff(norms) > 0.0) and norms[-1] > 10.0 * max(norms[0], 1e-300):

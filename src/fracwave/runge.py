@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fields import ExteriorControl, SpaceTimeField
+from .fields import ExteriorControl
 from .dnmap import _control_states
 from .forward import st_gram, st_inner
 from .fracop import FracOperator
@@ -67,7 +67,7 @@ class RungeSolution:
     misfit: float  # || achieved - target ||
     residual: float  # misfit / || target ||
     coeff_norm: float
-    achieved: SpaceTimeField
+    achieved: np.ndarray  # (n_t + 1, n_int)
     gram_cond: float
 
     @property
@@ -125,7 +125,7 @@ def approximate_target(
         misfit=misfit,
         residual=misfit / (scale + 1e-300),
         coeff_norm=float(np.linalg.norm(coeffs)),
-        achieved=SpaceTimeField(achieved, "interior", grid.dt, grid.T),
+        achieved=achieved,
         gram_cond=cond,
     )
 

@@ -152,7 +152,7 @@ def check_picard(rng: np.random.Generator, setup: Setup) -> dict:
     sol, report = solve_with_potential_picard(basis, q, data, None, grid)
     t = grid.times()
     exact = np.cos(np.sqrt(basis.lambdas[0] + q0) * t)[:, None] * mode1[None, :]
-    gap = float(np.max(np.abs(sol.u.values - exact)))
+    gap = float(np.max(np.abs(sol.u - exact)))
     return {
         "closed_form_gap": gap,
         "contraction": report.contraction,
@@ -219,7 +219,7 @@ def check_reaction(rng: np.random.Generator, setup: Setup) -> dict:
     control = tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     full = solve_newmark(op, grid, model=model, control=control)
     reaction = reaction_from_march(full, op, grid)
-    u_int = grid.restrict(full.values)[1:-1]
+    u_int = grid.restrict(full)[1:-1]
     expected = model.evaluate(u_int)
     gap = float(np.max(np.abs(reaction - expected)))
     return {"differencing_gap": gap}

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave.fields import (CauchyData, SpaceTimeField, combine_controls,
-                             control_basis, tensor_control, time_window)
+from fracwave.fields import (CauchyData, combine_controls, control_basis,
+                             tensor_control, time_window)
 from fracwave.forward import (data_energy, distributional_residual,
                               solve_linear_modal, solve_newmark,
                               solve_with_potential_picard, sup_energy,
@@ -86,7 +86,7 @@ def test_c03_duhamel_closed_forms_and_newmark_slope():
 
     def gap(sol, exact):
         return np.max(np.sqrt(grid.h)
-                      * np.linalg.norm(sol.u.values - exact, axis=1))
+                      * np.linalg.norm(sol.u - exact, axis=1))
 
     sol = solve_linear_modal(basis, CauchyData(mode, np.zeros_like(mode)),
                              None, grid)
@@ -112,9 +112,9 @@ def test_c03_duhamel_closed_forms_and_newmark_slope():
         c1 = rng.standard_normal(6) / (1 + np.arange(6)) ** 2
         data = CauchyData(b2.modes[:, :6] @ c0, b2.modes[:, :6] @ c1)
         sm = solve_linear_modal(b2, data, None, g2)
-        sn_int = g2.restrict(solve_newmark(o2, g2, data=data).values)
+        sn_int = g2.restrict(solve_newmark(o2, g2, data=data))
         gaps.append(np.max(np.sqrt(g2.h)
-                           * np.linalg.norm(sm.u.values - sn_int, axis=1)))
+                           * np.linalg.norm(sm.u - sn_int, axis=1)))
     slope = -np.polyfit(np.log(nts), np.log(gaps), 1)[0]
     assert 1.7 <= slope <= 2.3, f"integrator slope {slope:.3f}, gaps {gaps}"
 
@@ -153,7 +153,7 @@ def test_c05_picard_matches_shifted_eigenvalue_and_contracts():
         sol, report = solve_with_potential_picard(basis, q, data, None, grid)
         exact = (np.cos(np.sqrt(basis.lambdas[0] + q0) * t)[:, None]
                  * mode[None, :])
-        gap = np.max(np.abs(sol.u.values - exact))
+        gap = np.max(np.abs(sol.u - exact))
         assert gap <= 1e-6, f"q0={q0}: closed-form gap {gap:.3e}"
         assert report.contraction < 1.0
 
@@ -187,14 +187,13 @@ def test_c06_residuals_accept_truth_and_flag_impostors():
     assert r_vw <= 1e-6, f"very-weak residual on truth {r_vw:.3e}"
     assert r_d <= 1e-4, f"distributional residual on truth {r_d:.3e}"
 
-    amp = 0.01 * st_norm(sol.u.values, grid)
+    amp = 0.01 * st_norm(sol.u, grid)
     for direction, which in ((g, "vw"), (phi, "dist")):
-        bad = sol.u.values + amp * direction / st_norm(direction, grid)
-        field = SpaceTimeField(bad, "interior", grid.dt, grid.T)
+        bad = sol.u + amp * direction / st_norm(direction, grid)
         if which == "vw":
-            r = very_weak_residual(field, data, src, q, g, basis, grid)
+            r = very_weak_residual(bad, data, src, q, g, basis, grid)
         else:
-            r = distributional_residual(field, data, src, q, phi, op, grid)
+            r = distributional_residual(bad, data, src, q, phi, op, grid)
         assert r >= 1e-3, f"{which} residual on impostor only {r:.3e}"
 
 
@@ -279,7 +278,7 @@ def test_c10_amplitude_scaling_laws(expansion_setup):
     for eps in ladder:
         scaled_c = combine_controls([control], [eps])
         u_full = solve_newmark(op, grid, model=model, control=scaled_c)
-        u_int = grid.restrict(u_full.values)
+        u_int = grid.restrict(u_full)
         rem_norms.append(st_norm(u_int - eps * v, grid))
         scaled = reaction_from_march(u_full, op, grid) / eps ** 1.5
         ext_errs.append(np.max(np.abs(scaled - truth1)))

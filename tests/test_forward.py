@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave import CauchyData, PolyNonlinearity, SpaceTimeField
+from fracwave import CauchyData, PolyNonlinearity
 from conftest import case
 
 
@@ -30,9 +30,9 @@ def test_free_mode_is_exact():
     sol = fw.solve_linear_modal(basis, data, None, grid)
     t = grid.times()
     exact = np.cos(np.sqrt(lam) * t)[:, None] * mode[None, :]
-    assert sup_l2_gap(sol.u.values, exact, grid.h) <= 1e-12
+    assert sup_l2_gap(sol.u, exact, grid.h) <= 1e-12
     exact_dot = -np.sqrt(lam) * np.sin(np.sqrt(lam) * t)[:, None] * mode[None, :]
-    assert sup_l2_gap(sol.udot.values, exact_dot, grid.h) <= 1e-11
+    assert sup_l2_gap(sol.udot, exact_dot, grid.h) <= 1e-11
 
 
 def test_forced_mode_quadrature():
@@ -42,7 +42,7 @@ def test_forced_mode_quadrature():
     source = np.ones_like(t)[:, None] * mode[None, :]
     sol = fw.solve_linear_modal(basis, CauchyData.zero(grid.n_int), source, grid)
     exact = ((1 - np.cos(np.sqrt(lam) * t)) / lam)[:, None] * mode[None, :]
-    assert sup_l2_gap(sol.u.values, exact, grid.h) <= 1e-5
+    assert sup_l2_gap(sol.u, exact, grid.h) <= 1e-5
 
 
 def test_modal_superposition(rng):
@@ -57,7 +57,7 @@ def test_modal_superposition(rng):
     s2 = fw.solve_linear_modal(basis, d2, f2, grid)
     s12 = fw.solve_linear_modal(basis, mixed, a * f1 + b * f2, grid)
     np.testing.assert_allclose(
-        s12.u.values, a * s1.u.values + b * s2.u.values, atol=1e-11
+        s12.u, a * s1.u + b * s2.u, atol=1e-11
     )
 
 
@@ -65,9 +65,9 @@ def test_free_evolution_time_reversible():
     grid, op, basis = case(n_int=24, s=0.7, n_t=64)
     data, mode, lam = mode_data(basis, 1, a=1.0, b=0.5)
     sol = fw.solve_linear_modal(basis, data, None, grid)
-    back_data = CauchyData(sol.u.values[-1], -sol.udot.values[-1])
+    back_data = CauchyData(sol.u[-1], -sol.udot[-1])
     back = fw.solve_linear_modal(basis, back_data, None, grid)
-    assert sup_l2_gap(back.u.values, sol.u.values[::-1], grid.h) <= 1e-10
+    assert sup_l2_gap(back.u, sol.u[::-1], grid.h) <= 1e-10
 
 
 def test_duhamel_coefficient_rejects():
@@ -100,7 +100,7 @@ def test_newmark_close_to_modal(rng):
     data = CauchyData(basis.modes[:, :6] @ c, np.zeros(grid.n_int))
     modal = fw.solve_linear_modal(basis, data, None, grid)
     marched = fw.solve_newmark(op, grid, data=data)
-    gap = sup_l2_gap(modal.u.values, grid.restrict(marched.values), grid.h)
+    gap = sup_l2_gap(modal.u, grid.restrict(marched), grid.h)
     assert gap <= 1e-4
 
 
@@ -143,12 +143,12 @@ def test_newmark_batch_rows_match_single_marches():
     model = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
     controls = ladder_controls(grid, 9)
     batch = fw.solve_newmark(op, grid, model=model, control=controls)
-    assert len(batch) == len(controls)
+    assert batch.shape == (len(controls), grid.n_t + 1, grid.n_nodes)
     for field, c in zip(batch, controls):
         single = fw.solve_newmark(op, grid, model=model, control=c)
-        assert field.node_set == "full" and field.values.shape == single.values.shape
-        gap = np.max(np.abs(field.values - single.values))
-        assert gap <= 1e-12 * np.max(np.abs(single.values))
+        assert field.shape == single.shape == (grid.n_t + 1, grid.n_nodes)
+        gap = np.max(np.abs(field - single))
+        assert gap <= 1e-12 * np.max(np.abs(single))
 
 
 def test_newmark_one_element_batch_equals_single_call():
@@ -157,7 +157,7 @@ def test_newmark_one_element_batch_equals_single_call():
     (control,) = ladder_controls(grid, 1)
     (batched,) = fw.solve_newmark(op, grid, model=model, control=[control])
     single = fw.solve_newmark(op, grid, model=model, control=control)
-    assert np.array_equal(batched.values, single.values)
+    assert np.array_equal(batched, single)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -238,7 +238,7 @@ def test_newmark_matches_old_step_exactly():
         fields = [marched] if single else marched
         assert len(fields) == len(rows)
         for b, field in enumerate(fields):
-            assert np.array_equal(field.values, expected[:, b])
+            assert np.array_equal(field, expected[:, b])
 
 
 def test_picard_zero_potential_short_circuits():
@@ -246,12 +246,12 @@ def test_picard_zero_potential_short_circuits():
     data, _, _ = mode_data(basis, 0)
     base = fw.solve_linear_modal(basis, data, None, grid)
     sol, report = fw.solve_with_potential_picard(basis, None, data, None, grid)
-    assert np.array_equal(sol.u.values, base.u.values)
+    assert np.array_equal(sol.u, base.u)
     assert report.iterations == 1 and report.contraction == 0.0
     sol0, _ = fw.solve_with_potential_picard(
         basis, np.zeros(grid.n_int), data, None, grid
     )
-    assert np.array_equal(sol0.u.values, base.u.values)
+    assert np.array_equal(sol0.u, base.u)
 
 
 def test_picard_constant_shift():
@@ -264,7 +264,7 @@ def test_picard_constant_shift():
     )
     t = grid.times()
     exact = np.cos(np.sqrt(lam + q0) * t)[:, None] * mode[None, :]
-    assert sup_l2_gap(sol.u.values, exact, grid.h) <= 2e-6
+    assert sup_l2_gap(sol.u, exact, grid.h) <= 2e-6
     assert report.contraction < 1.0
 
 
@@ -323,8 +323,8 @@ def test_potential_sweep_matches_picard(profile):
     for control, u in zip(controls, states):
         source = fw.lift_exterior(control, op, grid)
         ref, _ = fw.solve_with_potential_picard(basis, q, zero, source, grid)
-        scale = np.max(np.abs(ref.u.values))
-        assert np.max(np.abs(u - ref.u.values)) <= 1e-12 * scale
+        scale = np.max(np.abs(ref.u))
+        assert np.max(np.abs(u - ref.u)) <= 1e-12 * scale
 
 
 def test_potential_sweep_batch_matches_single():
@@ -366,20 +366,17 @@ def test_residuals_accept_true_reject_perturbed(rng):
     r_dist = fw.distributional_residual(sol.u, data, source, q, phi, op, grid)
     assert r_dist <= 1e-4
 
-    bump = sol.u.values + 0.02 * np.max(np.abs(sol.u.values)) * np.outer(
+    bump = sol.u + 0.02 * np.max(np.abs(sol.u)) * np.outer(
         np.sin(np.pi * t), np.sin(np.pi * x)
     )
-    fake = SpaceTimeField(bump, "interior", grid.dt, grid.T)
-    assert fw.very_weak_residual(fake, data, source, q, g, basis, grid) > 1e-4
-    assert fw.distributional_residual(fake, data, source, q, phi, op, grid) > 1e-4
+    assert fw.very_weak_residual(bump, data, source, q, g, basis, grid) > 1e-4
+    assert fw.distributional_residual(bump, data, source, q, phi, op, grid) > 1e-4
 
 
 def test_residual_shape_guards():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     data = CauchyData.zero(grid.n_int)
-    u = SpaceTimeField(
-        np.zeros((grid.n_t + 1, grid.n_int)), "interior", grid.dt, grid.T
-    )
+    u = np.zeros((grid.n_t + 1, grid.n_int))
     with pytest.raises(ValueError):
         fw.very_weak_residual(
             u, data, None, None, np.zeros((grid.n_t, grid.n_int)), basis, grid
@@ -387,6 +384,68 @@ def test_residual_shape_guards():
     phi_bad = np.ones((grid.n_t + 1, grid.n_int))
     with pytest.raises(ValueError, match="last two"):
         fw.distributional_residual(u, data, None, None, phi_bad, op, grid)
+
+
+@pytest.mark.parametrize(
+    "residual, q",
+    [("distributional", np.array([2.0])), ("very_weak", np.zeros(5))],
+    ids=["distributional", "very_weak"],
+)
+def test_residuals_reject_wrong_shaped_potential(residual, q):
+    """A one-entry q must not broadcast, and an all-zero q of the wrong
+    length must not slip past the q = 0 shortcut."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=32)
+    data = CauchyData.zero(grid.n_int)
+    u = np.zeros((grid.n_t + 1, grid.n_int))
+    test = np.zeros_like(u)
+    with pytest.raises(ValueError, match="potential shape"):
+        if residual == "distributional":
+            fw.distributional_residual(u, data, None, q, test, op, grid)
+        else:
+            fw.very_weak_residual(u, data, None, q, test, basis, grid)
+
+
+@pytest.mark.parametrize(
+    "guard",
+    [
+        "reaction_interior",
+        "dn_trace_interior",
+        "very_weak_full",
+        "distributional_full",
+        "wrong_n_t",
+        "nan_entry",
+        "measure_interior",
+    ],
+)
+def test_trajectory_guards(guard):
+    """Trajectories entering from outside are checked for their node set
+    (the last axis), their number of time slices and finiteness."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=128)
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    full = fw.solve_newmark(op, grid, control=control)
+    interior = grid.restrict(full)
+    data = CauchyData.zero(grid.n_int)
+    test = np.zeros_like(interior)
+    holed = full.copy()
+    holed[grid.n_t // 2, grid.interior_slice.start] = np.nan
+    calls = {
+        "reaction_interior": lambda: fw.reaction_from_march(interior, op, grid),
+        "dn_trace_interior": lambda: fw.dn_trace(interior, op, grid),
+        "very_weak_full": lambda: fw.very_weak_residual(
+            full, data, None, None, test, basis, grid
+        ),
+        "distributional_full": lambda: fw.distributional_residual(
+            full, data, None, None, test, op, grid
+        ),
+        "wrong_n_t": lambda: fw.reaction_from_march(full[:-1], op, grid),
+        "nan_entry": lambda: fw.dn_trace(holed, op, grid),
+        "measure_interior": lambda: fw.recover_expansion(
+            lambda cs: grid.restrict(fw.solve_newmark(op, grid, control=cs)),
+            control, (0.5,), op, grid, eps_ladder=(0.25, 0.125),
+        ),
+    }
+    with pytest.raises(ValueError, match="trajectory"):
+        calls[guard]()
 
 
 def test_energy_bound_single_mode():

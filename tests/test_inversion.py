@@ -45,7 +45,7 @@ def test_pairing_difference_equals_weighted_product_integral(small, battery):
 
     w = trapezoid_weights(grid.n_t, grid.dt)
     def states(family, q):
-        return np.stack([grid.restrict(solve_exterior(c, op, grid, q).values)
+        return np.stack([grid.restrict(solve_exterior(c, op, grid, q))
                          for c in family])
 
     u1, u2 = states(controls, q1), states(controls, q2)
@@ -164,7 +164,7 @@ def test_linear_response_routes_agree(small):
     grid, op, basis = small
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     v_march = inv.linear_response(control, op, grid)
-    v_sweep = grid.restrict(solve_exterior(control, op, grid, None).values)
+    v_sweep = grid.restrict(solve_exterior(control, op, grid, None))
     gap = np.max(np.abs(v_march - v_sweep)) / np.max(np.abs(v_march))
     assert gap <= 1e-3
 
@@ -179,7 +179,7 @@ def test_reaction_rows_match_potential_term_exactly(small):
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     u_full = solve_newmark(op, grid, model=q, control=control)
     rows = inv.reaction_from_march(u_full, op, grid)
-    u_int = grid.restrict(u_full.values)
+    u_int = grid.restrict(u_full)
     truth = q[None, :] * u_int[1:-1]
     assert rows.shape == (grid.n_t - 1, grid.n_int)
     assert np.max(np.abs(rows - truth)) <= 1e-10
@@ -195,18 +195,8 @@ def test_reaction_rows_match_nonlinearity_with_source(small):
     u_full = solve_newmark(op, grid, model=model, control=control,
                            source=source)
     rows = inv.reaction_from_march(u_full, op, grid, source=source)
-    u_int = grid.restrict(u_full.values)
+    u_int = grid.restrict(u_full)
     assert np.max(np.abs(rows - model.evaluate(u_int[1:-1]))) <= 1e-10
-
-
-def test_reaction_rejects_interior_trajectory(small):
-    grid, op, basis = small
-    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    u_full = solve_newmark(op, grid, control=control)
-    u_int = fw.SpaceTimeField(grid.restrict(u_full.values), "interior",
-                              grid.dt, grid.T)
-    with pytest.raises(ValueError, match="full-grid trajectory"):
-        inv.reaction_from_march(u_int, op, grid)
 
 
 # --------------------------------------------------------- profile fitting
@@ -400,7 +390,7 @@ def _sample_route(measure, control, exps, op, grid, ladder, floor_rel=1e-3):
     v_rows = inv.linear_response(control, op, grid)[1:-1]
     fields = measure([fw.combine_controls([control], [e]) for e in eps_arr])
     peeled = np.stack([inv.reaction_from_march(u, op, grid) for u in fields])
-    states = np.stack([grid.restrict(u.values)[1:-1] for u in fields])
+    states = np.stack([grid.restrict(u)[1:-1] for u in fields])
     coeffs = np.zeros((len(exps), grid.n_int))
     masks = np.zeros((len(exps), grid.n_int), dtype=bool)
     errors, conds = [], []

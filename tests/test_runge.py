@@ -64,7 +64,7 @@ def test_in_span_target_recovered():
     np.testing.assert_allclose(sol.coeffs, truth, atol=1e-6)
     assert sol.residual <= 1e-8
     np.testing.assert_allclose(
-        sol.achieved.values, np.einsum("a,atx->tx", sol.coeffs, states), atol=1e-12
+        sol.achieved, np.einsum("a,atx->tx", sol.coeffs, states), atol=1e-12
     )
 
 
