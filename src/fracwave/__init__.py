@@ -26,19 +26,14 @@ _EXPORTS = {
     "eigendecompose": "spectral",
     "project_l2": "spectral",
     "reconstruct": "spectral",
-    "l2_norm": "spectral",
-    "hs_norm": "spectral",
     "dual_norm": "spectral",
     "dual_norm_variational": "spectral",
     "dump_spectra_csv": "spectral",
     # fields
     "CauchyData": "fields",
-    "ExteriorControl": "fields",
-    "reverse_control": "fields",
     "time_window": "fields",
     "tensor_control": "fields",
     "control_basis": "fields",
-    "combine_controls": "fields",
     # forward
     "WaveSolution": "forward",
     "PicardReport": "forward",
@@ -63,7 +58,6 @@ _EXPORTS = {
     "lp_norm": "nonlinearity",
     # dnmap
     "dn_trace": "dnmap",
-    "dn_pairing": "dnmap",
     "solve_exterior": "dnmap",
     "dn_matrix": "dnmap",
     "DNMeasurement": "dnmap",

@@ -12,6 +12,11 @@ reversal at the discrete level: pairing a solution driven by phi against
 the reversal of psi equals pairing the solution driven by psi against the
 reversal of phi.  The integral identity used for potential recovery pairs
 controls with time-reversed tests, the orientation of `dn_matrix`.
+
+Controls and tests are plain float arrays (see `fields`): `solve_exterior`
+takes one (n_t+1, n_ext) control, `dn_matrix` two (B, n_t+1, n_ext) stacks.
+A single pairing of a trace with a test psi is
+`st_inner(dn_trace(u_full, op, grid), psi, grid)`.
 """
 from __future__ import annotations
 
@@ -22,15 +27,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .fields import ExteriorControl
-from .forward import _trajectory, solve_newmark, solve_with_potential, st_gram, st_inner
+from .fields import _controls
+from .forward import _trajectory, solve_newmark, solve_with_potential, st_gram
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import PolyNonlinearity
 
 __all__ = [
     "dn_trace",
-    "dn_pairing",
     "solve_exterior",
     "dn_matrix",
     "DNMeasurement",
@@ -66,20 +70,8 @@ def dn_trace(u_full: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
     return (u_full @ op.a_full)[:, grid.exterior_indices]
 
 
-def dn_pairing(
-    u_full: np.ndarray,
-    test: ExteriorControl,
-    op: FracOperator,
-    grid: Grid,
-) -> float:
-    """Space-time pairing of the measurement trace with an exterior test
-    function.  The test's own support does the windowing; no reversal is
-    applied here."""
-    return st_inner(dn_trace(u_full, op, grid), test.values, grid)
-
-
 def solve_exterior(
-    control: ExteriorControl,
+    control: np.ndarray,
     op: FracOperator,
     grid: Grid,
     model: PolyNonlinearity | np.ndarray | None = None,
@@ -87,30 +79,29 @@ def solve_exterior(
     """Full-grid state (n_t + 1, n_nodes) driven by an exterior control with
     zero Cauchy data: the interior from the batched state path every
     measurement uses, the control values on the exterior nodes."""
-    u = _control_states([control], op, grid, model)[0]
-    return grid.extend(u) + grid.scatter_exterior(control.values)
+    u = _control_states(control[None], op, grid, model)[0]
+    return grid.extend(u) + grid.scatter_exterior(control)
 
 
 def _control_states(
-    controls: list[ExteriorControl],
+    controls: np.ndarray,
     op: FracOperator,
     grid: Grid,
     model: PolyNonlinearity | np.ndarray | None,
 ) -> np.ndarray:
-    """Interior displacements (n_controls, n_t+1, n_int).  A potential
-    (an interior array, or None for q = 0) takes one batched sweep of
-    `solve_with_potential`; a power-type nonlinearity marches all controls
-    as one batch."""
+    """Interior displacements (n_controls, n_t+1, n_int) of a control
+    stack.  A potential (an interior array, or None for q = 0) takes one
+    batched sweep of `solve_with_potential`; a power-type nonlinearity
+    marches all controls as one batch."""
     if isinstance(model, PolyNonlinearity):
         return grid.restrict(solve_newmark(op, grid, model=model, control=controls))
     q = np.zeros(grid.n_int) if model is None else model
-    values = np.stack([c.values for c in controls])
-    return solve_with_potential(values, q, op, grid)
+    return solve_with_potential(controls, q, op, grid)
 
 
 def _pairings(
     states: np.ndarray,
-    controls: list[ExteriorControl],
+    controls: np.ndarray,
     test_block: np.ndarray,
     op: FracOperator,
     grid: Grid,
@@ -118,23 +109,23 @@ def _pairings(
     """M[a, b] = h sum_t w_t <(A u_a)(t) on the exterior, test_b(t)> for the
     control states u_a and a (n_tests, n_t+1, n_ext) block of test values."""
     ext = grid.exterior_indices
-    values = np.stack([c.values for c in controls])
     a_ext = op.a_full[:, ext]
-    trace = states @ a_ext[grid.interior_slice] + values @ a_ext[ext]
+    trace = states @ a_ext[grid.interior_slice] + controls @ a_ext[ext]
     return st_gram(trace, test_block, grid)
 
 
 def dn_matrix(
     op: FracOperator,
     grid: Grid,
-    controls: list[ExteriorControl],
-    tests: list[ExteriorControl],
+    controls: np.ndarray,
+    tests: np.ndarray,
     model: PolyNonlinearity | np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairing matrix M[a, b] = <L phi_a, psi_b*> against the time-reversed
     tests psi_b*, the orientation the recovery identity uses.  The control
     states are solved once, as a batch, and reused across all tests."""
-    test_block = np.stack([t.values[::-1] for t in tests])  # (n_te, n_t+1, n_ext)
+    # reversed tests as a contiguous copy: a strided view raised peak memory
+    test_block = np.ascontiguousarray(_controls(tests, grid, (3,))[:, ::-1])
     states = _control_states(controls, op, grid, model)
     return _pairings(states, controls, test_block, op, grid)
 

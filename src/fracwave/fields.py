@@ -2,11 +2,14 @@
 
 Trajectories are plain float arrays, shape (n_t + 1, nodes), slice i at
 time t_i = i * dt; the last axis is n_int (interior) or n_nodes (full
-grid) and says which.  Exterior controls carry values on all
-exterior-local nodes plus the window mask they are allowed to touch; the
-discrete stand-in for a smooth compactly supported control is exact zeros
-on the first and last two time slices (zero value and zero one-sided
-derivative at both endpoints).
+grid) and says which.  A control is a plain float array (n_t + 1, n_ext)
+of values on the exterior-local nodes, and a control basis is one stack
+(B, n_t + 1, n_ext) of them, so a combination is
+`np.tensordot(coeffs, controls, 1)` and the time reversal of c is
+`c[::-1]`.  The discrete stand-in for a smooth compactly supported control
+is exact zeros on the first and last two time slices (zero value and zero
+one-sided derivative at both endpoints); `_controls` checks that where a
+control enters a solver.
 """
 from __future__ import annotations
 
@@ -18,13 +21,13 @@ from .grid import Grid
 
 __all__ = [
     "CauchyData",
-    "ExteriorControl",
-    "reverse_control",
     "time_window",
     "tensor_control",
     "control_basis",
-    "combine_controls",
 ]
+
+# time support of the controls, as fractions of T
+_SUPPORT = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -47,45 +50,32 @@ class CauchyData:
         return cls(np.zeros(n), np.zeros(n))
 
 
-@dataclass(frozen=True)
-class ExteriorControl:
-    """Control trajectory on the exterior collar, confined to a window."""
-
-    values: np.ndarray  # (n_t + 1, n_ext)
-    mask: np.ndarray  # (n_ext,) bool window
-    dt: float
-    T: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        m = np.asarray(self.mask, dtype=bool)
-        if v.ndim != 2 or m.ndim != 1 or v.shape[1] != m.shape[0]:
-            raise ValueError(f"control shape {v.shape} does not match mask {m.shape}")
-        if v.shape[0] < 5:
-            raise ValueError("control needs at least 5 time slices")
-        if np.any(v[:, ~m] != 0.0):
-            raise ValueError("control has nonzero values outside its window")
-        for i in (0, 1, -2, -1):
-            if np.any(v[i] != 0.0):
-                raise ValueError(
-                    "control must vanish (value and discrete time derivative) "
-                    "at t = 0 and t = T"
-                )
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "mask", m)
-
-    @property
-    def n_t(self) -> int:
-        return self.values.shape[0] - 1
+def _controls(
+    values: np.ndarray, grid: Grid, ndims: tuple[int, ...] = (2, 3)
+) -> np.ndarray:
+    """One control (n_t+1, n_ext) or a stack (B, n_t+1, n_ext), as ndims
+    allows, as a float array of finite values vanishing on the first and
+    last two time slices."""
+    values = np.asarray(values, dtype=float)
+    shape = (grid.n_t + 1, grid.n_ext)
+    if values.ndim not in ndims or values.shape[-2:] != shape:
+        raise ValueError(
+            f"control shape {values.shape} is not {'/'.join(map(str, ndims))}-d "
+            f"ending in {shape}"
+        )
+    if values.size == 0:
+        raise ValueError("need at least one control")
+    if not np.isfinite(values).all():
+        raise ValueError("control contains non-finite values")
+    if np.any(values[..., [0, 1, -2, -1], :] != 0.0):
+        raise ValueError(
+            "control must vanish (value and discrete time derivative) "
+            "at t = 0 and t = T"
+        )
+    return values
 
 
-def reverse_control(c: ExteriorControl) -> ExteriorControl:
-    return ExteriorControl(
-        values=c.values[::-1].copy(), mask=c.mask.copy(), dt=c.dt, T=c.T
-    )
-
-
-def time_window(grid: Grid, support: tuple[float, float] = (0.1, 0.9)) -> np.ndarray:
+def time_window(grid: Grid, support: tuple[float, float] = _SUPPORT) -> np.ndarray:
     """Smooth bump in time: sin^2 ramp on support (fractions of T), exact
     zeros outside, including the first/last two slices for any n_t >= 20."""
     a, b = support
@@ -103,38 +93,28 @@ def tensor_control(
     freq: int,
     *,
     mask: np.ndarray | None = None,
-    support: tuple[float, float] = (0.1, 0.9),
     amplitude: float = 1.0,
-) -> ExteriorControl:
-    """Single-node control: hat in space at one exterior node, windowed sine
-    in time (frequency counts half-periods over the window)."""
+) -> np.ndarray:
+    """Single-node control (n_t+1, n_ext): hat in space at one exterior node
+    (which must lie in the window mask, when one is given), windowed sine in
+    time (frequency counts half-periods over the window)."""
     if not 0 <= ext_index < grid.n_ext:
         raise ValueError(f"exterior index {ext_index} outside 0..{grid.n_ext - 1}")
-    if mask is None:
-        mask = np.zeros(grid.n_ext, dtype=bool)
-        mask[ext_index] = True
-    mask = np.asarray(mask, dtype=bool)
-    if not mask[ext_index]:
+    if mask is not None and not np.asarray(mask, dtype=bool)[ext_index]:
         raise ValueError(f"exterior index {ext_index} is outside the window mask")
     if freq < 1:
         raise ValueError(f"frequency must be >= 1, got {freq}")
-    a, b = support
+    a, b = _SUPPORT
     t = grid.times() / grid.T
     rho = np.clip((t - a) / (b - a), 0.0, 1.0)
-    w = time_window(grid, support)
     values = np.zeros((grid.n_t + 1, grid.n_ext))
-    values[:, ext_index] = amplitude * w * np.sin(freq * np.pi * rho)
-    return ExteriorControl(values=values, mask=mask, dt=grid.dt, T=grid.T)
+    values[:, ext_index] = amplitude * time_window(grid) * np.sin(freq * np.pi * rho)
+    return _controls(values, grid)
 
 
-def control_basis(
-    grid: Grid,
-    mask: np.ndarray,
-    n_freqs: int,
-    *,
-    support: tuple[float, float] = (0.1, 0.9),
-) -> list[ExteriorControl]:
-    """Tensor basis over a window: every masked node x frequencies 1..n_freqs.
+def control_basis(grid: Grid, mask: np.ndarray, n_freqs: int) -> np.ndarray:
+    """Tensor basis over a window, one (B, n_t+1, n_ext) stack: every masked
+    node x frequencies 1..n_freqs.
 
     Ordered node-major (all frequencies of the first node first) so nested
     prefixes enrich the time resolution before moving to the next node.
@@ -142,28 +122,8 @@ def control_basis(
     if n_freqs < 1:
         raise ValueError(f"need at least one frequency, got n_freqs = {n_freqs}")
     mask = np.asarray(mask, dtype=bool)
-    out = []
-    for idx in np.flatnonzero(mask):
-        for freq in range(1, n_freqs + 1):
-            out.append(
-                tensor_control(grid, int(idx), freq, mask=mask, support=support)
-            )
-    return out
-
-
-def combine_controls(
-    controls: list[ExteriorControl], coeffs: np.ndarray
-) -> ExteriorControl:
-    """Linear combination sum_i c_i phi_i as a single control."""
-    if len(controls) != len(coeffs):
-        raise ValueError(f"{len(controls)} controls vs {len(coeffs)} coefficients")
-    if not controls:
-        raise ValueError("need at least one control")
-    values = np.zeros_like(controls[0].values)
-    mask = np.zeros_like(controls[0].mask)
-    for c, a in zip(controls, coeffs):
-        values += a * c.values
-        mask |= c.mask
-    return ExteriorControl(
-        values=values, mask=mask, dt=controls[0].dt, T=controls[0].T
-    )
+    return np.stack([
+        tensor_control(grid, int(idx), freq, mask=mask)
+        for idx in np.flatnonzero(mask)
+        for freq in range(1, n_freqs + 1)
+    ])

@@ -48,12 +48,11 @@ matrix 2I - dt^2 A changes it (see `solve_newmark`).
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import CauchyData, ExteriorControl
+from .fields import CauchyData, _controls
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import PolyNonlinearity
@@ -230,14 +229,13 @@ def solve_linear_modal(
     return WaveSolution(u=reconstruct(c.T, basis), udot=reconstruct(cdot.T, basis))
 
 
-def lift_exterior(control: ExteriorControl, op: FracOperator, grid: Grid) -> np.ndarray:
+def lift_exterior(control: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
     """Interior source -chi_Omega A (extension of the control), (n_t+1, n_int):
     v = u - phi then solves v'' + A v = source with zero Cauchy data and
     zero exterior values."""
-    if control.n_t != grid.n_t:
-        raise ValueError(f"control has n_t={control.n_t}, grid has {grid.n_t}")
+    control = _controls(control, grid)
     a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
-    return -(control.values @ a_ie.T)
+    return -(control @ a_ie.T)
 
 
 def solve_with_potential(
@@ -256,11 +254,7 @@ def solve_with_potential(
     is indefinite.
     """
     q = _potential(q, grid)
-    values = np.asarray(values, dtype=float)
-    if values.shape[1:] != (grid.n_t + 1, grid.n_ext):
-        raise ValueError(
-            f"control values {values.shape} != (B, {grid.n_t + 1}, {grid.n_ext})"
-        )
+    values = _controls(values, grid, (3,))
     dt, h, phi, om = grid.dt, grid.h, op.basis.modes, op.basis.omegas
     phase = grid.times()[:, None] * om[None, :]
     # trig[:, j]: (cos, sin) of the phases at t_j, broadcasting over (2, B, K)
@@ -386,7 +380,7 @@ def solve_newmark(
     op: FracOperator,
     grid: Grid,
     model: PolyNonlinearity | np.ndarray | None = None,
-    control: ExteriorControl | Sequence[ExteriorControl] | None = None,
+    control: np.ndarray | None = None,
     data: CauchyData | None = None,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -396,12 +390,13 @@ def solve_newmark(
 
     Exterior nodes follow the control (zero when absent); interior nodes
     start from the Cauchy data with a second-order startup step.  One
-    control (or None) returns its full-grid trajectory (n_t+1, n_nodes); a
-    sequence of B controls is marched as one batch, sharing the model, data
-    and source, and returns the (B, n_t+1, n_nodes) trajectories in control
-    order, a view of the batch buffer.  Raises on CFL violation and aborts
-    with the step index and the batch rows when the march produces
-    non-finite values.
+    control (n_t+1, n_ext), or None, returns its full-grid trajectory
+    (n_t+1, n_nodes); a stack of B controls (B, n_t+1, n_ext) is marched as
+    one batch, sharing the model, data and source, and returns the
+    (B, n_t+1, n_nodes) trajectories in control order, a view of the batch
+    buffer.  Raises on CFL violation and on Cauchy data or controls that do
+    not fit the grid, and aborts with the step index and the batch rows when
+    the march produces non-finite values.
 
     Each step forms the force g = A u + q u + f(x, u) - F of the current
     interior rows u in one preallocated buffer, scales it by dt^2 and sets
@@ -433,25 +428,25 @@ def solve_newmark(
 
     if data is None:
         data = CauchyData.zero(grid.n_int)
+    if data.u0.shape[0] != grid.n_int:
+        raise ValueError(
+            f"data has {data.u0.shape[0]} nodes, grid interior is {grid.n_int}"
+        )
     if source is not None:
         source = np.asarray(source, dtype=float)
         if source.shape != (grid.n_t + 1, grid.n_int):
             raise ValueError(
                 f"source shape {source.shape} != {(grid.n_t + 1, grid.n_int)}"
             )
-    single = control is None or isinstance(control, ExteriorControl)
-    controls = [control] if single else list(control)
-    if not controls:
-        raise ValueError("need at least one control")
-    for c in controls:
-        if c is not None and c.n_t != grid.n_t:
-            raise ValueError(f"control has n_t={c.n_t}, grid has {grid.n_t}")
+    if control is None:
+        control = np.zeros((grid.n_t + 1, grid.n_ext))
+    values = _controls(control, grid)
+    single = values.ndim == 2
+    values = values.reshape(-1, *values.shape[-2:])
 
     n_t = grid.n_t
-    full = np.zeros((n_t + 1, len(controls), grid.n_nodes))
-    for b, c in enumerate(controls):
-        if c is not None:
-            full[:, b, grid.exterior_indices] = c.values
+    full = np.zeros((n_t + 1, values.shape[0], grid.n_nodes))
+    full[:, :, grid.exterior_indices] = values.transpose(1, 0, 2)
     interior = grid.interior_slice
     stiff_t = op.a_full[interior].T  # (n_nodes, n_int): rows of A on the interior
 

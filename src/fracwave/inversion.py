@@ -9,12 +9,13 @@ where L_i are the measurement maps of the two potentials, psi* is the
 time-reversed test function, u_2^phi is the state driven by phi under the
 known q_2 and v_1^psi the state driven by psi under the unknown q_1.  The
 identity is bilinear in (phi, psi), so pairing matrices taken once over a
-control/test basis extend to every fitted superposition for free.  Replacing
-v_1 by v_2 linearizes in dq = q_1 - q_2 (a Born step), turning each pairing
-into a moment of dq against a product of computable fields.  The moment
-system is severely ill-posed (its singular values decay by many orders over
-a few dozen modes), so the update is the equilibrated truncated-SVD least
-squares solution.  Passes beyond the first repeat the construction around
+control/test basis (two (B, n_t+1, n_ext) stacks, see `fields`) extend to
+every fitted superposition for free.  Replacing v_1 by v_2 linearizes in
+dq = q_1 - q_2 (a Born step), turning each pairing into a moment of dq
+against a product of computable fields.  The moment system is severely
+ill-posed (its singular values decay by many orders over a few dozen
+modes), so the update is the equilibrated truncated-SVD least squares
+solution.  Passes beyond the first repeat the construction around
 the updated background while reusing the measured data, a Newton iteration
 on the measurement map; the spectral cutoff tightens along a continuation
 schedule as the linearization error shrinks.
@@ -35,7 +36,9 @@ are linear in the samples: the limit is a fixed combination of the rungs
 and the fit a time sum, in which the earlier profiles bhat_j(x) factor
 out.  So each trajectory is reduced, as it is read, to per-node moments
 against the masked regressors (of its reaction and of |u_eps|^(r_j) u_eps),
-and extrapolation and peeling run on (rungs, nodes) arrays.
+and extrapolation and peeling run on (rungs, nodes) arrays.  The ladder
+itself is one (rungs, n_t+1, n_ext) stack, eps * control for each rung,
+measured in one call.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dnmap import DNMeasurement, _control_states, _pairings
-from .fields import ExteriorControl, combine_controls
+from .fields import _controls
 from .forward import _trajectory, solve_newmark, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
@@ -110,8 +113,8 @@ class PotentialRecovery:
 
 def recover_potential(
     measured: DNMeasurement | np.ndarray,
-    controls: list[ExteriorControl],
-    tests: list[ExteriorControl],
+    controls: np.ndarray,
+    tests: np.ndarray,
     op: FracOperator,
     grid: Grid,
     q_start: np.ndarray | None = None,
@@ -148,7 +151,7 @@ def recover_potential(
     q2 = np.zeros(grid.n_int) if q_start is None else np.array(q_start, dtype=float)
 
     w = trapezoid_weights(grid.n_t, grid.dt)
-    rev_block = np.stack([t.values[::-1] for t in tests])  # (n_te, n_t+1, n_ext)
+    rev_block = np.ascontiguousarray(tests[:, ::-1])  # (n_te, n_t+1, n_ext)
 
     def _bundle(q_model) -> tuple[np.ndarray, np.ndarray]:
         """Control states and their pairing matrix at one background, from
@@ -172,6 +175,9 @@ def recover_potential(
         rows = grid.h * np.einsum(
             "atx,btx,t->abx", states_u, states_v, w
         ).reshape(len(controls) * len(tests), grid.n_int)
+        # the rows are all the next steps need of these states: free them so
+        # only the trial's state stack is alive through the trial solve
+        del states_u, states_v
 
         dq, resid, rank = _tsvd_solve(rows, moments, cut)
 
@@ -204,7 +210,7 @@ def recover_potential(
 
 
 def linear_response(
-    control: ExteriorControl,
+    control: np.ndarray,
     op: FracOperator,
     grid: Grid,
 ) -> np.ndarray:
@@ -352,8 +358,8 @@ class ExpansionEstimate:
 
 
 def recover_expansion(
-    measure: Callable[[list[ExteriorControl]], Sequence[np.ndarray]],
-    control: ExteriorControl,
+    measure: Callable[[np.ndarray], Sequence[np.ndarray]],
+    control: np.ndarray,
     exponents: tuple[float, ...],
     op: FracOperator,
     grid: Grid,
@@ -364,10 +370,11 @@ def recover_expansion(
     """Peel the coefficient profiles of a polyhomogeneous nonlinearity from
     measured small-amplitude responses.
 
-    measure takes the list of ladder controls (the control scaled by each
-    rung, largest first) and returns the full-grid trajectory
+    control is one (n_t + 1, n_ext) array.  measure takes the
+    (rungs, n_t + 1, n_ext) stack of ladder controls (the control scaled by
+    each rung, largest first) and returns the full-grid trajectory
     (n_t + 1, n_nodes) of the unknown model for each, in the same order; it
-    is called once.  For synthetic studies, pass the list straight to the
+    is called once.  For synthetic studies, pass the stack straight to the
     explicit march, which marches it as one batch and returns the
     (rungs, n_t + 1, n_nodes) stack.  Each returned trajectory is read
     once, in order, reduced to its per-node fit moments and not kept, so no
@@ -390,11 +397,12 @@ def recover_expansion(
             f"eps_ladder repeats a rung: {tuple(float(e) for e in eps_arr)}"
         )
 
+    control = _controls(control, grid, (2,))
     n_rungs, n_terms = eps_arr.size, len(exps)
     g = _regressors(linear_response(control, op, grid)[1:-1], exps, floor_rel)
     gram = np.einsum("ktx,ktx->kx", g, g)
 
-    fields = measure([combine_controls([control], [float(eps)]) for eps in eps_arr])
+    fields = measure(eps_arr[:, None, None] * control)
     if len(fields) != n_rungs:
         raise ValueError(f"measure returned {len(fields)} fields for {n_rungs} controls")
     pending = list(fields)[::-1]

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fields import ExteriorControl
 from .dnmap import _control_states
 from .forward import st_gram, st_inner
 from .fracop import FracOperator
@@ -47,7 +46,7 @@ def st_norm(a: np.ndarray, grid: Grid) -> float:
 
 
 def forward_map(
-    controls: list[ExteriorControl],
+    controls: np.ndarray,
     op: FracOperator,
     grid: Grid,
     q: np.ndarray | None = None,
@@ -90,7 +89,7 @@ def _fit(
 
 def approximate_target(
     target: np.ndarray,
-    controls: list[ExteriorControl],
+    controls: np.ndarray,
     op: FracOperator,
     grid: Grid,
     q: np.ndarray | None = None,
@@ -132,7 +131,7 @@ def approximate_target(
 
 def sweep_alpha(
     target: np.ndarray,
-    controls: list[ExteriorControl],
+    controls: np.ndarray,
     op: FracOperator,
     grid: Grid,
     q: np.ndarray | None = None,
@@ -149,7 +148,7 @@ def sweep_alpha(
 
 def sweep_enrichment(
     target: np.ndarray,
-    controls: list[ExteriorControl],
+    controls: np.ndarray,
     op: FracOperator,
     grid: Grid,
     q: np.ndarray | None = None,

@@ -1,4 +1,4 @@
-"""Spectral decomposition of the interior operator and the norms built on it.
+"""Spectral decomposition of the interior operator and the dual norms built on it.
 
 The interior block A_int is symmetric positive definite; its eigenpairs
 (lambda_k, phi_k) with the normalization h * phi_k^T phi_k = 1 give three
@@ -35,8 +35,6 @@ __all__ = [
     "reconstruct",
     "dual_norm",
     "dual_norm_variational",
-    "hs_norm",
-    "l2_norm",
     "dump_spectra_csv",
 ]
 
@@ -84,16 +82,6 @@ def project_l2(field: np.ndarray, basis: SpectralBasis) -> np.ndarray:
 def reconstruct(coeffs: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Inverse of project_l2 on the span of the basis."""
     return np.asarray(coeffs) @ basis.modes.T
-
-
-def l2_norm(field: np.ndarray, h: float) -> float:
-    return float(np.sqrt(h) * np.linalg.norm(np.asarray(field)))
-
-
-def hs_norm(field: np.ndarray, op: FracOperator) -> float:
-    """Energy norm (h f^T A_int f)^(1/2) of an interior slice."""
-    f = np.asarray(field)
-    return float(np.sqrt(op.h * f @ op.a_int @ f))
 
 
 def dual_norm(g: np.ndarray, basis: SpectralBasis) -> float:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import combine_controls, control_basis, tensor_control
+from .fields import control_basis, tensor_control
 from .forward import (
     data_energy,
     duhamel_coefficient,
@@ -191,9 +191,7 @@ def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
     grid, op = setup(n_t=96)
     # one node, three time frequencies: independent states, benign Gram;
     # amplitudes sized so the states are O(1) and alpha is not scale-starved
-    controls = [
-        combine_controls([c], [100.0]) for c in control_basis(grid, grid.w_mask(1), 3)[:3]
-    ]
+    controls = 100.0 * control_basis(grid, grid.w_mask(1), 3)[:3]
     states = forward_map(controls, op, grid)
     target = np.einsum("a,atx->tx", np.array([1.0, -0.5, 0.25]), states)
     residuals = []

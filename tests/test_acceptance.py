@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave.fields import (CauchyData, combine_controls, control_basis,
-                             tensor_control, time_window)
+from fracwave.fields import CauchyData, control_basis, tensor_control, time_window
 from fracwave.forward import (data_energy, distributional_residual,
                               solve_linear_modal, solve_newmark,
                               solve_with_potential_picard, sup_energy,
@@ -229,7 +228,7 @@ def test_c08_runge_sweeps_monotone_and_span_target_reached():
     res_e = np.array([r.residual for _, r in enr])
     assert np.all(np.diff(res_e) <= 1e-12), f"enrichment sweep {res_e}"
 
-    amp_controls = [combine_controls([c], [100.0]) for c in controls[:4]]
+    amp_controls = 100.0 * controls[:4]
     states = forward_map(amp_controls, op, grid)
     coeffs = np.array([1.0, -0.5, 0.25, 0.1])
     span_target = np.einsum("a,atx->tx", coeffs, states)
@@ -276,8 +275,7 @@ def test_c10_amplitude_scaling_laws(expansion_setup):
 
     rem_norms, ext_errs = [], []
     for eps in ladder:
-        scaled_c = combine_controls([control], [eps])
-        u_full = solve_newmark(op, grid, model=model, control=scaled_c)
+        u_full = solve_newmark(op, grid, model=model, control=eps * control)
         u_int = grid.restrict(u_full)
         rem_norms.append(st_norm(u_int - eps * v, grid))
         scaled = reaction_from_march(u_full, op, grid) / eps ** 1.5

@@ -110,6 +110,7 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("solve", "control.node=99", "exterior index 99 outside"),
         ("invert-f", "invf.node=99", "exterior index 99 outside"),
         ("solve", "control.window=2;control.node=-1", "exterior index -1 outside"),
+        ("solve", "control.window=2;control.node=0", "outside the window mask"),
         ("dn", "controls.freqs=0", "at least one frequency"),
         ("runge", "runge.freqs=0", "at least one frequency"),
         ("invert-q", "invq.freqs=0", "at least one frequency"),
@@ -117,8 +118,8 @@ def test_config_errors_exit_with_code_2(tmp_path):
     ],
     ids=["cfl", "window", "n_int", "order", "control", "cutoff", "no_cutoffs",
          "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
-         "window_number", "node", "invf_node", "negative_node", "dn_freqs",
-         "runge_freqs", "invq_freqs", "zero_amp"],
+         "window_number", "node", "invf_node", "negative_node", "node_off_window",
+         "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
     # validation errors raised while building the grid, operator, controls

@@ -3,8 +3,8 @@ import pytest
 
 import fracwave as fw
 from fracwave import DNMeasurement, PolyNonlinearity
-from fracwave.dnmap import dn_matrix, dn_pairing, dn_trace, grid_signature, solve_exterior
-from fracwave.forward import solve_newmark
+from fracwave.dnmap import dn_matrix, dn_trace, grid_signature, solve_exterior
+from fracwave.forward import solve_newmark, st_inner
 from conftest import case
 
 
@@ -34,7 +34,7 @@ def test_dn_trace_shape():
 
 def test_zero_control_zero_state():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
-    zero = fw.combine_controls([fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))], [0.0])
+    zero = 0.0 * fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     full = solve_exterior(zero, op, grid)
     assert np.max(np.abs(full)) == 0.0
 
@@ -46,10 +46,9 @@ def test_solve_exterior_carries_control():
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     full = solve_exterior(control, op, grid)
     np.testing.assert_array_equal(
-        full[:, grid.exterior_indices], control.values
+        full[:, grid.exterior_indices], control
     )
-    sweep = fw.solve_with_potential(control.values[None], np.zeros(grid.n_int),
-                                    op, grid)[0]
+    sweep = fw.solve_with_potential(control[None], np.zeros(grid.n_int), op, grid)[0]
     np.testing.assert_array_equal(grid.restrict(full), sweep)
 
 
@@ -57,8 +56,8 @@ def test_pairing_linear_in_control():
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     controls, tests = batteries(grid, 2)
     m = dn_matrix(op, grid, controls, tests)
-    combo = fw.combine_controls(controls[:4], [2.0, -1.0, 0.5, 0.0])
-    m_combo = dn_matrix(op, grid, [combo], tests)
+    combo = np.tensordot([2.0, -1.0, 0.5, 0.0], controls[:4], 1)
+    m_combo = dn_matrix(op, grid, combo[None], tests)
     expected = 2.0 * m[0] - 1.0 * m[1] + 0.5 * m[2]
     np.testing.assert_allclose(m_combo[0], expected, rtol=1e-10, atol=1e-14)
 
@@ -68,8 +67,8 @@ def test_dn_matrix_matches_pairing_helper():
     controls, tests = batteries(grid, 1)
     m = dn_matrix(op, grid, controls, tests)
     full = solve_exterior(controls[0], op, grid)
-    reversed_test = fw.reverse_control(tests[0])
-    assert m[0, 0] == pytest.approx(dn_pairing(full, reversed_test, op, grid), rel=1e-13)
+    pairing = st_inner(dn_trace(full, op, grid), tests[0][::-1], grid)
+    assert m[0, 0] == pytest.approx(pairing, rel=1e-13)
 
 
 def test_reciprocity_under_shared_potential():

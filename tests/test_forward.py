@@ -132,9 +132,15 @@ def test_newmark_shape_checks():
         fw.solve_newmark(op, grid, source=np.zeros((grid.n_t, grid.n_int)))
 
 
+def test_newmark_rejects_short_cauchy_data():
+    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
+    with pytest.raises(ValueError, match="data has 1 nodes, grid interior is 16"):
+        fw.solve_newmark(op, grid, data=CauchyData([0.5], [0.0]))
+
+
 def ladder_controls(grid, n):
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    return [fw.combine_controls([control], [2.0**-k]) for k in range(n)]
+    return [2.0**-k * control for k in range(n)]
 
 
 def test_newmark_batch_rows_match_single_marches():
@@ -166,24 +172,22 @@ def test_newmark_batch_keeps_guards():
     grid, op, basis = case(n_int=16, s=0.7, n_t=512)
     controls = ladder_controls(grid, 3)
     with pytest.raises(ValueError, match="at least one control"):
-        fw.solve_newmark(op, grid, control=[])
+        fw.solve_newmark(op, grid, control=np.zeros((0, grid.n_t + 1, grid.n_ext)))
     (short,) = ladder_controls(case(n_int=16, s=0.7, n_t=64)[0], 1)
-    with pytest.raises(ValueError, match="n_t=64"):
-        fw.solve_newmark(op, grid, control=[*controls, short])
+    with pytest.raises(ValueError, match=r"control shape \(1, 65, "):
+        fw.solve_newmark(op, grid, control=short[None])
     bad = PolyNonlinearity.single(2.0, -1e8, n_nodes=grid.n_int)
     data = CauchyData(np.sin(np.pi * grid.interior_coords), np.zeros(grid.n_int))
     with pytest.raises(fw.SolverBlowupError, match="step"):
         fw.solve_newmark(op, grid, model=bad, control=controls, data=data)
     # only the loud row leaves the finite range, and the message names it alone
     (control,) = ladder_controls(grid, 1)
-    mixed = [fw.combine_controls([control], [a]) for a in (1e-6, 1.0, 1e-6)]
+    mixed = [a * control for a in (1e-6, 1.0, 1e-6)]
     with pytest.raises(fw.SolverBlowupError, match=r"step \d+ .* batch rows \[1\]$"):
         fw.solve_newmark(op, grid, model=bad, control=mixed)
     grid, op, basis = case(n_int=48, s=1.5, n_t=8)
-    still = fw.ExteriorControl(np.zeros((grid.n_t + 1, grid.n_ext)), grid.w_mask(1),
-                               grid.dt, grid.T)
     with pytest.raises(ValueError, match="CFL"):
-        fw.solve_newmark(op, grid, control=[still, still])
+        fw.solve_newmark(op, grid, control=np.zeros((2, grid.n_t + 1, grid.n_ext)))
 
 
 def march_by_old_step(op, grid, model, controls, data, source):
@@ -193,7 +197,7 @@ def march_by_old_step(op, grid, model, controls, data, source):
     full = np.zeros((grid.n_t + 1, len(controls), grid.n_nodes))
     for b, c in enumerate(controls):
         if c is not None:
-            full[:, b, grid.exterior_indices] = c.values
+            full[:, b, grid.exterior_indices] = c
     stiff_t = op.a_full[interior].T
 
     def accel(n):
@@ -316,9 +320,7 @@ def test_potential_sweep_matches_picard(profile):
     grid, op, basis = case(n_int=24, s=0.7, n_t=128)
     q = profile(grid.interior_coords)
     controls = fw.control_basis(grid, grid.w_mask(1), 2)
-    states = fw.solve_with_potential(
-        np.stack([c.values for c in controls]), q, op, grid
-    )
+    states = fw.solve_with_potential(controls, q, op, grid)
     zero = CauchyData.zero(grid.n_int)
     for control, u in zip(controls, states):
         source = fw.lift_exterior(control, op, grid)
@@ -330,7 +332,7 @@ def test_potential_sweep_matches_picard(profile):
 def test_potential_sweep_batch_matches_single():
     grid, op, basis = case(n_int=24, s=0.7, n_t=128)
     q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
-    values = np.stack([c.values for c in fw.control_basis(grid, grid.w_mask(2), 3)])
+    values = fw.control_basis(grid, grid.w_mask(2), 3)
     batch = fw.solve_with_potential(values, q, op, grid)
     for v, u in zip(values, batch):
         single = fw.solve_with_potential(v[None], q, op, grid)[0]
@@ -344,8 +346,47 @@ def test_potential_sweep_shape_checks():
         fw.solve_with_potential(values, np.zeros(grid.n_int + 1), op, grid)
     with pytest.raises(ValueError, match="non-finite"):
         fw.solve_with_potential(values, np.array([np.nan] * grid.n_int), op, grid)
-    with pytest.raises(ValueError, match="control values"):
+    with pytest.raises(ValueError, match="control shape"):
         fw.solve_with_potential(values[0], np.zeros(grid.n_int), op, grid)
+
+
+def _set(c, index, value):
+    c = c.copy()
+    c[index] = value
+    return c
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda c: c[:-1], "control shape"),
+        (lambda c: c[:, 1:], "control shape"),
+        (lambda c: c[0], "control shape"),
+        (lambda c: c[None, None], "control shape"),
+        (lambda c: _set(c, (len(c) // 2, 0), np.nan), "non-finite"),
+        (lambda c: _set(c, (1, 0), 1e-3), "must vanish"),
+        (lambda c: _set(c, (-2, 0), 1e-3), "must vanish"),
+    ],
+    ids=["n_t_short", "n_ext", "one_dim", "four_dim", "nan", "slice_1", "slice_-2"],
+)
+def test_control_guards(spoil, message):
+    """Every place a control enters a solver checks its shape, its values
+    and that it vanishes on the first and last two time slices."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
+    good = fw.control_basis(grid, grid.w_mask(1), 1)
+    bad = spoil(good[0])
+    entries = [
+        lambda: fw.solve_newmark(op, grid, control=bad),
+        lambda: fw.solve_newmark(op, grid, control=bad[None]),
+        lambda: fw.solve_with_potential(bad[None], np.zeros(grid.n_int), op, grid),
+        lambda: fw.lift_exterior(bad, op, grid),
+        lambda: fw.dn_matrix(op, grid, good, bad[None]),
+        lambda: fw.recover_expansion(lambda cs: pytest.fail("measured"), bad, (1.0,),
+                                     op, grid, eps_ladder=(0.5, 0.25)),
+    ]
+    for enter in entries:
+        with pytest.raises(ValueError, match=message):
+            enter()
 
 
 def test_residuals_accept_true_reject_perturbed(rng):

@@ -154,7 +154,7 @@ def test_recover_potential_pairs_closed_loop(small, battery):
 def test_linear_response_scales_bitwise_for_dyadic_factor(small):
     grid, op, basis = small
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    half = fw.combine_controls([control], [0.5])
+    half = 0.5 * control
     v_full = inv.linear_response(control, op, grid)
     v_half = inv.linear_response(half, op, grid)
     assert np.array_equal(v_half, 0.5 * v_full)
@@ -388,7 +388,7 @@ def _sample_route(measure, control, exps, op, grid, ladder, floor_rel=1e-3):
     (coeffs, errors, masks, extrap_conds)."""
     eps_arr = np.asarray(sorted(ladder, reverse=True))
     v_rows = inv.linear_response(control, op, grid)[1:-1]
-    fields = measure([fw.combine_controls([control], [e]) for e in eps_arr])
+    fields = measure(eps_arr[:, None, None] * control)
     peeled = np.stack([inv.reaction_from_march(u, op, grid) for u in fields])
     states = np.stack([grid.restrict(u)[1:-1] for u in fields])
     coeffs = np.zeros((len(exps), grid.n_int))
@@ -460,8 +460,7 @@ def test_recover_expansion_streams_the_ladder():
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     ladder = tuple(2.0 ** -k for k in range(3, 10))
     fields = solve_newmark(op, grid, model=model,
-                           control=[fw.combine_controls([control], [e])
-                                    for e in ladder])
+                           control=np.multiply.outer(ladder, control))
     budget = 1.5 * len(ladder) * (grid.n_t - 1) * grid.n_int * 8
     tracemalloc.start()
     try:

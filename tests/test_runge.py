@@ -41,8 +41,8 @@ def test_forward_map_linearity():
     grid, op, basis, controls = setup()
     states = forward_map(controls, op, grid)
     assert states.shape == (len(controls), grid.n_t + 1, grid.n_int)
-    combo = fw.combine_controls(controls[:2], [1.5, -2.0])
-    combo_state = forward_map([combo], op, grid)[0]
+    combo = np.tensordot([1.5, -2.0], controls[:2], 1)
+    combo_state = forward_map(combo[None], op, grid)[0]
     np.testing.assert_allclose(
         combo_state, 1.5 * states[0] - 2.0 * states[1], atol=1e-11
     )
