@@ -240,7 +240,7 @@ def _model_potential(cfg, grid):
     raise ConfigError(f"unknown model.kind {kind!r} (none | potential)")
 
 
-def _run_eig(cfg, art, seed, rng) -> tuple[int, dict]:
+def _run_eig(cfg, art, seed) -> tuple[int, dict]:
     import numpy as np
 
     from .spectral import dump_spectra_csv
@@ -260,7 +260,7 @@ def _run_eig(cfg, art, seed, rng) -> tuple[int, dict]:
     return 0, {"l2_gram_dev": dev_l2, "hs_gram_dev": dev_hs}
 
 
-def _run_solve(cfg, art, seed, rng) -> tuple[int, dict]:
+def _run_solve(cfg, art, seed) -> tuple[int, dict]:
     from .dnmap import solve_exterior
     from .fields import tensor_control
 
@@ -284,7 +284,7 @@ def _run_solve(cfg, art, seed, rng) -> tuple[int, dict]:
     return 0, {"peak_abs": peak}
 
 
-def _run_dn(cfg, art, seed, rng) -> tuple[int, dict]:
+def _run_dn(cfg, art, seed) -> tuple[int, dict]:
     from .dnmap import DNMeasurement, dn_matrix, grid_signature
     from .fields import control_basis
 
@@ -329,7 +329,7 @@ def _runge_target(cfg, grid, op):
     raise ConfigError(f"unknown runge.target {kind!r} (mode | bump)")
 
 
-def _run_runge(cfg, art, seed, rng) -> tuple[int, dict]:
+def _run_runge(cfg, art, seed) -> tuple[int, dict]:
     from .fields import control_basis
     from .runge import dump_sweep_csv, sweep_alpha
 
@@ -348,7 +348,7 @@ def _run_runge(cfg, art, seed, rng) -> tuple[int, dict]:
     return 0, {"best_residual": best}
 
 
-def _run_invert_q(cfg, art, seed, rng) -> tuple[int, dict]:
+def _run_invert_q(cfg, art, seed) -> tuple[int, dict]:
     import numpy as np
 
     from .dnmap import dn_matrix
@@ -368,6 +368,7 @@ def _run_invert_q(cfg, art, seed, rng) -> tuple[int, dict]:
 
     measured = dn_matrix(op, grid, controls, tests, q_true)
     if sigma > 0:
+        rng = np.random.Generator(np.random.PCG64(seed))
         measured = measured + sigma * np.max(np.abs(measured)) * rng.standard_normal(
             measured.shape
         )
@@ -392,7 +393,7 @@ def _run_invert_q(cfg, art, seed, rng) -> tuple[int, dict]:
     return 0, {"rel_l2_error": rel}
 
 
-def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
+def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
     import numpy as np
 
     from .fields import tensor_control
@@ -463,7 +464,7 @@ def _run_invert_f(cfg, art, seed, rng) -> tuple[int, dict]:
     return 0, {"rel_linf_errors": rel_errors}
 
 
-def _run_verify(cfg, art, seed, rng) -> tuple[int, dict]:
+def _run_verify(cfg, art, seed) -> tuple[int, dict]:
     from .verify import CHECKS, report_lines, run_checks
 
     names = None
@@ -542,10 +543,9 @@ def main(argv: list[str] | None = None) -> int:
 
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(args.seed))
     started = time.perf_counter()
     try:
-        code, extras = _RUNNERS[args.cmd](cfg, art, args.seed, rng)
+        code, extras = _RUNNERS[args.cmd](cfg, art, args.seed)
     except ConfigError as exc:
         art.cleanup()
         print(f"config error: {exc}", file=sys.stderr)
@@ -557,8 +557,6 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - started
 
     import platform
-
-    import scipy
 
     from . import __version__
 
@@ -572,7 +570,6 @@ def main(argv: list[str] | None = None) -> int:
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "fracwave": __version__,
         },
         "artifacts": art.hashes,

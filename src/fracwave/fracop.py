@@ -32,7 +32,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaln
 
 from .grid import Grid
 
@@ -66,9 +65,11 @@ def centered_weights(s: float, j_max: int) -> np.ndarray:
         w[0] = 2.0
         w[1] = -1.0
         return w
-    w[0] = math.exp(gammaln(2 * s + 1) - 2 * gammaln(s + 1))
-    j = np.arange(1, j_max + 1)
-    log_mag = gammaln(2 * s + 1) + gammaln(j - s) - gammaln(j + s + 1)
+    lg_top = math.lgamma(2 * s + 1)
+    w[0] = math.exp(lg_top - 2 * math.lgamma(s + 1))
+    log_mag = [
+        lg_top + math.lgamma(j - s) - math.lgamma(j + s + 1) for j in range(1, j_max + 1)
+    ]
     w[1:] = -math.sin(math.pi * s) / math.pi * np.exp(log_mag)
     return w
 

@@ -170,11 +170,16 @@ def recover_potential(
     data_misfits = [float(np.linalg.norm(delta) / denom)]
 
     for cut in schedule:
-        states_v = _control_states(tests, op, grid, q2)[:, ::-1]
+        # weight the fresh test states in place (w reversed: the rows read
+        # them reversed), so the row einsum has two operands and no copy of
+        # the stack is made; numpy runs three-operand einsums on a slower loop
+        states_v = _control_states(tests, op, grid, q2)
+        states_v *= w[::-1, None]
+        states_v = states_v[:, ::-1]
         moments = delta.reshape(-1)
-        rows = grid.h * np.einsum(
-            "atx,btx,t->abx", states_u, states_v, w
-        ).reshape(len(controls) * len(tests), grid.n_int)
+        rows = grid.h * np.einsum("atx,btx->abx", states_u, states_v).reshape(
+            len(controls) * len(tests), grid.n_int
+        )
         # the rows are all the next steps need of these states: free them so
         # only the trial's state stack is alive through the trial solve
         del states_u, states_v
@@ -392,7 +397,7 @@ def recover_expansion(
     eps_arr = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
     if eps_arr.size < 2 or np.any(eps_arr <= 0):
         raise ValueError("eps_ladder needs at least two positive values")
-    if np.unique(eps_arr).size != eps_arr.size:
+    if np.any(eps_arr[1:] == eps_arr[:-1]):  # sorted: repeats are neighbours
         raise ValueError(
             f"eps_ladder repeats a rung: {tuple(float(e) for e in eps_arr)}"
         )

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .dnmap import _control_states
 from .forward import st_gram, st_inner
@@ -83,7 +82,8 @@ def _fit(
     gram = st_gram(states, states, grid)
     beta = st_gram(states, target[None], grid)[:, 0]
     system = gram + alpha * np.eye(gram.shape[0])
-    coeffs = cho_solve(cho_factor(system), beta)
+    low = np.linalg.cholesky(system)
+    coeffs = np.linalg.solve(low.T, np.linalg.solve(low, beta))
     return coeffs, gram
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+import numpy.random  # noqa: F401 - every check draws: load it here, not on the first draw
 
 from .fields import control_basis, tensor_control
 from .forward import (

@@ -150,6 +150,7 @@ def test_eig_writes_spectra_and_manifest(tmp_path):
     assert "spectra.csv" in manifest["artifacts"]
     assert manifest["seed"] == 0
     assert manifest["config"]["domain.n_int"] == 16
+    assert set(manifest["versions"]) == {"python", "numpy", "fracwave"}
 
 
 def test_eig_rerun_is_byte_identical(tmp_path):
@@ -255,6 +256,18 @@ def test_invert_q_pipeline_small(tmp_path):
     assert all(b < a for a, b in zip(misfits, misfits[1:]))
     assert not {"mode", "control_misfits", "test_misfits"} & set(report)
     assert report["noise_sigma"] == 0.0
+
+
+def test_invert_q_noise_is_seeded(tmp_path):
+    reports = {}
+    for name, seed in (("a", "0"), ("b", "0"), ("c", "1")):
+        out = tmp_path / name
+        assert run(["invert-q", "--out", str(out), "--seed", seed, "--set",
+                    "noise.sigma=1e-3"] + PIPELINE_SETS["invert-q"]) == 0
+        reports[name] = json.loads((out / "recovery_report.json").read_text())
+    assert reports["a"]["noise_sigma"] == 1e-3
+    assert reports["a"] == reports["b"]
+    assert reports["a"]["data_misfits"] != reports["c"]["data_misfits"]
 
 
 def test_invert_f_pipeline_small(tmp_path):

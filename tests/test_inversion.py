@@ -353,7 +353,9 @@ def test_recover_expansion_validates_arguments(fast_case):
                               grid, eps_ladder=(0.25, 0.125))
 
 
-@pytest.mark.parametrize("ladder", [(0.125, 0.125), (0.125, 0.125, 0.0625, 0.0625)])
+@pytest.mark.parametrize(
+    "ladder", [(0.125, 0.125), (0.125, 0.125, 0.0625, 0.0625), (0.0625, 0.125, 0.0625)]
+)
 def test_recover_expansion_rejects_repeated_rungs(fast_case, ladder):
     """Repeated amplitudes make the extrapolation singular and the even/odd
     sub-ladders identical, so the self-reported error would read 0."""

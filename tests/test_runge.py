@@ -3,6 +3,7 @@ import pytest
 
 import fracwave as fw
 from fracwave.runge import (
+    _fit,
     approximate_target,
     dump_sweep_csv,
     forward_map,
@@ -89,6 +90,17 @@ def test_approximate_target_validations():
     bad_states = np.zeros((1, grid.n_t + 1, grid.n_int))
     with pytest.raises(ValueError):
         approximate_target(target, controls, op, grid, states=bad_states)
+
+
+def test_fit_solves_normal_equations_and_rejects_indefinite():
+    grid, op, basis, controls = setup(n_t=16)
+    states = forward_map(controls, op, grid)
+    target = states[0]
+    coeffs, gram = _fit(states, target, 1e-6, grid)
+    system = gram + 1e-6 * np.eye(len(gram))
+    np.testing.assert_allclose(system @ coeffs, gram[:, 0], rtol=1e-9, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        _fit(states, target, -2.0 * np.trace(gram), grid)
 
 
 def test_alpha_sweep_monotone():

@@ -33,6 +33,13 @@ def test_eigendecompose_rerun_is_byte_identical():
     assert op.basis is op.basis
 
 
+def test_modes_are_column_major():
+    # the potential sweep multiplies by modes.T every time step; F-ordered
+    # modes make that product read contiguous rows, about twice as fast
+    _, op, _ = case(n_int=24, s=0.7)
+    assert op.basis.modes.flags.f_contiguous
+
+
 def test_eigendecompose_rejects_indefinite_block():
     grid, op, _ = case(n_int=8, s=0.7)
     shifted = SimpleNamespace(a_int=op.a_int - 2.0 * op.a_int[0, 0] * np.eye(8))
