@@ -28,7 +28,6 @@ _EXPORTS = {
     "reconstruct": "spectral",
     "dual_norm": "spectral",
     "dual_norm_variational": "spectral",
-    "dump_spectra_csv": "spectral",
     # fields
     "CauchyData": "fields",
     "time_window": "fields",
@@ -60,16 +59,14 @@ _EXPORTS = {
     "dn_trace": "dnmap",
     "solve_exterior": "dnmap",
     "dn_matrix": "dnmap",
-    "DNMeasurement": "dnmap",
+    "forward_map": "dnmap",
     "grid_signature": "dnmap",
     # runge
     "st_norm": "runge",
-    "forward_map": "runge",
     "RungeSolution": "runge",
     "approximate_target": "runge",
     "sweep_alpha": "runge",
     "sweep_enrichment": "runge",
-    "dump_sweep_csv": "runge",
     # inversion
     "PotentialRecovery": "inversion",
     "recover_potential": "inversion",

@@ -178,7 +178,8 @@ def _canonical_config(cfg: dict) -> str:
 
 
 class _Artifacts:
-    """Tracks files written by one run for hashing and failure cleanup."""
+    """Writes the files of one run, hashing each for the manifest and
+    removing them on failure.  No other module writes files."""
 
     def __init__(self, outdir: Path):
         self.dir = outdir
@@ -191,11 +192,6 @@ class _Artifacts:
         self._created.append(path)
         self.hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         return path
-
-    def register(self, name: str) -> None:
-        path = self.dir / name
-        self._created.append(path)
-        self.hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
 
     def cleanup(self) -> None:
         for path in self._created:
@@ -243,12 +239,11 @@ def _model_potential(cfg, grid):
 def _run_eig(cfg, art, seed) -> tuple[int, dict]:
     import numpy as np
 
-    from .spectral import dump_spectra_csv
-
     grid, op = _build(cfg)
     basis = op.basis
-    dump_spectra_csv(basis, art.dir / "spectra.csv")
-    art.register("spectra.csv")
+    lines = ["k,lambda"]
+    lines += [f"{k},{float(lam)!r}" for k, lam in enumerate(basis.lambdas, start=1)]
+    art.write_text("spectra.csv", "\n".join(lines) + "\n")
     eye = np.eye(basis.n_modes)
     dev_l2 = float(np.max(np.abs(grid.h * basis.modes.T @ basis.modes - eye)))
     scaled = basis.modes / np.sqrt(basis.lambdas)[None, :]
@@ -285,7 +280,7 @@ def _run_solve(cfg, art, seed) -> tuple[int, dict]:
 
 
 def _run_dn(cfg, art, seed) -> tuple[int, dict]:
-    from .dnmap import DNMeasurement, dn_matrix, grid_signature
+    from .dnmap import dn_matrix, grid_signature
     from .fields import control_basis
 
     grid, op = _build(cfg)
@@ -293,16 +288,16 @@ def _run_dn(cfg, art, seed) -> tuple[int, dict]:
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["controls.freqs"])
     tests = _checked(control_basis, grid, grid.w_mask(2), cfg["tests.freqs"])
     matrix = dn_matrix(op, grid, controls, tests, q)
-    meas = DNMeasurement(
-        s=cfg["operator.s"],
-        grid_sig=grid_signature(grid, cfg["operator.s"]),
-        matrix=matrix,
-        controls_meta=tuple({"index": i} for i in range(len(controls))),
-        tests_meta=tuple({"index": i} for i in range(len(tests))),
-        reversed_tests=True,
-    )
-    meas.save_json(art.dir / "dn.json")
-    art.register("dn.json")
+    payload = {
+        "format": "fracwave-dn/1",
+        "s": cfg["operator.s"],
+        "grid_sig": grid_signature(grid, cfg["operator.s"]),
+        "reversed_tests": True,
+        "controls": [{"index": i} for i in range(len(controls))],
+        "tests": [{"index": i} for i in range(len(tests))],
+        "matrix": [[float(v) for v in row] for row in matrix],
+    }
+    art.write_text("dn.json", json.dumps(payload, indent=1, sort_keys=True))
     print(f"dn: {matrix.shape[0]}x{matrix.shape[1]} pairing matrix written")
     return 0, {"matrix_shape": list(matrix.shape)}
 
@@ -331,7 +326,7 @@ def _runge_target(cfg, grid, op):
 
 def _run_runge(cfg, art, seed) -> tuple[int, dict]:
     from .fields import control_basis
-    from .runge import dump_sweep_csv, sweep_alpha
+    from .runge import sweep_alpha
 
     alphas = cfg["runge.alphas"]
     if not alphas or min(alphas) <= 0.0:
@@ -341,8 +336,11 @@ def _run_runge(cfg, art, seed) -> tuple[int, dict]:
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["runge.freqs"])
     target = _runge_target(cfg, grid, op)
     sweep = sweep_alpha(target, controls, op, grid, q, alphas=alphas)
-    dump_sweep_csv(art.dir / "runge_sweep.csv", sweep)
-    art.register("runge_sweep.csv")
+    lines = ["alpha,misfit,residual,coeff_norm,objective,gram_cond"]
+    for r in sweep:
+        row = (r.alpha, r.misfit, r.residual, r.coeff_norm, r.objective, r.gram_cond)
+        lines.append(",".join(repr(float(v)) for v in row))
+    art.write_text("runge_sweep.csv", "\n".join(lines) + "\n")
     best = min(s.residual for s in sweep)
     print(f"runge: {len(sweep)} alphas, best residual {best:.6e}")
     return 0, {"best_residual": best}

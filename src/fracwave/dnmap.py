@@ -16,14 +16,12 @@ controls with time-reversed tests, the orientation of `dn_matrix`.
 Controls and tests are plain float arrays (see `fields`): `solve_exterior`
 takes one (n_t+1, n_ext) control, `dn_matrix` two (B, n_t+1, n_ext) stacks.
 A single pairing of a trace with a test psi is
-`st_inner(dn_trace(u_full, op, grid), psi, grid)`.
+`st_inner(dn_trace(u_full, op, grid), psi, grid)`.  The `dn` pipeline of
+the command line writes the matrix to dn.json; nothing reads it back.
 """
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,11 +35,9 @@ __all__ = [
     "dn_trace",
     "solve_exterior",
     "dn_matrix",
-    "DNMeasurement",
+    "forward_map",
     "grid_signature",
 ]
-
-FORMAT_TAG = "fracwave-dn/1"
 
 
 def grid_signature(grid: Grid, s: float) -> str:
@@ -79,20 +75,22 @@ def solve_exterior(
     """Full-grid state (n_t + 1, n_nodes) driven by an exterior control with
     zero Cauchy data: the interior from the batched state path every
     measurement uses, the control values on the exterior nodes."""
-    u = _control_states(control[None], op, grid, model)[0]
+    u = forward_map(control[None], op, grid, model)[0]
     return grid.extend(u) + grid.scatter_exterior(control)
 
 
-def _control_states(
+def forward_map(
     controls: np.ndarray,
     op: FracOperator,
     grid: Grid,
-    model: PolyNonlinearity | np.ndarray | None,
+    model: PolyNonlinearity | np.ndarray | None = None,
 ) -> np.ndarray:
     """Interior displacements (n_controls, n_t+1, n_int) of a control
     stack.  A potential (an interior array, or None for q = 0) takes one
     batched sweep of `solve_with_potential`; a power-type nonlinearity
-    marches all controls as one batch."""
+    marches all controls as one batch.  This is the expensive step of every
+    measurement and fit; reuse its output across alpha sweeps and
+    nested-basis studies."""
     if isinstance(model, PolyNonlinearity):
         return grid.restrict(solve_newmark(op, grid, model=model, control=controls))
     q = np.zeros(grid.n_int) if model is None else model
@@ -126,60 +124,5 @@ def dn_matrix(
     states are solved once, as a batch, and reused across all tests."""
     # reversed tests as a contiguous copy: a strided view raised peak memory
     test_block = np.ascontiguousarray(_controls(tests, grid, (3,))[:, ::-1])
-    states = _control_states(controls, op, grid, model)
+    states = forward_map(controls, op, grid, model)
     return _pairings(states, controls, test_block, op, grid)
-
-
-@dataclass(frozen=True)
-class DNMeasurement:
-    """Serializable pairing matrix with enough context to refuse mismatched
-    reuse: operator order, grid signature, control/test descriptors."""
-
-    s: float
-    grid_sig: str
-    matrix: np.ndarray
-    controls_meta: tuple[dict, ...]
-    tests_meta: tuple[dict, ...]
-    reversed_tests: bool
-    version: str = FORMAT_TAG
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError(f"matrix must be 2-d, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "controls_meta", tuple(dict(d) for d in self.controls_meta))
-        object.__setattr__(self, "tests_meta", tuple(dict(d) for d in self.tests_meta))
-
-    def save_json(self, path: str | Path) -> None:
-        payload = {
-            "format": self.version,
-            "s": self.s,
-            "grid_sig": self.grid_sig,
-            "reversed_tests": self.reversed_tests,
-            "controls": list(self.controls_meta),
-            "tests": list(self.tests_meta),
-            "matrix": [[float(v) for v in row] for row in self.matrix],
-        }
-        Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
-
-    @classmethod
-    def load_json(cls, path: str | Path, *, expect_sig: str | None = None) -> "DNMeasurement":
-        payload = json.loads(Path(path).read_text())
-        version = payload.get("format")
-        if version != FORMAT_TAG:
-            raise ValueError(f"unsupported measurement format {version!r}")
-        if expect_sig is not None and payload["grid_sig"] != expect_sig:
-            raise ValueError(
-                "measurement was taken on a different discretization: "
-                f"{payload['grid_sig'][:12]} != {expect_sig[:12]}"
-            )
-        return cls(
-            s=float(payload["s"]),
-            grid_sig=payload["grid_sig"],
-            matrix=np.array(payload["matrix"], dtype=float),
-            controls_meta=tuple(payload["controls"]),
-            tests_meta=tuple(payload["tests"]),
-            reversed_tests=bool(payload["reversed_tests"]),
-            version=version,
-        )

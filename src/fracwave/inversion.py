@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnmap import DNMeasurement, _control_states, _pairings
+from .dnmap import _pairings, forward_map
 from .fields import _controls
 from .forward import _trajectory, solve_newmark, trapezoid_weights
 from .fracop import FracOperator
@@ -112,7 +112,7 @@ class PotentialRecovery:
 
 
 def recover_potential(
-    measured: DNMeasurement | np.ndarray,
+    measured: np.ndarray,
     controls: np.ndarray,
     tests: np.ndarray,
     op: FracOperator,
@@ -123,20 +123,15 @@ def recover_potential(
 ) -> PotentialRecovery:
     """Reconstruct a potential from one measured pairing matrix.
 
-    measured holds <L_1 phi_a, psi_b*> over the control/test basis (a
-    DNMeasurement with reversed tests, or the raw matrix).  The raw basis
+    measured is the matrix <L_1 phi_a, psi_b*> over the control/test basis,
+    paired against time-reversed tests as `dn_matrix` returns it.  The basis
     pairings are used directly: the moments are the entries of the data
     mismatch and the rows the weighted products of the computed control and
     reversed test states, which carries the entire measurement with no
     fitting stage.  cutoff is the relative spectral cutoff of the
     truncated-SVD update, one value per pass (a scalar means one pass).
     """
-    if isinstance(measured, DNMeasurement):
-        if not measured.reversed_tests:
-            raise ValueError("measurement must pair against time-reversed tests")
-        d_meas = measured.matrix
-    else:
-        d_meas = np.asarray(measured, dtype=float)
+    d_meas = np.asarray(measured, dtype=float)
     if d_meas.shape != (len(controls), len(tests)):
         raise ValueError(
             f"measured matrix is {d_meas.shape}, basis is "
@@ -156,7 +151,7 @@ def recover_potential(
     def _bundle(q_model) -> tuple[np.ndarray, np.ndarray]:
         """Control states and their pairing matrix at one background, from
         the same solves."""
-        states = _control_states(controls, op, grid, q_model)
+        states = forward_map(controls, op, grid, q_model)
         return states, _pairings(states, controls, rev_block, op, grid)
 
     increments: list[np.ndarray] = []
@@ -173,7 +168,7 @@ def recover_potential(
         # weight the fresh test states in place (w reversed: the rows read
         # them reversed), so the row einsum has two operands and no copy of
         # the stack is made; numpy runs three-operand einsums on a slower loop
-        states_v = _control_states(tests, op, grid, q2)
+        states_v = forward_map(tests, op, grid, q2)
         states_v *= w[::-1, None]
         states_v = states_v[:, ::-1]
         moments = delta.reshape(-1)
@@ -394,9 +389,12 @@ def recover_expansion(
     exps = tuple(float(r) for r in exponents)
     if any(b <= a for a, b in zip(exps, exps[1:])) or not exps:
         raise ValueError(f"exponents must be strictly increasing, got {exps}")
-    eps_arr = np.asarray(sorted(eps_ladder, reverse=True), dtype=float)
-    if eps_arr.size < 2 or np.any(eps_arr <= 0):
-        raise ValueError("eps_ladder needs at least two positive values")
+    rungs = tuple(float(e) for e in eps_ladder)
+    if len(rungs) < 2 or not all(0 < e < np.inf for e in rungs):
+        raise ValueError(
+            f"eps_ladder needs at least two finite positive values, got {rungs}"
+        )
+    eps_arr = np.asarray(sorted(rungs, reverse=True))
     if np.any(eps_arr[1:] == eps_arr[:-1]):  # sorted: repeats are neighbours
         raise ValueError(
             f"eps_ladder repeats a rung: {tuple(float(e) for e in eps_arr)}"

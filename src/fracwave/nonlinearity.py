@@ -32,7 +32,6 @@ class PolyNonlinearity:
 
     exponents: tuple[float, ...]
     coeffs: np.ndarray
-    name: str = "f"
 
     def __post_init__(self):
         exps = tuple(float(r) for r in self.exponents)
@@ -53,19 +52,17 @@ class PolyNonlinearity:
         object.__setattr__(self, "coeffs", c)
 
     @classmethod
-    def single(cls, exponent: float, coeff: np.ndarray | float, n_nodes: int | None = None,
-               name: str = "f") -> "PolyNonlinearity":
+    def single(cls, exponent: float, coeff: np.ndarray | float,
+               n_nodes: int | None = None) -> "PolyNonlinearity":
         c = np.asarray(coeff, dtype=float)
         if c.ndim == 0:
             if n_nodes is None:
                 raise ValueError("scalar coefficient needs n_nodes")
             c = np.full(n_nodes, float(c))
-        return cls((float(exponent),), c[None, :], name)
+        return cls((float(exponent),), c[None, :])
 
     def term(self, k: int) -> "PolyNonlinearity":
-        return PolyNonlinearity(
-            (self.exponents[k],), self.coeffs[k][None, :], f"{self.name}[{k}]"
-        )
+        return PolyNonlinearity((self.exponents[k],), self.coeffs[k][None, :])
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """f(x, u) nodewise; u is (..., n_nodes).

@@ -20,40 +20,25 @@ move either way under enrichment at fixed alpha, so sweeps report both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dnmap import _control_states
+from .dnmap import forward_map
 from .forward import st_gram, st_inner
 from .fracop import FracOperator
 from .grid import Grid
 
 __all__ = [
     "st_norm",
-    "forward_map",
     "RungeSolution",
     "approximate_target",
     "sweep_alpha",
     "sweep_enrichment",
-    "dump_sweep_csv",
 ]
 
 
 def st_norm(a: np.ndarray, grid: Grid) -> float:
     return np.sqrt(max(st_inner(a, a, grid), 0.0))
-
-
-def forward_map(
-    controls: np.ndarray,
-    op: FracOperator,
-    grid: Grid,
-    q: np.ndarray | None = None,
-) -> np.ndarray:
-    """Interior trajectories of the controlled states, stacked
-    (n_controls, n_t + 1, n_int).  This is the expensive step; reuse its
-    output across alpha sweeps and nested-basis studies."""
-    return _control_states(controls, op, grid, q)
 
 
 @dataclass(frozen=True)
@@ -169,13 +154,3 @@ def sweep_enrichment(
         )
         out.append((k, sol))
     return out
-
-
-def dump_sweep_csv(path: str | Path, rows: list[RungeSolution]) -> None:
-    lines = ["alpha,misfit,residual,coeff_norm,objective,gram_cond"]
-    for r in rows:
-        lines.append(
-            f"{float(r.alpha)!r},{float(r.misfit)!r},{float(r.residual)!r},"
-            f"{float(r.coeff_norm)!r},{float(r.objective)!r},{float(r.gram_cond)!r}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -36,7 +36,6 @@ __all__ = [
     "reconstruct",
     "dual_norm",
     "dual_norm_variational",
-    "dump_spectra_csv",
 ]
 
 
@@ -102,10 +101,3 @@ def dual_norm_variational(g: np.ndarray, op: FracOperator) -> float:
     low = np.linalg.cholesky(op.a_int)
     z = np.linalg.solve(low, np.asarray(g, dtype=float))
     return float(np.sqrt(op.h) * np.linalg.norm(z))
-
-
-def dump_spectra_csv(basis: SpectralBasis, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write("k,lambda\n")
-        for k, lam in enumerate(basis.lambdas, start=1):
-            f.write(f"{k},{float(lam)!r}\n")

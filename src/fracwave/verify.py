@@ -23,12 +23,12 @@ from .forward import (
     sup_energy,
     very_weak_residual,
 )
-from .dnmap import dn_matrix
+from .dnmap import dn_matrix, forward_map
 from .fracop import FracOperator, assemble_operator, centered_weights
 from .fields import CauchyData
 from .grid import build_grid
 from .inversion import reaction_from_march
-from .runge import approximate_target, forward_map
+from .runge import approximate_target
 from .spectral import dual_norm, dual_norm_variational
 
 __all__ = ["CHECKS", "THRESHOLDS", "run_checks", "report_lines"]

@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line pipelines (run in process)."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fracwave import cli
-from fracwave.dnmap import DNMeasurement
+from fracwave.dnmap import dn_matrix, grid_signature
+from fracwave.fields import control_basis
+from conftest import case
 
 
 SMALL = ["--set", "domain.n_int=16", "--set", "time.n_t=32"]
@@ -226,10 +230,17 @@ def test_dn_artifact_reloads(tmp_path):
     code = run(["dn", "--out", str(out)] + SMALL
                + ["--set", "controls.freqs=2", "--set", "tests.freqs=2"])
     assert code == 0
-    meas = DNMeasurement.load_json(out / "dn.json")
-    assert meas.reversed_tests
-    assert meas.matrix.ndim == 2
-    assert np.all(np.isfinite(meas.matrix))
+    payload = json.loads((out / "dn.json").read_text())
+    assert set(payload) == {"format", "s", "grid_sig", "reversed_tests",
+                            "controls", "tests", "matrix"}
+    assert payload["format"] == "fracwave-dn/1"
+    assert payload["reversed_tests"] is True
+    grid, op, _ = case(n_int=16, s=0.7, n_t=32)
+    assert payload["grid_sig"] == grid_signature(grid, 0.7)
+    controls = control_basis(grid, grid.w_mask(1), 2)
+    tests = control_basis(grid, grid.w_mask(2), 2)
+    expect = dn_matrix(op, grid, controls, tests)
+    assert np.array_equal(np.array(payload["matrix"]), expect)
 
 
 def test_runge_writes_sweep(tmp_path):
@@ -319,3 +330,20 @@ def test_verify_rejects_unknown_check(tmp_path):
     code = run(["verify", "--out", str(out),
                 "--set", "verify.checks=nonsense"])
     assert code != 0
+
+
+def test_only_cli_writes_files():
+    """Artifact layout lives in one module: no library module opens or
+    writes a file itself."""
+    writers = {"open", "write_text", "write_bytes"}
+    offenders = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in writers:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, offenders

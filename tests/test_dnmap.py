@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave import DNMeasurement, PolyNonlinearity
+from fracwave import PolyNonlinearity
 from fracwave.dnmap import dn_matrix, dn_trace, grid_signature, solve_exterior
 from fracwave.forward import solve_newmark, st_inner
 from conftest import case
@@ -92,56 +92,3 @@ def test_semilinear_route_runs_through_march():
     # the nonlinear response must differ from the linear one
     lin_full = solve_exterior(control, op, grid, None)
     assert np.max(np.abs(full - lin_full)) > 1e-8
-
-
-def test_measurement_roundtrip(tmp_path):
-    grid, op, basis = case(n_int=16, s=0.7, n_t=32)
-    controls, tests = batteries(grid, 1)
-    matrix = dn_matrix(op, grid, controls, tests)
-    sig = grid_signature(grid, 0.7)
-    meas = DNMeasurement(
-        s=0.7,
-        grid_sig=sig,
-        matrix=matrix,
-        controls_meta=({"index": 0}, {"index": 1}, {"index": 2}),
-        tests_meta=({"index": 0}, {"index": 1}, {"index": 2}),
-        reversed_tests=True,
-    )
-    path = tmp_path / "dn.json"
-    meas.save_json(path)
-    loaded = DNMeasurement.load_json(path, expect_sig=sig)
-    assert np.array_equal(loaded.matrix, matrix)
-    assert loaded.s == 0.7 and loaded.reversed_tests
-    assert loaded.controls_meta == meas.controls_meta
-
-
-def test_measurement_refuses_mismatch(tmp_path):
-    grid, op, basis = case(n_int=16, s=0.7, n_t=32)
-    meas = DNMeasurement(
-        s=0.7,
-        grid_sig=grid_signature(grid, 0.7),
-        matrix=np.eye(2),
-        controls_meta=({"index": 0},),
-        tests_meta=({"index": 0},),
-        reversed_tests=True,
-    )
-    path = tmp_path / "dn.json"
-    meas.save_json(path)
-    with pytest.raises(ValueError, match="different discretization"):
-        DNMeasurement.load_json(path, expect_sig="deadbeef")
-    doctored = path.read_text().replace(meas.version, "bogus/9")
-    path.write_text(doctored)
-    with pytest.raises(ValueError, match="format"):
-        DNMeasurement.load_json(path)
-
-
-def test_measurement_rejects_bad_matrix():
-    with pytest.raises(ValueError):
-        DNMeasurement(
-            s=0.7,
-            grid_sig="x",
-            matrix=np.zeros(3),
-            controls_meta=(),
-            tests_meta=(),
-            reversed_tests=True,
-        )

@@ -89,17 +89,6 @@ def test_tsvd_rejects_all_zero_rows():
 # --------------------------------------------- recover_potential contracts
 
 
-def test_recover_potential_rejects_unreversed_measurement(small, battery):
-    grid, op, basis = small
-    controls, probes = battery
-    meas = fw.DNMeasurement(
-        s=op.s, grid_sig=fw.grid_signature(grid, op.s),
-        matrix=np.zeros((len(controls), len(probes))),
-        controls_meta=(), tests_meta=(), reversed_tests=False)
-    with pytest.raises(ValueError, match="time-reversed"):
-        inv.recover_potential(meas, controls, probes, op, grid)
-
-
 def test_recover_potential_rejects_shape_mismatch(small, battery):
     grid, op, basis = small
     controls, probes = battery
@@ -348,6 +337,10 @@ def test_recover_expansion_validates_arguments(fast_case):
     with pytest.raises(ValueError, match="at least two"):
         inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=(0.25,))
+    for bad in ((0.25, np.nan, 0.125), (np.inf, 0.25, 0.125), (0.25, -0.125)):
+        with pytest.raises(ValueError, match="eps_ladder needs at least two finite"):
+            inv.recover_expansion(measure, control, (0.5,), op, grid,
+                                  eps_ladder=bad)
     with pytest.raises(ValueError, match="returned 1 fields for 2 controls"):
         inv.recover_expansion(lambda cs: measure(cs)[:1], control, (0.5,), op,
                               grid, eps_ladder=(0.25, 0.125))

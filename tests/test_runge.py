@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import fracwave as fw
+from fracwave import cli
 from fracwave.runge import (
     _fit,
     approximate_target,
-    dump_sweep_csv,
     forward_map,
     st_inner,
     st_norm,
@@ -128,14 +128,18 @@ def test_enrichment_lowers_objective():
 
 
 def test_sweep_csv_roundtrip(tmp_path):
+    """The runge pipeline's sweep CSV carries every fit figure exactly."""
     grid, op, basis, controls = setup(n_t=32)
-    target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
+    sets = ["domain.n_int=20", "time.n_t=32", "runge.freqs=2", "runge.alphas=1e-4,1e-6"]
+    args = ["runge", "--out", str(tmp_path)]
+    assert cli.main(args + [a for kv in sets for a in ("--set", kv)]) == 0
+    # the default target: the first mode oscillating at its own frequency
+    om = np.sqrt(basis.lambdas[0])
+    target = np.cos(om * grid.times())[:, None] * basis.modes[:, 0][None, :]
     rows = sweep_alpha(target, controls, op, grid, alphas=(1e-4, 1e-6))
-    path = tmp_path / "sweep.csv"
-    dump_sweep_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("alpha,")
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == rows[0].alpha
-    assert first[1] == rows[0].misfit
-    assert first[2] == rows[0].residual
+    lines = (tmp_path / "runge_sweep.csv").read_text().splitlines()
+    assert lines[0] == "alpha,misfit,residual,coeff_norm,objective,gram_cond"
+    assert len(lines) == 1 + len(rows)
+    for line, r in zip(lines[1:], rows):
+        expect = (r.alpha, r.misfit, r.residual, r.coeff_norm, r.objective, r.gram_cond)
+        assert [float(v) for v in line.split(",")] == list(expect)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fracwave as fw
+from fracwave import cli
 from conftest import case
 
 
@@ -103,9 +104,8 @@ def test_dual_norm_routes_agree(rng):
 
 def test_spectra_csv_exact(tmp_path):
     grid, op, basis = case(n_int=10, s=0.7)
-    path = tmp_path / "spectra.csv"
-    fw.dump_spectra_csv(basis, path)
-    lines = path.read_text().splitlines()
+    assert cli.main(["eig", "--out", str(tmp_path), "--set", "domain.n_int=10"]) == 0
+    lines = (tmp_path / "spectra.csv").read_text().splitlines()
     assert lines[0] == "k,lambda"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert np.array_equal(np.array(values), basis.lambdas)
