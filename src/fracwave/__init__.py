@@ -65,8 +65,6 @@ _EXPORTS = {
     "st_norm": "runge",
     "RungeSolution": "runge",
     "approximate_target": "runge",
-    "sweep_alpha": "runge",
-    "sweep_enrichment": "runge",
     # inversion
     "PotentialRecovery": "inversion",
     "recover_potential": "inversion",

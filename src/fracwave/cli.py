@@ -325,8 +325,9 @@ def _runge_target(cfg, grid, op):
 
 
 def _run_runge(cfg, art, seed) -> tuple[int, dict]:
+    from .dnmap import forward_map
     from .fields import control_basis
-    from .runge import sweep_alpha
+    from .runge import approximate_target
 
     alphas = cfg["runge.alphas"]
     if not alphas or min(alphas) <= 0.0:
@@ -335,7 +336,8 @@ def _run_runge(cfg, art, seed) -> tuple[int, dict]:
     q = _model_potential(cfg, grid)
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["runge.freqs"])
     target = _runge_target(cfg, grid, op)
-    sweep = sweep_alpha(target, controls, op, grid, q, alphas=alphas)
+    states = forward_map(controls, op, grid, q)
+    sweep = approximate_target(target, states, grid, alphas)
     lines = ["alpha,misfit,residual,coeff_norm,objective,gram_cond"]
     for r in sweep:
         row = (r.alpha, r.misfit, r.residual, r.coeff_norm, r.objective, r.gram_cond)
@@ -517,6 +519,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     if args.threads is not None:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)

@@ -86,11 +86,12 @@ def forward_map(
     model: PolyNonlinearity | np.ndarray | None = None,
 ) -> np.ndarray:
     """Interior displacements (n_controls, n_t+1, n_int) of a control
-    stack.  A potential (an interior array, or None for q = 0) takes one
-    batched sweep of `solve_with_potential`; a power-type nonlinearity
-    marches all controls as one batch.  This is the expensive step of every
-    measurement and fit; reuse its output across alpha sweeps and
-    nested-basis studies."""
+    stack (B, n_t+1, n_ext); a single control is refused on every model.
+    A potential (an interior array, or None for q = 0) takes one batched
+    sweep of `solve_with_potential`; a power-type nonlinearity marches all
+    controls as one batch.  This is the expensive step of every measurement
+    and fit; `runge.approximate_target` fits one output for every alpha."""
+    controls = _controls(controls, grid, (3,))
     if isinstance(model, PolyNonlinearity):
         return grid.restrict(solve_newmark(op, grid, model=model, control=controls))
     q = np.zeros(grid.n_int) if model is None else model

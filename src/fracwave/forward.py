@@ -2,8 +2,8 @@
 Picard oracle), explicit time stepping, and the weak-form residual checks.
 
 Trajectories are plain float arrays, (n_t+1, n_int) or (n_t+1, n_nodes);
-`_trajectory` checks one that enters from outside, as `_potential` does a
-potential.
+`_trajectory` checks one that enters from outside (a state, a source, a
+test function or a target), as `_potential` does a potential.
 
 Modal route.  Expanding in the interior eigenbasis, each coefficient obeys
 c_k'' + lambda_k c_k = F_k, solved in closed form plus a Duhamel convolution:
@@ -219,12 +219,7 @@ def solve_linear_modal(
     u1k = project_l2(data.u1, basis)
     fk = None
     if source is not None:
-        source = np.asarray(source, dtype=float)
-        if source.shape != (grid.n_t + 1, grid.n_int):
-            raise ValueError(
-                f"source shape {source.shape} != {(grid.n_t + 1, grid.n_int)}"
-            )
-        fk = project_l2(source, basis).T  # (K, n_t + 1)
+        fk = project_l2(_trajectory(source, grid.n_int, grid), basis).T  # (K, n_t + 1)
     c, cdot = _modal_coefficients(basis.lambdas, u0k, u1k, fk, tgrid)
     return WaveSolution(u=reconstruct(c.T, basis), udot=reconstruct(cdot.T, basis))
 
@@ -433,11 +428,7 @@ def solve_newmark(
             f"data has {data.u0.shape[0]} nodes, grid interior is {grid.n_int}"
         )
     if source is not None:
-        source = np.asarray(source, dtype=float)
-        if source.shape != (grid.n_t + 1, grid.n_int):
-            raise ValueError(
-                f"source shape {source.shape} != {(grid.n_t + 1, grid.n_int)}"
-            )
+        source = _trajectory(source, grid.n_int, grid)
     if control is None:
         control = np.zeros((grid.n_t + 1, grid.n_ext))
     values = _controls(control, grid)
@@ -505,11 +496,11 @@ def very_weak_residual(
     value.
     """
     u = _trajectory(u, grid.n_int, grid)
+    g = _trajectory(g, grid.n_int, grid)
+    if source is not None:
+        source = _trajectory(source, grid.n_int, grid)
     if q is not None:
         q = _potential(q, grid)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (grid.n_t + 1, grid.n_int):
-        raise ValueError(f"test source shape {g.shape} != {(grid.n_t + 1, grid.n_int)}")
 
     g_rev = g[::-1].copy()
     zero = CauchyData.zero(grid.n_int)
@@ -524,7 +515,7 @@ def very_weak_residual(
     lhs = st_inner(u, g, grid)
     rhs = grid.h * float(data.u1 @ v0) - grid.h * float(data.u0 @ vdot0)
     if source is not None:
-        rhs += st_inner(np.asarray(source, dtype=float), v, grid)
+        rhs += st_inner(source, v, grid)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -543,11 +534,11 @@ def distributional_residual(
     t = T.  Second-order differencing in time, so the residual of a true
     solution is O(dt^2)."""
     u = _trajectory(u, grid.n_int, grid)
+    phi = _trajectory(phi, grid.n_int, grid)
+    if source is not None:
+        source = _trajectory(source, grid.n_int, grid)
     if q is not None:
         q = _potential(q, grid)
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != (grid.n_t + 1, grid.n_int):
-        raise ValueError(f"phi shape {phi.shape} != {(grid.n_t + 1, grid.n_int)}")
     if np.any(phi[-2:] != 0.0):
         raise ValueError("phi must vanish on the last two time slices")
 
@@ -565,7 +556,7 @@ def distributional_residual(
     dphi0 = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * dt)
     rhs = grid.h * float(data.u0 @ dphi0) - grid.h * float(data.u1 @ phi[0])
     if source is not None:
-        rhs += st_inner(np.asarray(source, dtype=float), phi, grid)
+        rhs += st_inner(source, phi, grid)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
 
 
@@ -589,7 +580,7 @@ def data_energy(
     dual_u1 = np.sqrt(np.sum(c1 * c1 / basis.lambdas))
     f_term = 0.0
     if source is not None:
-        cf = project_l2(np.asarray(source, dtype=float), basis)
+        cf = project_l2(_trajectory(source, grid.n_int, grid), basis)
         dual_sq = np.sum(cf * cf / basis.lambdas[None, :], axis=1)
         w = trapezoid_weights(grid.n_t, grid.dt)
         f_term = np.sqrt(np.sum(w * dual_sq))

@@ -195,12 +195,8 @@ def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
     controls = 100.0 * control_basis(grid, grid.w_mask(1), 3)[:3]
     states = forward_map(controls, op, grid)
     target = np.einsum("a,atx->tx", np.array([1.0, -0.5, 0.25]), states)
-    residuals = []
-    for alpha in (1e-2, 1e-6, 1e-10):
-        sol = approximate_target(
-            target, controls, op, grid, alpha=alpha, states=states
-        )
-        residuals.append(sol.residual)
+    sols = approximate_target(target, states, grid, (1e-2, 1e-6, 1e-10))
+    residuals = [sol.residual for sol in sols]
     drops = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
     return {
         "residual_alpha_small": residuals[-1],

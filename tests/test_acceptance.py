@@ -18,11 +18,10 @@ from fracwave.forward import (data_energy, distributional_residual,
                               solve_linear_modal, solve_newmark,
                               solve_with_potential_picard, sup_energy,
                               very_weak_residual)
-from fracwave.dnmap import dn_matrix
+from fracwave.dnmap import dn_matrix, forward_map
 from fracwave.inversion import (linear_response, reaction_from_march,
                                 recover_expansion, recover_potential)
-from fracwave.runge import (approximate_target, forward_map, st_norm,
-                            sweep_alpha, sweep_enrichment)
+from fracwave.runge import approximate_target, st_norm
 from fracwave.spectral import dual_norm, dual_norm_variational
 
 from conftest import case
@@ -219,22 +218,23 @@ def test_c08_runge_sweeps_monotone_and_span_target_reached():
     x = grid.interior_coords
     target = np.outer(time_window(grid), np.sin(np.pi * x))
 
-    rows = sweep_alpha(target, controls, op, grid,
-                       alphas=tuple(10.0 ** -k for k in range(2, 11)))
+    states = forward_map(controls, op, grid)
+    rows = approximate_target(target, states, grid,
+                              tuple(10.0 ** -k for k in range(2, 11)))
     res_a = np.array([r.residual for r in rows])
     assert np.all(np.diff(res_a) <= 1e-12), f"alpha sweep {res_a}"
 
-    enr = sweep_enrichment(target, controls, op, grid, alpha=1e-8)
-    res_e = np.array([r.residual for _, r in enr])
+    enr = [approximate_target(target, states[:k], grid, (1e-8,))[0]
+           for k in range(1, len(states) + 1)]
+    res_e = np.array([r.residual for r in enr])
     assert np.all(np.diff(res_e) <= 1e-12), f"enrichment sweep {res_e}"
 
     amp_controls = 100.0 * controls[:4]
     states = forward_map(amp_controls, op, grid)
     coeffs = np.array([1.0, -0.5, 0.25, 0.1])
     span_target = np.einsum("a,atx->tx", coeffs, states)
-    residuals = [approximate_target(span_target, amp_controls, op,
-                                    grid, alpha=alpha, states=states).residual
-                 for alpha in (1e-2, 1e-6, 1e-10)]
+    residuals = [r.residual for r in approximate_target(
+        span_target, states, grid, (1e-2, 1e-6, 1e-10))]
     assert residuals[2] <= residuals[1] <= residuals[0]
     assert residuals[2] < 1e-6, f"in-span residual {residuals[2]:.3e}"
 

@@ -138,6 +138,9 @@ def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, messag
 def test_bad_thread_count_exits_with_code_2(tmp_path):
     out = str(tmp_path / "o")
     assert run(["eig", "--out", out, "--threads", "0"]) == 2
+    assert run(["verify", "--out", out, "--seed", "-1"]) == 2
+    sigma = ["--set", "noise.sigma=1e-6"]
+    assert run(["invert-q", "--out", out, "--seed", "-1"] + sigma) == 2
 
 
 # ------------------------------------------------------------- pipelines

@@ -92,3 +92,20 @@ def test_semilinear_route_runs_through_march():
     # the nonlinear response must differ from the linear one
     lin_full = solve_exterior(control, op, grid, None)
     assert np.max(np.abs(full - lin_full)) > 1e-8
+
+
+@pytest.mark.parametrize("model", ["none", "potential", "nonlinear"])
+def test_forward_map_refuses_single_control(model):
+    """Every model takes a control stack (B, n_t+1, n_ext) and refuses one
+    (n_t+1, n_ext) control, as do the measurements built on it."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
+    controls, tests = batteries(grid)
+    model = {
+        "none": None,
+        "potential": np.ones(grid.n_int),
+        "nonlinear": PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int),
+    }[model]
+    with pytest.raises(ValueError, match="control shape"):
+        fw.forward_map(controls[0], op, grid, model)
+    with pytest.raises(ValueError, match="control shape"):
+        dn_matrix(op, grid, controls[0], tests, model)

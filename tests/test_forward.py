@@ -489,6 +489,56 @@ def test_trajectory_guards(guard):
         calls[guard]()
 
 
+@pytest.mark.parametrize(
+    "spoil",
+    [lambda a: a[0], lambda a: a[:-1], lambda a: np.where(a == a.max(), np.nan, a)],
+    ids=["one_slice", "n_t_short", "nan"],
+)
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "modal_source",
+        "newmark_source",
+        "very_weak_source",
+        "very_weak_test",
+        "distributional_source",
+        "distributional_test",
+        "runge_target",
+        "energy_source",
+    ],
+)
+def test_interior_array_guards(entry, spoil):
+    """Every (n_t+1, n_int) array entering from outside is checked like a
+    trajectory: a single slice must not broadcast over time, and one NaN
+    must not spread through a solve."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
+    x = grid.interior_coords
+    good = np.outer(fw.time_window(grid), np.sin(np.pi * x))
+    bad = spoil(good)
+    data = CauchyData.zero(grid.n_int)
+    states = good[None]
+    calls = {
+        "modal_source": lambda: fw.solve_linear_modal(basis, data, bad, grid),
+        "newmark_source": lambda: fw.solve_newmark(op, grid, source=bad),
+        "very_weak_source": lambda: fw.very_weak_residual(
+            good, data, bad, None, good, basis, grid
+        ),
+        "very_weak_test": lambda: fw.very_weak_residual(
+            good, data, None, None, bad, basis, grid
+        ),
+        "distributional_source": lambda: fw.distributional_residual(
+            good, data, bad, None, good, op, grid
+        ),
+        "distributional_test": lambda: fw.distributional_residual(
+            good, data, None, None, bad, op, grid
+        ),
+        "runge_target": lambda: fw.approximate_target(bad, states, grid, (1e-6,)),
+        "energy_source": lambda: fw.data_energy(data, bad, basis, grid),
+    }
+    with pytest.raises(ValueError, match="trajectory"):
+        calls[entry]()
+
+
 def test_energy_bound_single_mode():
     # free single mode: sup_t (|cos wt| + |sin wt|), data energy exactly one
     grid, op, basis = case(n_int=24, s=0.7, n_t=128)

@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave import cli
-from fracwave.runge import (
-    _fit,
-    approximate_target,
-    forward_map,
-    st_inner,
-    st_norm,
-    sweep_alpha,
-    sweep_enrichment,
-)
+from fracwave import cli, runge
+from fracwave.dnmap import forward_map
+from fracwave.runge import _fit, approximate_target, st_inner, st_norm
 from conftest import case
 
 
@@ -59,9 +52,7 @@ def test_in_span_target_recovered():
     states = forward_map(controls, op, grid)
     truth = np.array([1.0, -0.5, 0.25])
     target = np.einsum("a,atx->tx", truth, states)
-    sol = approximate_target(
-        target, controls, op, grid, alpha=1e-12, states=states
-    )
+    sol, = approximate_target(target, states, grid, (1e-12,))
     np.testing.assert_allclose(sol.coeffs, truth, atol=1e-6)
     assert sol.residual <= 1e-8
     np.testing.assert_allclose(
@@ -72,7 +63,7 @@ def test_in_span_target_recovered():
 def test_solution_diagnostics_consistent():
     grid, op, basis, controls = setup()
     target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
-    sol = approximate_target(target, controls, op, grid, alpha=1e-6)
+    sol, = approximate_target(target, forward_map(controls, op, grid), grid, (1e-6,))
     assert sol.residual == pytest.approx(sol.misfit / st_norm(target, grid), rel=1e-12)
     assert sol.objective == pytest.approx(
         sol.misfit**2 + sol.alpha * sol.coeff_norm**2, rel=1e-12
@@ -82,32 +73,35 @@ def test_solution_diagnostics_consistent():
 
 def test_approximate_target_validations():
     grid, op, basis, controls = setup(n_t=16)
+    states = forward_map(controls, op, grid)
     target = np.zeros((grid.n_t + 1, grid.n_int))
-    with pytest.raises(ValueError):
-        approximate_target(target, controls, op, grid, alpha=0.0)
-    with pytest.raises(ValueError):
-        approximate_target(target[:-1], controls, op, grid)
-    bad_states = np.zeros((1, grid.n_t + 1, grid.n_int))
-    with pytest.raises(ValueError):
-        approximate_target(target, controls, op, grid, states=bad_states)
+    for alphas in ((1e-6, 0.0), (-1e-6,), (float("nan"),), ()):
+        with pytest.raises(ValueError, match="alphas must be positive"):
+            approximate_target(target, states, grid, alphas)
+    with pytest.raises(ValueError, match="trajectory shape"):
+        approximate_target(target[:-1], states, grid, (1e-6,))
+    for bad_states in (states[:0], states[:, :-1], states[0], states[..., :-1]):
+        with pytest.raises(ValueError, match="states shape"):
+            approximate_target(target, bad_states, grid, (1e-6,))
 
 
 def test_fit_solves_normal_equations_and_rejects_indefinite():
     grid, op, basis, controls = setup(n_t=16)
     states = forward_map(controls, op, grid)
-    target = states[0]
-    coeffs, gram = _fit(states, target, 1e-6, grid)
+    gram = fw.st_gram(states, states, grid)
+    coeffs = _fit(gram, gram[:, 0], 1e-6)
     system = gram + 1e-6 * np.eye(len(gram))
     np.testing.assert_allclose(system @ coeffs, gram[:, 0], rtol=1e-9, atol=1e-12)
     with pytest.raises(np.linalg.LinAlgError):
-        _fit(states, target, -2.0 * np.trace(gram), grid)
+        _fit(gram, gram[:, 0], -2.0 * np.trace(gram))
 
 
 def test_alpha_sweep_monotone():
     grid, op, basis, controls = setup()
     target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
     alphas = tuple(10.0**-k for k in range(2, 9))
-    rows = sweep_alpha(target, controls, op, grid, alphas=alphas)
+    rows = approximate_target(target, forward_map(controls, op, grid), grid, alphas)
+    assert [r.alpha for r in rows] == list(alphas)
     resid = np.array([r.residual for r in rows])
     coeff = np.array([r.coeff_norm for r in rows])
     assert np.all(np.diff(resid) <= 1e-12)
@@ -118,13 +112,12 @@ def test_alpha_sweep_monotone():
 def test_enrichment_lowers_objective():
     grid, op, basis, controls = setup()
     target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
-    rows = sweep_enrichment(target, controls, op, grid, alpha=1e-8)
-    sizes = [k for k, _ in rows]
-    assert sizes == list(range(1, len(controls) + 1))
-    objectives = np.array([r.objective for _, r in rows])
+    states = forward_map(controls, op, grid)
+    rows = [approximate_target(target, states[:k], grid, (1e-8,))[0]
+            for k in range(1, len(states) + 1)]
+    assert [len(r.coeffs) for r in rows] == list(range(1, len(controls) + 1))
+    objectives = np.array([r.objective for r in rows])
     assert np.all(np.diff(objectives) <= 1e-12)
-    with pytest.raises(ValueError):
-        sweep_enrichment(target, controls, op, grid, sizes=(0,))
 
 
 def test_sweep_csv_roundtrip(tmp_path):
@@ -136,10 +129,30 @@ def test_sweep_csv_roundtrip(tmp_path):
     # the default target: the first mode oscillating at its own frequency
     om = np.sqrt(basis.lambdas[0])
     target = np.cos(om * grid.times())[:, None] * basis.modes[:, 0][None, :]
-    rows = sweep_alpha(target, controls, op, grid, alphas=(1e-4, 1e-6))
+    states = forward_map(controls, op, grid)
+    rows = approximate_target(target, states, grid, (1e-4, 1e-6))
     lines = (tmp_path / "runge_sweep.csv").read_text().splitlines()
     assert lines[0] == "alpha,misfit,residual,coeff_norm,objective,gram_cond"
     assert len(lines) == 1 + len(rows)
     for line, r in zip(lines[1:], rows):
         expect = (r.alpha, r.misfit, r.residual, r.coeff_norm, r.objective, r.gram_cond)
         assert [float(v) for v in line.split(",")] == list(expect)
+
+
+def test_one_gram_per_fit(monkeypatch):
+    """The Gram and the moments are formed once per call, for any number of
+    alphas."""
+    grid, op, basis, controls = setup(n_t=16)
+    states = forward_map(controls, op, grid)
+    target = states[0] - 0.5 * states[-1]
+    calls = []
+
+    def counting(a, b, grid):
+        calls.append(b.shape[0])
+        return fw.st_gram(a, b, grid)
+
+    monkeypatch.setattr(runge, "st_gram", counting)
+    alphas = tuple(10.0**-k for k in range(2, 11))
+    rows = approximate_target(target, states, grid, alphas)
+    assert len(rows) == 9
+    assert sorted(calls) == [1, len(states)]
