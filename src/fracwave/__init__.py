@@ -4,8 +4,12 @@ very-weak solver with exterior control, measurement maps, Runge-type
 control fitting, and coefficient recovery for potentials and power-type
 nonlinearities.
 
-Submodules load lazily so that the command-line entry point can pin BLAS
-threading before any numerical import happens.
+Every public name is `fracwave.<name>`, and the `__all__` of the module
+that defines it is the only list of them: `fracwave.__all__` is
+`__version__` plus their union.  Submodules load lazily, on the first
+lookup of one of their names, so that the command-line entry point
+(`fracwave.cli`, not re-exported) can pin BLAS threading before any
+numerical import happens.
 """
 from __future__ import annotations
 
@@ -13,86 +17,31 @@ import importlib
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    # grid
-    "Grid": "grid",
-    "build_grid": "grid",
-    # fracop
-    "centered_weights": "fracop",
-    "FracOperator": "fracop",
-    "assemble_operator": "fracop",
-    # spectral
-    "SpectralBasis": "spectral",
-    "eigendecompose": "spectral",
-    "project_l2": "spectral",
-    "reconstruct": "spectral",
-    "dual_norm": "spectral",
-    "dual_norm_variational": "spectral",
-    # fields
-    "CauchyData": "fields",
-    "time_window": "fields",
-    "tensor_control": "fields",
-    "control_basis": "fields",
-    # forward
-    "WaveSolution": "forward",
-    "PicardReport": "forward",
-    "PicardError": "forward",
-    "SolverBlowupError": "forward",
-    "duhamel_coefficient": "forward",
-    "solve_linear_modal": "forward",
-    "lift_exterior": "forward",
-    "solve_with_potential": "forward",
-    "solve_with_potential_picard": "forward",
-    "solve_newmark": "forward",
-    "newmark_dt_bound": "forward",
-    "very_weak_residual": "forward",
-    "distributional_residual": "forward",
-    "trapezoid_weights": "forward",
-    "st_gram": "forward",
-    "st_inner": "forward",
-    "sup_energy": "forward",
-    "data_energy": "forward",
-    # nonlinearity
-    "PolyNonlinearity": "nonlinearity",
-    "lp_norm": "nonlinearity",
-    # dnmap
-    "dn_trace": "dnmap",
-    "solve_exterior": "dnmap",
-    "dn_matrix": "dnmap",
-    "forward_map": "dnmap",
-    "grid_signature": "dnmap",
-    # runge
-    "st_norm": "runge",
-    "RungeSolution": "runge",
-    "approximate_target": "runge",
-    # inversion
-    "PotentialRecovery": "inversion",
-    "recover_potential": "inversion",
-    "linear_response": "inversion",
-    "reaction_from_march": "inversion",
-    "extrapolate_powers": "inversion",
-    "fit_profile": "inversion",
-    "ExpansionEstimate": "inversion",
-    "recover_expansion": "inversion",
-    # verify
-    "run_checks": "verify",
-    "report_lines": "verify",
-    "CHECKS": "verify",
-    "THRESHOLDS": "verify",
-}
+_MODULES = (
+    "grid", "fracop", "spectral", "fields", "forward",
+    "nonlinearity", "dnmap", "runge", "inversion", "verify",
+)
 
-__all__ = ["__version__", *sorted(_EXPORTS)]
+
+def _modules():
+    """The re-exported modules, imported one by one in `_MODULES` order."""
+    return (importlib.import_module(f".{name}", __name__) for name in _MODULES)
 
 
 def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
+    if name == "__all__":
+        value = ["__version__", *sorted(n for m in _modules() for n in m.__all__)]
+    else:
+        # private names (tool probes such as __wrapped__) and submodule names
+        # import nothing here: `from fracwave import cli` must not load numpy
+        owners = () if name.startswith("_") or name in (*_MODULES, "cli") else _modules()
+        owner = next((m for m in owners if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

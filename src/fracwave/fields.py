@@ -42,6 +42,8 @@ class CauchyData:
         u1 = np.asarray(self.u1, dtype=float)
         if u0.shape != u1.shape or u0.ndim != 1:
             raise ValueError(f"u0/u1 must be matching vectors, got {u0.shape}, {u1.shape}")
+        if not (np.isfinite(u0).all() and np.isfinite(u1).all()):
+            raise ValueError("Cauchy data u0/u1 contain non-finite values")
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
 

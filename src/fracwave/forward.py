@@ -63,7 +63,6 @@ __all__ = [
     "PicardReport",
     "PicardError",
     "SolverBlowupError",
-    "duhamel_coefficient",
     "solve_linear_modal",
     "lift_exterior",
     "solve_with_potential",
@@ -81,6 +80,10 @@ __all__ = [
 
 # relative headroom of the march's CFL bound over the Gershgorin lambda_max
 CFL_MARGIN = 0.25
+# Picard stops once an update falls below PICARD_TOL times the first
+# iterate's size, and gives up on a theta after PICARD_MAX_ITER updates
+PICARD_TOL = 1e-12
+PICARD_MAX_ITER = 256
 
 
 @dataclass(frozen=True)
@@ -167,35 +170,6 @@ def _modal_coefficients(
         c = c + (sin_t * icos - cos_t * isin) / om
         cdot = cdot + cos_t * icos + sin_t * isin
     return c, cdot
-
-
-def duhamel_coefficient(
-    lam: float,
-    u0k: float,
-    u1k: float,
-    fk: np.ndarray | None,
-    tgrid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-mode solution (c, c') on a uniform time grid.
-
-    fk, when given, holds the forcing coefficient sampled on tgrid.  The
-    Duhamel term uses composite trapezoid quadrature on the same grid.
-    """
-    if not lam > 0:
-        raise ValueError(f"modal frequency needs lambda > 0, got {lam}")
-    tgrid = np.asarray(tgrid, dtype=float)
-    if tgrid.ndim != 1 or tgrid.shape[0] < 2:
-        raise ValueError("tgrid must hold at least two nodes")
-    steps = np.diff(tgrid)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise ValueError("tgrid must be uniform")
-    f = None if fk is None else np.asarray(fk, dtype=float)[None, :]
-    if f is not None and f.shape[1] != tgrid.shape[0]:
-        raise ValueError(f"fk has {f.shape[1]} samples, tgrid has {tgrid.shape[0]}")
-    c, cdot = _modal_coefficients(
-        np.array([lam]), np.array([float(u0k)]), np.array([float(u1k)]), f, tgrid
-    )
-    return c[0], cdot[0]
 
 
 def solve_linear_modal(
@@ -294,8 +268,6 @@ def solve_with_potential_picard(
     source: np.ndarray | None,
     grid: Grid,
     *,
-    tol: float = 1e-12,
-    max_iter: int = 256,
     theta0: float = 1.0,
     theta_cap: float = 2.0**20,
     ratio_bound: float = 0.9,
@@ -305,8 +277,10 @@ def solve_with_potential_picard(
 
     theta starts at theta0 and doubles whenever the observed update ratio
     exceeds ratio_bound (restarting the iteration), up to theta_cap; beyond
-    the cap a PicardError carries the diagnostic report.  tol is relative to
-    the size of the first iterate.
+    the cap a PicardError carries the diagnostic report.  The iteration
+    stops once an update falls below PICARD_TOL relative to the size of the
+    first iterate.  A q that is None or all zero returns the plain modal
+    solve, bit for bit.
     """
     if q is not None:
         q = _potential(q, grid)
@@ -329,7 +303,7 @@ def solve_with_potential_picard(
         needs_larger_theta = False
         iterations = 0
         update = np.inf
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, PICARD_MAX_ITER + 1):
             src = -q[None, :] * current.u
             if source is not None:
                 src = src + source
@@ -338,10 +312,10 @@ def solve_with_potential_picard(
             if prev_update is not None and prev_update > 1e3 * np.finfo(float).eps * scale:
                 ratio = update / prev_update
                 contraction = max(contraction, ratio)
-                if ratio > ratio_bound and update > 10 * tol * scale:
+                if ratio > ratio_bound and update > 10 * PICARD_TOL * scale:
                     needs_larger_theta = True
             current = nxt
-            if update <= tol * scale:
+            if update <= PICARD_TOL * scale:
                 converged = True
                 break
             if needs_larger_theta:
@@ -499,15 +473,11 @@ def very_weak_residual(
     g = _trajectory(g, grid.n_int, grid)
     if source is not None:
         source = _trajectory(source, grid.n_int, grid)
-    if q is not None:
-        q = _potential(q, grid)
 
-    g_rev = g[::-1].copy()
-    zero = CauchyData.zero(grid.n_int)
-    if q is None or not np.any(q):
-        back = solve_linear_modal(basis, zero, g_rev, grid)
-    else:
-        back, _ = solve_with_potential_picard(basis, q, zero, g_rev, grid)
+    # Picard returns the plain modal solve when q is None or zero
+    back, _ = solve_with_potential_picard(
+        basis, q, CauchyData.zero(grid.n_int), g[::-1].copy(), grid
+    )
     v = back.u[::-1]
     v0 = back.u[-1]
     vdot0 = -back.udot[-1]  # chain rule under t -> T - t

@@ -44,9 +44,6 @@ __all__ = [
     "assemble_operator",
 ]
 
-# assembly fails if the symmetrization correction exceeds this (relative)
-ASYMMETRY_TOL = 1e-10
-
 
 def centered_weights(s: float, j_max: int) -> np.ndarray:
     """One-sided fractional centered-difference weights g_0 .. g_j_max.
@@ -105,7 +102,7 @@ class FracOperator:
 
     a_full acts on full-grid vectors (zero exterior extension built in);
     a_int is the interior principal submatrix.  weights holds the composed
-    one-sided stencil, asymmetry the recorded symmetrization diagnostic.
+    one-sided stencil.
     """
 
     s: float
@@ -113,7 +110,6 @@ class FracOperator:
     weights: np.ndarray
     a_full: np.ndarray
     a_int: np.ndarray
-    asymmetry: float
 
     @cached_property
     def basis(self) -> SpectralBasis:
@@ -143,21 +139,13 @@ def assemble_operator(grid: Grid, s: float) -> FracOperator:
 
     scale = grid.h ** (-2.0 * s)
     offs = np.abs(offsets[:, None] - offsets[None, :])
-    m = scale * w[offs]
-    sym = 0.5 * (m + m.T)
-    denom = np.abs(sym).max()
-    asym = float(np.abs(m - m.T).max() / denom) if denom > 0 else 0.0
-    if asym > ASYMMETRY_TOL:
-        raise ValueError(f"operator asymmetry {asym:.3e} exceeds {ASYMMETRY_TOL:.1e}")
-
-    a_int = sym[grid.interior_slice, grid.interior_slice]
+    a_full = scale * w[offs]  # symmetric bit for bit: entries depend on |i - j|
+    a_int = a_full[grid.interior_slice, grid.interior_slice]
     try:
         np.linalg.cholesky(a_int)
     except np.linalg.LinAlgError as exc:
         raise ValueError("interior operator block is not positive definite") from exc
 
-    for arr in (w, sym, a_int):
+    for arr in (w, a_full, a_int):
         arr.setflags(write=False)
-    return FracOperator(
-        s=s, h=grid.h, weights=w, a_full=sym, a_int=a_int, asymmetry=asym
-    )
+    return FracOperator(s=s, h=grid.h, weights=w, a_full=a_full, a_int=a_int)

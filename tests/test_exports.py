@@ -1,18 +1,51 @@
-"""The lazy top-level exports and the submodules' __all__ lists agree."""
+"""The package re-exports each module's __all__, lazily: the modules' lists
+are the only lists of public names."""
 
 import importlib
+import subprocess
+import sys
 
 import fracwave
 
 
-def test_exports_match_module_all():
-    by_module: dict[str, set[str]] = {}
-    for name, module_name in fracwave._EXPORTS.items():
-        by_module.setdefault(module_name, set()).add(name)
-        assert getattr(fracwave, name) is not None
-    for module_name, exported in by_module.items():
-        module_all = set(importlib.import_module(f"fracwave.{module_name}").__all__)
-        assert exported == module_all, (
-            f"{module_name}: exported but not in __all__ {sorted(exported - module_all)}, "
-            f"in __all__ but not exported {sorted(module_all - exported)}"
-        )
+def _modules():
+    return [importlib.import_module(f"fracwave.{name}") for name in fracwave._MODULES]
+
+
+def test_no_name_is_exported_twice():
+    owners: dict[str, str] = {}
+    for module in _modules():
+        for name in module.__all__:
+            assert name not in owners, f"{name} in {owners.get(name)} and {module.__name__}"
+            owners[name] = module.__name__
+
+
+def test_package_all_is_version_plus_module_names():
+    names = sorted(n for module in _modules() for n in module.__all__)
+    assert fracwave.__all__ == ["__version__", *names]
+    assert set(fracwave.__all__) <= set(dir(fracwave))
+
+
+def test_package_names_are_the_module_objects():
+    for module in _modules():
+        for name in module.__all__:
+            assert getattr(fracwave, name) is getattr(module, name), name
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from fracwave import *", namespace)
+    assert set(fracwave.__all__) <= set(namespace)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # the CLI pins BLAS threads before the first numerical import
+    code = (
+        "import sys\n"
+        "from fracwave import cli\n"
+        "import fracwave, fracwave.cli\n"
+        "assert not hasattr(fracwave, '__wrapped__')\n"
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

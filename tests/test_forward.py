@@ -70,17 +70,14 @@ def test_free_evolution_time_reversible():
     assert sup_l2_gap(back.u, sol.u[::-1], grid.h) <= 1e-10
 
 
-def test_duhamel_coefficient_rejects():
-    t = np.linspace(0, 1, 9)
-    f = np.zeros(9)
-    with pytest.raises(ValueError):
-        fw.duhamel_coefficient(-1.0, 1.0, 0.0, f, t)
-    with pytest.raises(ValueError):
-        fw.duhamel_coefficient(1.0, 1.0, 0.0, f, t[:1])
-    with pytest.raises(ValueError):
-        fw.duhamel_coefficient(1.0, 1.0, 0.0, f, t**2)
-    with pytest.raises(ValueError):
-        fw.duhamel_coefficient(1.0, 1.0, 0.0, f[:5], t)
+@pytest.mark.parametrize(
+    "u0, u1",
+    [([0.0, np.nan, 0.0], [0.0, 0.0, 0.0]), ([0.0, 0.0, 0.0], [0.0, np.inf, 0.0])],
+    ids=["nan_u0", "inf_u1"],
+)
+def test_cauchy_data_rejects_non_finite(u0, u1):
+    with pytest.raises(ValueError, match="Cauchy data u0/u1 contain non-finite"):
+        CauchyData(u0, u1)
 
 
 def test_modal_shape_checks(rng):

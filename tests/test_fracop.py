@@ -81,7 +81,6 @@ def test_classical_order_gives_tridiagonal():
 def test_operator_symmetric_and_positive():
     grid, op, _ = case(n_int=20, s=0.7, n_t=8)
     assert np.array_equal(op.a_full, op.a_full.T)
-    assert op.asymmetry <= 1e-10
     assert np.linalg.eigvalsh(op.a_int)[0] > 0.0
 
 
