@@ -21,10 +21,10 @@ Potential route.  The trapezoid Duhamel sum gives the forcing at t_j zero
 weight in c_k(t_j) (its sin/cos parts cancel), so the Picard fixed point
 u = S(F - q u) is lower triangular in time and one forward sweep solves it.
 
-Every space-time pairing in this package goes through `st_gram`, with the
-same trapezoid weights; that choice makes the discrete solution operator
-exactly self-adjoint under time reversal, which the transposition-style
-residual identities below inherit.
+Every space-time pairing in this package uses the trapezoid weights of
+`st_gram` (the Runge fit applies them to its design matrix directly); that
+choice makes the discrete solution operator exactly self-adjoint under time
+reversal, which the transposition-style residual identities below inherit.
 
 Time stepping route.  An explicit central-difference (Stormer-Verlet) march
 on the full grid doubles as an independent oracle for the modal solver and

@@ -7,18 +7,20 @@ a finite stack of control states u_a (the `forward_map` output),
 
     min_c  || sum_a c_a u_a - psi ||^2  +  alpha ||c||^2,
 
-solved through the normal equations (G + alpha I) c = beta with the
-space-time Gram matrix G_ab = <u_a, u_b> and moment vector
-beta_a = <u_a, psi>.  One `approximate_target` call forms G, beta, the
-spectrum of G and ||psi|| once and solves one Cholesky system per alpha.
-The reported misfit is recomputed directly from the achieved
-superposition, never inferred from the normal equations.
+solved by filter factors on a factorization, never through the normal
+equations.  Weighted by sqrt(h w_t) (the trapezoid weights of `st_gram`),
+the states and the target are the columns of one tall matrix; its QR
+triangle holds R_11 and Q^T psi, so Q is never formed.  With the SVD
+R_11 = P diag(sigma) W^T, each alpha costs c = W diag(sigma / (sigma^2 +
+alpha)) P^T Q^T psi.  sigma^2 are the eigenvalues of the Gram matrix
+G_ab = <u_a, u_b>, so alpha keeps its Gram scale and cond(G) =
+(sigma_max / sigma_min)^2, but G, which squares the condition number, is
+never formed.  The misfit is recomputed from the achieved superposition.
 
 Two monotonicity facts matter downstream.  Shrinking alpha never increases
 the misfit (exact for any fixed basis), and enlarging the basis never
-increases the full objective (nested feasible sets).  An enrichment study
-fits the prefixes states[:k] of one stack; there the misfit alone may move
-either way at fixed alpha, so a study reports both.
+increases the full objective (nested feasible sets); the misfit alone of
+nested prefixes states[:k] may move either way at fixed alpha.
 """
 from __future__ import annotations
 
@@ -26,14 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _trajectory, st_gram, st_inner
+from .forward import _trajectory, st_inner, trapezoid_weights
 from .grid import Grid
 
-__all__ = [
-    "st_norm",
-    "RungeSolution",
-    "approximate_target",
-]
+__all__ = ["st_norm", "RungeSolution", "approximate_target"]
 
 
 def st_norm(a: np.ndarray, grid: Grid) -> float:
@@ -57,13 +55,6 @@ class RungeSolution:
         return self.misfit**2 + self.alpha * self.coeff_norm**2
 
 
-def _fit(gram: np.ndarray, beta: np.ndarray, alpha: float) -> np.ndarray:
-    """Coefficients of (gram + alpha I) c = beta by Cholesky; raises
-    LinAlgError where the system is not positive definite."""
-    low = np.linalg.cholesky(gram + alpha * np.eye(gram.shape[0]))
-    return np.linalg.solve(low.T, np.linalg.solve(low, beta))
-
-
 def approximate_target(
     target: np.ndarray,
     states: np.ndarray,
@@ -77,17 +68,25 @@ def approximate_target(
     states = np.asarray(states, dtype=float)
     if states.ndim != 3 or states.shape[0] == 0 or states.shape[1:] != target.shape:
         raise ValueError(f"states shape {states.shape} is not (B > 0, *{target.shape})")
-    if len(alphas) == 0 or not all(a > 0 for a in alphas):
+    if not np.isfinite(states).all():
+        raise ValueError("states contain non-finite values")
+    if len(alphas) == 0 or not all(0 < a < np.inf for a in alphas):
         raise ValueError(f"alphas must be positive and nonempty, got {alphas}")
 
-    gram = st_gram(states, states, grid)
-    beta = st_gram(states, target[None], grid)[:, 0]
-    eigs = np.linalg.eigvalsh(gram)
-    cond = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else np.inf
+    n_b = states.shape[0]
+    root = np.sqrt(grid.h * trapezoid_weights(grid.n_t, grid.dt))[:, None]
+    cols = np.empty((n_b + 1, *target.shape))  # the tall matrix, column-major
+    np.multiply(states, root, out=cols[:-1])
+    np.multiply(target, root, out=cols[-1])
+    r = np.linalg.qr(cols.reshape(n_b + 1, -1).T, mode="r")[:n_b]
+    p, sig, wt = np.linalg.svd(r[:, :-1], full_matrices=False)
+    moments = p.T @ r[:, -1]
+    low = sig[-1] if len(sig) == n_b else 0.0  # fewer rows than states: singular
+    cond = float((sig[0] / low) ** 2) if low > 0 else np.inf
     scale = st_norm(target, grid)
     out = []
     for alpha in alphas:
-        coeffs = _fit(gram, beta, alpha)
+        coeffs = wt.T @ (sig / (sig**2 + alpha) * moments)
         achieved = np.einsum("a,atx->tx", coeffs, states)
         misfit = st_norm(achieved - target, grid)
         out.append(RungeSolution(

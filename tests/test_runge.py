@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave import cli, runge
+from fracwave import cli
 from fracwave.dnmap import forward_map
-from fracwave.runge import _fit, approximate_target, st_inner, st_norm
+from fracwave.runge import approximate_target, st_inner, st_norm
 from conftest import case
 
 
@@ -75,7 +75,7 @@ def test_approximate_target_validations():
     grid, op, basis, controls = setup(n_t=16)
     states = forward_map(controls, op, grid)
     target = np.zeros((grid.n_t + 1, grid.n_int))
-    for alphas in ((1e-6, 0.0), (-1e-6,), (float("nan"),), ()):
+    for alphas in ((1e-6, 0.0), (-1e-6,), (float("nan"),), (np.inf,), ()):
         with pytest.raises(ValueError, match="alphas must be positive"):
             approximate_target(target, states, grid, alphas)
     with pytest.raises(ValueError, match="trajectory shape"):
@@ -83,17 +83,27 @@ def test_approximate_target_validations():
     for bad_states in (states[:0], states[:, :-1], states[0], states[..., :-1]):
         with pytest.raises(ValueError, match="states shape"):
             approximate_target(target, bad_states, grid, (1e-6,))
+    nan_states = states.copy()
+    nan_states[1, 3, 4] = np.nan
+    with pytest.raises(ValueError, match="states contain non-finite values"):
+        approximate_target(target, nan_states, grid, (1e-6,))
 
 
-def test_fit_solves_normal_equations_and_rejects_indefinite():
-    grid, op, basis, controls = setup(n_t=16)
-    states = forward_map(controls, op, grid)
-    gram = fw.st_gram(states, states, grid)
-    coeffs = _fit(gram, gram[:, 0], 1e-6)
-    system = gram + 1e-6 * np.eye(len(gram))
-    np.testing.assert_allclose(system @ coeffs, gram[:, 0], rtol=1e-9, atol=1e-12)
-    with pytest.raises(np.linalg.LinAlgError):
-        _fit(gram, gram[:, 0], -2.0 * np.trace(gram))
+def test_coefficients_solve_normal_equations():
+    """The factorized fit is the Tikhonov solution: (G + alpha I) c = beta,
+    with the Gram G and the moments beta formed directly as an oracle."""
+    # the second stack has more states (72) than space-time rows (17 x 4)
+    for n_int, n_freqs in ((20, 2), (4, 24)):
+        grid, op, basis = case(n_int=n_int, s=0.7, n_t=16)
+        states = forward_map(fw.control_basis(grid, grid.w_mask(1), n_freqs), op, grid)
+        target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
+        gram = fw.st_gram(states, states, grid)
+        beta = fw.st_gram(states, target[None], grid)[:, 0]
+        rows = approximate_target(target, states, grid, (1e-2, 1e-6))
+        for sol in rows:
+            system = gram + sol.alpha * np.eye(len(gram))
+            np.testing.assert_allclose(system @ sol.coeffs, beta, rtol=1e-9, atol=1e-12)
+    assert rows[0].gram_cond == np.inf
 
 
 def test_alpha_sweep_monotone():
@@ -139,20 +149,57 @@ def test_sweep_csv_roundtrip(tmp_path):
         assert [float(v) for v in line.split(",")] == list(expect)
 
 
-def test_one_gram_per_fit(monkeypatch):
-    """The Gram and the moments are formed once per call, for any number of
-    alphas."""
+def test_one_factorization_per_fit(monkeypatch):
+    """One QR and one small SVD per call, for any number of alphas."""
     grid, op, basis, controls = setup(n_t=16)
     states = forward_map(controls, op, grid)
     target = states[0] - 0.5 * states[-1]
     calls = []
 
-    def counting(a, b, grid):
-        calls.append(b.shape[0])
-        return fw.st_gram(a, b, grid)
+    def counting(name):
+        inner = getattr(np.linalg, name)
 
-    monkeypatch.setattr(runge, "st_gram", counting)
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return inner(a, *args, **kwargs)
+
+        return wrapped
+
+    for name in ("qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     alphas = tuple(10.0**-k for k in range(2, 11))
     rows = approximate_target(target, states, grid, alphas)
     assert len(rows) == 9
-    assert sorted(calls) == [1, len(states)]
+    n_b = len(states)
+    assert calls == [("qr", (target.size, n_b + 1)), ("svd", (n_b, n_b))]
+
+
+def test_wide_window_reaches_small_alphas():
+    """Every exterior node of an 8-node collar as the window, 8 frequencies
+    (B = 128) and the CLI's bump target.  Through the Gram's normal
+    equations this fit stalls at 0.326 and its Cholesky fails below
+    alpha = 1e-20 sigma_max^2; the factorized fit keeps descending."""
+    grid = fw.build_grid(x_min=0.0, x_max=1.0, n_int=32, m_collar=8,
+                         w1=tuple(range(16)), w2=(0,), T=1.0, n_t=128)
+    op = fw.assemble_operator(grid, 0.7)
+    states = forward_map(fw.control_basis(grid, grid.w_mask(1), 8), op, grid)
+    target = cli._runge_target({"runge.target": "bump"}, grid, op)
+    assert len(states) == 128
+    top = np.linalg.eigvalsh(fw.st_gram(states, states, grid))[-1]
+    alphas = tuple(top * 10.0**-k for k in range(2, 32, 2))
+    rows = approximate_target(target, states, grid, alphas)
+    resid = np.array([r.residual for r in rows])
+    assert np.all(np.diff(resid) <= 1e-12)
+    assert resid.min() <= 0.25
+    assert all(np.isfinite(r.gram_cond) for r in rows)
+
+
+def test_wide_window_cli_sweep(tmp_path):
+    sets = ["domain.n_int=32", "time.n_t=128", "domain.m_collar=8",
+            "domain.w1=" + ",".join(map(str, range(16))), "domain.w2=0",
+            "runge.freqs=8", "runge.target=bump", "runge.alphas=1e-2,1e-10,1e-22"]
+    args = ["runge", "--out", str(tmp_path)]
+    assert cli.main(args + [a for kv in sets for a in ("--set", kv)]) == 0
+    lines = (tmp_path / "runge_sweep.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3
+    assert all(np.isfinite(float(line.split(",")[-1])) for line in lines[1:])
