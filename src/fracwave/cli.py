@@ -10,9 +10,10 @@ seed reproduce every artifact byte for byte; timings live only in the
 manifest.
 
 Numerical modules are imported inside the runners, after `--threads` has
-pinned the BLAS thread count through the environment, so the pin actually
-takes effect and runs stay reproducible across machines with different
-core counts.
+pinned the BLAS thread count through the environment, so the pin takes
+effect when numpy is first imported by the run and runs stay reproducible
+across machines with different core counts.  `main` restores the thread
+variables before it returns.
 """
 from __future__ import annotations
 
@@ -52,8 +53,7 @@ _COMMON = {
     "time.n_t": ("int", 256),
     "operator.s": ("float", 0.7),
 }
-_MODEL = {
-    "model.kind": ("str", "none"),  # none | potential
+_MODEL = {  # potential q0 + qcos cos(pi x^), x^ the interior scaled to [0, 1]
     "model.q0": ("float", 0.0),
     "model.qcos": ("float", 0.0),
 }
@@ -227,15 +227,6 @@ def _cosine_profile(grid, base: float, amp: float):
     return base + amp * np.cos(np.pi * xh)
 
 
-def _model_potential(cfg, grid):
-    kind = cfg["model.kind"]
-    if kind == "none":
-        return None
-    if kind == "potential":
-        return _cosine_profile(grid, cfg["model.q0"], cfg["model.qcos"])
-    raise ConfigError(f"unknown model.kind {kind!r} (none | potential)")
-
-
 def _run_eig(cfg, art, seed) -> tuple[int, dict]:
     import numpy as np
 
@@ -260,7 +251,7 @@ def _run_solve(cfg, art, seed) -> tuple[int, dict]:
     from .fields import tensor_control
 
     grid, op = _build(cfg)
-    q = _model_potential(cfg, grid)
+    q = _cosine_profile(grid, cfg["model.q0"], cfg["model.qcos"])
     control = _checked(
         tensor_control,
         grid,
@@ -284,7 +275,7 @@ def _run_dn(cfg, art, seed) -> tuple[int, dict]:
     from .fields import control_basis
 
     grid, op = _build(cfg)
-    q = _model_potential(cfg, grid)
+    q = _cosine_profile(grid, cfg["model.q0"], cfg["model.qcos"])
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["controls.freqs"])
     tests = _checked(control_basis, grid, grid.w_mask(2), cfg["tests.freqs"])
     matrix = dn_matrix(op, grid, controls, tests, q)
@@ -333,7 +324,7 @@ def _run_runge(cfg, art, seed) -> tuple[int, dict]:
     if not alphas or min(alphas) <= 0.0:
         raise ConfigError(f"runge.alphas must be positive and nonempty, got {alphas}")
     grid, op = _build(cfg)
-    q = _model_potential(cfg, grid)
+    q = _cosine_profile(grid, cfg["model.q0"], cfg["model.qcos"])
     controls = _checked(control_basis, grid, grid.w_mask(1), cfg["runge.freqs"])
     target = _runge_target(cfg, grid, op)
     states = forward_map(controls, op, grid, q)
@@ -513,8 +504,20 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--out", default="fracwave_out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None, help="pin BLAS threads")
+        p.add_argument(
+            "--threads",
+            type=int,
+            help="pin BLAS threads (works only before numpy is first imported)",
+        )
     return parser
+
+
+_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "OMP_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -522,18 +525,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 2
+    if args.threads is not None and args.threads < 1:
+        print("error: --threads must be >= 1", file=sys.stderr)
+        return 2
+    saved = {var: os.environ[var] for var in _THREAD_VARS if var in os.environ}
     if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be >= 1", file=sys.stderr)
-            return 2
-        for var in (
-            "OPENBLAS_NUM_THREADS",
-            "OMP_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = str(args.threads)
+        os.environ.update(dict.fromkeys(_THREAD_VARS, str(args.threads)))
+    try:
+        return _run(args)
+    finally:
+        for var in _THREAD_VARS:
+            os.environ.pop(var, None)
+        os.environ.update(saved)
 
+
+def _run(args) -> int:
     try:
         cfg = resolve_config(args.cmd, args.config, args.sets)
     except ConfigError as exc:

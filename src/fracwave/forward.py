@@ -81,7 +81,7 @@ __all__ = [
 # relative headroom of the march's CFL bound over the Gershgorin lambda_max
 CFL_MARGIN = 0.25
 # Picard stops once an update falls below PICARD_TOL times the first
-# iterate's size, and gives up on a theta after PICARD_MAX_ITER updates
+# iterate's size, and raises after PICARD_MAX_ITER updates
 PICARD_TOL = 1e-12
 PICARD_MAX_ITER = 256
 
@@ -253,7 +253,7 @@ class PicardReport:
     contraction: float  # max observed successive-update ratio
     iterations: int
     final_update: float
-    thetas_tried: tuple[float, ...]
+    thetas_tried: tuple[float, ...]  # always (theta,)
 
 
 def _theta_norm(values: np.ndarray, theta: float, tgrid: np.ndarray, h: float) -> float:
@@ -268,74 +268,43 @@ def solve_with_potential_picard(
     source: np.ndarray | None,
     grid: Grid,
     *,
-    theta0: float = 1.0,
-    theta_cap: float = 2.0**20,
-    ratio_bound: float = 0.9,
+    theta: float = 1.0,
 ) -> tuple[WaveSolution, PicardReport]:
-    """Fixed point of u -> S(F - q u) in the weighted norm
-    sup_t e^(-theta t) ||u(t)||_L2.
+    """Fixed point of u -> S(F - q u), iterated from the modal solve S F.
 
-    theta starts at theta0 and doubles whenever the observed update ratio
-    exceeds ratio_bound (restarting the iteration), up to theta_cap; beyond
-    the cap a PicardError carries the diagnostic report.  The iteration
-    stops once an update falls below PICARD_TOL relative to the size of the
-    first iterate.  A q that is None or all zero returns the plain modal
-    solve, bit for bit.
+    theta only sets the norm sup_t e^(-theta t) ||u(t)||_L2 of the stopping
+    test; the iterates do not depend on it.  The iteration stops once an
+    update is at most PICARD_TOL times the size of the first iterate, and
+    raises a PicardError carrying its report when that has not happened
+    after PICARD_MAX_ITER updates (a NaN update never passes the test).  A q
+    that is None or all zero returns the plain modal solve, bit for bit.
     """
+    theta = float(theta)
     if q is not None:
         q = _potential(q, grid)
-    tgrid = grid.times()
-    base = solve_linear_modal(basis, data, source, grid)
+    current = solve_linear_modal(basis, data, source, grid)
     if q is None or not np.any(q):
-        report = PicardReport(theta0, 0.0, 1, 0.0, (theta0,))
-        return base, report
+        return current, PicardReport(theta, 0.0, 1, 0.0, (theta,))
 
-    thetas: list[float] = []
-    theta = float(theta0)
-    last_report = None
-    while True:
-        thetas.append(theta)
-        scale = max(_theta_norm(base.u, theta, tgrid, grid.h), 1e-300)
-        current = base
-        contraction = 0.0
-        prev_update = None
-        converged = False
-        needs_larger_theta = False
-        iterations = 0
-        update = np.inf
-        for iterations in range(1, PICARD_MAX_ITER + 1):
-            src = -q[None, :] * current.u
-            if source is not None:
-                src = src + source
-            nxt = solve_linear_modal(basis, data, src, grid)
-            update = _theta_norm(nxt.u - current.u, theta, tgrid, grid.h)
-            if prev_update is not None and prev_update > 1e3 * np.finfo(float).eps * scale:
-                ratio = update / prev_update
-                contraction = max(contraction, ratio)
-                if ratio > ratio_bound and update > 10 * PICARD_TOL * scale:
-                    needs_larger_theta = True
-            current = nxt
-            if update <= PICARD_TOL * scale:
-                converged = True
-                break
-            if needs_larger_theta:
-                break
-            prev_update = update
-        last_report = PicardReport(
-            theta=theta,
-            contraction=contraction,
-            iterations=iterations,
-            final_update=update,
-            thetas_tried=tuple(thetas),
-        )
-        if converged and not needs_larger_theta:
-            return current, last_report
-        if theta >= theta_cap:
-            raise PicardError(
-                f"no contraction below ratio {ratio_bound} up to theta = {theta:g}",
-                last_report,
-            )
-        theta *= 2.0
+    tgrid = grid.times()
+    scale = max(_theta_norm(current.u, theta, tgrid, grid.h), 1e-300)
+    contraction, prev_update = 0.0, np.inf  # the first update has ratio 0
+    for iterations in range(1, PICARD_MAX_ITER + 1):
+        src = -q[None, :] * current.u
+        if source is not None:
+            src = src + source
+        nxt = solve_linear_modal(basis, data, src, grid)
+        update = _theta_norm(nxt.u - current.u, theta, tgrid, grid.h)
+        if prev_update > 1e3 * np.finfo(float).eps * scale:
+            contraction = max(contraction, update / prev_update)
+        current = nxt
+        report = PicardReport(theta, contraction, iterations, update, (theta,))
+        if update <= PICARD_TOL * scale:
+            return current, report
+        prev_update = update
+    raise PicardError(
+        f"no convergence in {PICARD_MAX_ITER} updates at theta = {theta:g}", report
+    )
 
 
 def newmark_dt_bound(op: FracOperator) -> float:

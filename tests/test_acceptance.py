@@ -157,9 +157,9 @@ def test_c05_picard_matches_shifted_eigenvalue_and_contracts():
 
     q = np.full(grid.n_int, 10.0)
     _, slow = solve_with_potential_picard(basis, q, data, None, grid,
-                                          theta0=20.0, ratio_bound=1.0)
+                                          theta=20.0)
     _, fast = solve_with_potential_picard(basis, q, data, None, grid,
-                                          theta0=40.0, ratio_bound=1.0)
+                                          theta=40.0)
     assert fast.contraction < slow.contraction < 1.0
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -88,7 +89,7 @@ def test_config_errors_exit_with_code_2(tmp_path):
     assert run(["eig", "--out", out, "--set", "bogus=1"]) == 2
     assert run(["eig", "--out", out, "--set", "domain.n_int=x"]) == 2
     for bad in ("nan", "inf"):
-        sets = ["--set", "model.kind=potential", "--set", f"model.q0={bad}"]
+        sets = ["--set", f"model.q0={bad}"]
         assert run(["dn", "--out", out] + sets) == 2
     assert run(["runge", "--out", out, "--set", "runge.alphas=1e-2,-inf"]) == 2
 
@@ -119,11 +120,12 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("runge", "runge.freqs=0", "at least one frequency"),
         ("invert-q", "invq.freqs=0", "at least one frequency"),
         ("invert-f", "invf.amps=0,1", "invf.amps must be nonzero"),
+        ("dn", "model.kind=potential", "unknown key 'model.kind'"),
     ],
     ids=["cfl", "window", "n_int", "order", "control", "cutoff", "no_cutoffs",
          "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
          "window_number", "node", "invf_node", "negative_node", "node_off_window",
-         "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp"],
+         "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp", "model_kind"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
     # validation errors raised while building the grid, operator, controls
@@ -133,6 +135,14 @@ def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, messag
     assert run([cmd, "--out", str(tmp_path / "o")] + sets) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+def test_threads_pin_is_undone_on_return(tmp_path, monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert run(["eig", "--threads", "1", "--out", str(tmp_path / "o")] + SMALL) == 0
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert os.environ["OMP_NUM_THREADS"] == "3"
 
 
 def test_bad_thread_count_exits_with_code_2(tmp_path):
@@ -244,6 +254,15 @@ def test_dn_artifact_reloads(tmp_path):
     tests = control_basis(grid, grid.w_mask(2), 2)
     expect = dn_matrix(op, grid, controls, tests)
     assert np.array_equal(np.array(payload["matrix"]), expect)
+
+
+def test_dn_measures_the_model_potential(tmp_path):
+    dn_sets = SMALL + ["--set", "controls.freqs=2", "--set", "tests.freqs=2"]
+    assert run(["dn", "--out", str(tmp_path / "free")] + dn_sets) == 0
+    potential = dn_sets + ["--set", "model.q0=1.0"]
+    assert run(["dn", "--out", str(tmp_path / "q")] + potential) == 0
+    free = (tmp_path / "free" / "dn.json").read_bytes()
+    assert (tmp_path / "q" / "dn.json").read_bytes() != free
 
 
 def test_runge_writes_sweep(tmp_path):

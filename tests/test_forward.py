@@ -3,6 +3,7 @@ import pytest
 
 import fracwave as fw
 from fracwave import CauchyData, PolyNonlinearity
+from fracwave.forward import PICARD_MAX_ITER
 from conftest import case
 
 
@@ -274,10 +275,10 @@ def test_picard_weight_doubling_shrinks_contraction():
     data, _, _ = mode_data(basis, 0)
     q = np.full(grid.n_int, 4.0)
     _, slow = fw.solve_with_potential_picard(
-        basis, q, data, None, grid, theta0=8.0, ratio_bound=1.0
+        basis, q, data, None, grid, theta=8.0
     )
     _, fast = fw.solve_with_potential_picard(
-        basis, q, data, None, grid, theta0=16.0, ratio_bound=1.0
+        basis, q, data, None, grid, theta=16.0
     )
     assert slow.contraction < 1.0
     assert fast.contraction < slow.contraction
@@ -286,12 +287,29 @@ def test_picard_weight_doubling_shrinks_contraction():
 def test_picard_reports_failure():
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     data = CauchyData(np.sin(np.pi * grid.interior_coords), np.zeros(grid.n_int))
-    q = np.full(grid.n_int, 50.0)
+    q = np.full(grid.n_int, 1000.0)
     with pytest.raises(fw.PicardError) as err:
-        fw.solve_with_potential_picard(
-            basis, q, data, None, grid, theta0=1.0, theta_cap=1.0, ratio_bound=1e-6
-        )
+        fw.solve_with_potential_picard(basis, q, data, None, grid)
+    assert err.value.report.iterations == PICARD_MAX_ITER
     assert err.value.report.thetas_tried == (1.0,)
+
+
+def test_picard_matches_sweep_or_raises():
+    # the weight of the stopping norm never changes the iterates, so Picard
+    # either reaches the exact sweep's answer or raises; it must not report
+    # an unconverged iterate as converged
+    grid, op, basis = case(n_int=24, s=0.7, n_t=256, T=1.0)
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    source = fw.lift_exterior(control, op, grid)
+    zero = CauchyData.zero(grid.n_int)
+    q = np.full(grid.n_int, 300.0)
+    exact = fw.solve_with_potential(control[None], q, op, grid)[0]
+    sol, _ = fw.solve_with_potential_picard(basis, q, zero, source, grid)
+    assert np.max(np.abs(sol.u - exact)) <= 1e-10 * np.max(np.abs(exact))
+    with pytest.raises(fw.PicardError):
+        fw.solve_with_potential_picard(
+            basis, np.full(grid.n_int, 1000.0), zero, source, grid
+        )
 
 
 def test_picard_rejects_bad_potential_shape():
