@@ -76,18 +76,19 @@ def _tsvd_solve(
     Rows are scaled to unit norm (right-hand entries alongside), singular
     values below cutoff * s_max are discarded, and the minimum-norm solution
     on the retained subspace is returned with the relative residual of the
-    equilibrated system and the retained rank.
+    equilibrated system and the retained rank.  A system with no nonzero
+    row, or none above the cutoff, raises np.linalg.LinAlgError.
     """
     norms = np.linalg.norm(rows, axis=1)
     live = norms > 0.0
     if not live.any():
-        raise ValueError("moment system has no nonzero rows")
+        raise np.linalg.LinAlgError("moment system has no nonzero rows")
     r = rows[live] / norms[live, None]
     m = rhs[live] / norms[live]
     u, sv, vt = np.linalg.svd(r, full_matrices=False)
     rank = int(np.sum(sv >= cutoff * sv[0])) if sv[0] > 0.0 else 0
     if rank == 0:
-        raise ValueError("moment system vanished below the spectral cutoff")
+        raise np.linalg.LinAlgError("moment system vanished below the spectral cutoff")
     sol = vt[:rank].T @ ((u[:, :rank].T @ m) / sv[:rank])
     resid = float(np.linalg.norm(r @ sol - m) / (np.linalg.norm(m) + 1e-300))
     return sol, resid, rank
@@ -305,10 +306,11 @@ def _regressors(
 def _solve_nodes(sg: np.ndarray, gsq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nodewise normal equations b = sg / gsq from the fit moments
     sg = sum_t g s and gsq = sum_t g^2; nodes with gsq = 0 inherit the
-    estimate of the nearest informative node and are flagged False."""
+    estimate of the nearest informative node and are flagged False; with
+    no informative node it raises np.linalg.LinAlgError."""
     informative = gsq > 0.0
     if not informative.any():
-        raise ValueError("control never excites the domain above the floor")
+        raise np.linalg.LinAlgError("control never excites the domain above the floor")
     b = np.zeros(gsq.shape)
     b[informative] = sg[informative] / gsq[informative]
     if not informative.all():
@@ -384,7 +386,8 @@ def recover_expansion(
     rather than extrapolated badly.
     Stage-1 scaled reactions that grow along the whole ladder and end more
     than ten times above the first rung mean the ladder has fallen below
-    the solver noise floor, and raise.
+    the solver noise floor, and raise np.linalg.LinAlgError; so does a
+    control that excites no node above floor_rel (in [0, 1)) of its peak.
     """
     exps = tuple(float(r) for r in exponents)
     if any(b <= a for a, b in zip(exps, exps[1:])) or not exps:
@@ -394,6 +397,8 @@ def recover_expansion(
         raise ValueError(
             f"eps_ladder needs at least two finite positive values, got {rungs}"
         )
+    if not 0.0 <= floor_rel < 1.0:
+        raise ValueError(f"floor_rel must lie in [0, 1), got {floor_rel}")
     eps_arr = np.asarray(sorted(rungs, reverse=True))
     if np.any(eps_arr[1:] == eps_arr[:-1]):  # sorted: repeats are neighbours
         raise ValueError(
@@ -425,7 +430,7 @@ def recover_expansion(
             peels[j + 1 :, j, i] = np.einsum("ktx,tx->kx", g[j + 1 :], np.abs(s) ** r_j * s)
     if np.all(np.diff(norms) > 0.0) and norms[-1] > 10.0 * max(norms[0], 1e-300):
         pretty = ", ".join(f"{n:.3e}" for n in norms)
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             f"scaled reactions diverge as the amplitude shrinks (noise floor "
             f"exceeded): norms [{pretty}] over ladder {tuple(float(e) for e in eps_arr)}"
         )

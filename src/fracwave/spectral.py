@@ -57,10 +57,11 @@ class SpectralBasis:
 
 
 def eigendecompose(op: FracOperator) -> SpectralBasis:
-    """Spectral basis of the interior block (LAPACK, eigenvalues ascending)."""
+    """Spectral basis of the interior block (LAPACK, eigenvalues ascending);
+    a non-positive eigenvalue raises np.linalg.LinAlgError."""
     lam, v = np.linalg.eigh(op.a_int)
     if lam[0] <= 0:
-        raise ValueError(f"smallest eigenvalue {lam[0]:.3e} is not positive")
+        raise np.linalg.LinAlgError(f"smallest eigenvalue {lam[0]:.3e} is not positive")
     # sign convention: first component above the noise floor made positive
     mag = np.abs(v)
     lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)

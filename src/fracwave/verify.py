@@ -237,12 +237,15 @@ def _pyify(value):
 def run_checks(names: list[str] | None = None, seed: int = 0) -> dict:
     """Run the named checks (all by default) with a fresh seeded generator
     per check, so the batch composition never shifts the draws; the checks
-    of one call share their operators."""
+    of one call share their operators.  An empty list or an unknown name
+    raises ValueError: a verification that checks nothing cannot pass."""
     if names is None:
         names = sorted(CHECKS)
+    if not names:
+        raise ValueError("no checks named")
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
-        raise KeyError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
+        raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
     setup = _setups()
     results = {}
     for name in names:

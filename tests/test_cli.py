@@ -102,13 +102,13 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("eig", "domain.n_int=1", "n_int must be"),
         ("solve", "operator.s=2.0", "integer order"),
         ("solve", "time.n_t=4", "control must vanish"),
-        ("invert-q", "invq.cutoffs=2.0", "invq.cutoffs must lie"),
-        ("invert-q", "invq.cutoffs=", "invq.cutoffs must lie"),
-        ("runge", "runge.alphas=0", "runge.alphas must be"),
-        ("runge", "runge.alphas=", "runge.alphas must be"),
+        ("invert-q", "invq.cutoffs=2.0", "cutoffs must lie"),
+        ("invert-q", "invq.cutoffs=", "cutoff schedule is empty"),
+        ("runge", "runge.alphas=0", "alphas must be positive"),
+        ("runge", "runge.alphas=", "alphas must be positive and nonempty"),
         ("invert-f", "invf.exponents=1.0,0.5;invf.amps=1,1", "strictly increasing"),
-        ("invert-f", "invf.eps_pow_min=9;invf.eps_pow_max=9", "must exceed"),
-        ("invert-f", "invf.floor=2", "invf.floor must lie"),
+        ("invert-f", "invf.eps_pow_min=9;invf.eps_pow_max=9", "eps_ladder needs at least two"),
+        ("invert-f", "invf.floor=2", "floor_rel must lie"),
         ("verify", "verify.checks=nosuch", "unknown check"),
         ("invert-q", "noise.sigma=-1", "noise.sigma must be"),
         ("solve", "control.window=7;control.node=3", "window must be 1 or 2"),
@@ -121,16 +121,20 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("invert-q", "invq.freqs=0", "at least one frequency"),
         ("invert-f", "invf.amps=0,1", "invf.amps must be nonzero"),
         ("dn", "model.kind=potential", "unknown key 'model.kind'"),
+        ("invert-f", "invf.eps_pow_max=1100", "eps_ladder needs at least two"),
+        ("invert-f", "invf.exponents=;invf.amps=", "at least one term"),
+        ("verify", "verify.checks=,", "no checks named"),
     ],
     ids=["cfl", "window", "n_int", "order", "control", "cutoff", "no_cutoffs",
          "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
          "window_number", "node", "invf_node", "negative_node", "node_off_window",
-         "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp", "model_kind"],
+         "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp", "model_kind",
+         "underflow_rung", "no_terms", "no_checks"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
-    # validation errors raised while building the grid, operator, controls
-    # or time step from the config, and config values a pipeline cannot
-    # use, are config errors; ';' separates several overrides
+    # a ValueError from the input guard of any library function the config
+    # reaches, or from the few checks the CLI keeps, is a config error;
+    # ';' separates several overrides
     sets = [arg for item in override.split(";") for arg in ("--set", item)]
     assert run([cmd, "--out", str(tmp_path / "o")] + sets) == 2
     err = capsys.readouterr().err
@@ -217,6 +221,20 @@ def test_invert_f_runs_without_an_eigensolve(tmp_path, monkeypatch):
     out = str(tmp_path / "o")
     assert run(["eig", "--out", out] + SMALL) == 1  # the patch is in effect
     assert run(["invert-f", "--out", out] + PIPELINE_SETS["invert-f"]) == 0
+
+
+def test_numerical_failure_exits_with_code_1(tmp_path, capsys, monkeypatch):
+    """LinAlgError subclasses ValueError but is a numerical failure, not a
+    rejected input."""
+    import fracwave.inversion
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("moment system has no nonzero rows")
+
+    monkeypatch.setattr(fracwave.inversion, "_tsvd_solve", singular)
+    out = str(tmp_path / "o")
+    assert run(["invert-q", "--out", out] + PIPELINE_SETS["invert-q"]) == 1
+    assert capsys.readouterr().err.startswith("error: LinAlgError")
 
 
 def test_config_hash_tracks_settings(tmp_path):
@@ -352,6 +370,16 @@ def test_verify_rejects_unknown_check(tmp_path):
     code = run(["verify", "--out", str(out),
                 "--set", "verify.checks=nonsense"])
     assert code != 0
+
+
+def test_run_checks_rejects_unknown_or_no_checks():
+    """A verification that checks nothing cannot pass."""
+    from fracwave.verify import run_checks
+
+    with pytest.raises(ValueError, match="no checks named"):
+        run_checks([])
+    with pytest.raises(ValueError, match=r"unknown checks: \['nosuch'\]"):
+        run_checks(["weights", "nosuch"])
 
 
 def test_only_cli_writes_files():

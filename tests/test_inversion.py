@@ -341,6 +341,10 @@ def test_recover_expansion_validates_arguments(fast_case):
         with pytest.raises(ValueError, match="eps_ladder needs at least two finite"):
             inv.recover_expansion(measure, control, (0.5,), op, grid,
                                   eps_ladder=bad)
+    for bad in (2.0, np.nan):
+        with pytest.raises(ValueError, match="floor_rel must lie"):
+            inv.recover_expansion(measure, control, (0.5,), op, grid,
+                                  eps_ladder=(0.25, 0.125), floor_rel=bad)
     with pytest.raises(ValueError, match="returned 1 fields for 2 controls"):
         inv.recover_expansion(lambda cs: measure(cs)[:1], control, (0.5,), op,
                               grid, eps_ladder=(0.25, 0.125))
