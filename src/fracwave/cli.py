@@ -380,6 +380,12 @@ def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
     exponents, amps = cfg["invf.exponents"], cfg["invf.amps"]
     if 0.0 in amps:
         raise ConfigError(f"invf.amps must be nonzero, got {amps}")
+    p_lo, p_hi = cfg["invf.eps_pow_min"], cfg["invf.eps_pow_max"]
+    if not all(-1023 <= p <= 1074 for p in (p_lo, p_hi)):
+        raise ConfigError(
+            f"invf.eps_pow_min and invf.eps_pow_max must lie in -1023..1074, "
+            f"where 2^-p is a positive finite double; got {p_lo}, {p_hi}"
+        )
     grid, op = _build(cfg)
     xh = (grid.interior_coords - grid.x_min) / (grid.x_max - grid.x_min)
     profiles = np.array(
@@ -390,8 +396,6 @@ def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
     control = tensor_control(
         grid, cfg["invf.node"], cfg["invf.freq"], mask=grid.w_mask(1)
     )
-    p_lo, p_hi = cfg["invf.eps_pow_min"], cfg["invf.eps_pow_max"]
-
     est = recover_expansion(
         lambda c: solve_newmark(op, grid, model=truth, control=c),
         control,

@@ -101,16 +101,18 @@ def forward_map(
 def _pairings(
     states: np.ndarray,
     controls: np.ndarray,
-    test_block: np.ndarray,
+    tests: np.ndarray,
     op: FracOperator,
     grid: Grid,
 ) -> np.ndarray:
-    """M[a, b] = h sum_t w_t <(A u_a)(t) on the exterior, test_b(t)> for the
-    control states u_a and a (n_tests, n_t+1, n_ext) block of test values."""
+    """M[a, b] = h sum_t w_t <(A u_a)(t) on the exterior, psi_b(T - t)> for
+    the control states u_a and a (n_tests, n_t+1, n_ext) test stack psi_b:
+    the pairing against the time-reversed tests, made here alone."""
     ext = grid.exterior_indices
     a_ext = op.a_full[:, ext]
     trace = states @ a_ext[grid.interior_slice] + controls @ a_ext[ext]
-    return st_gram(trace, test_block, grid)
+    # reversed tests as a contiguous copy: a strided view raised peak memory
+    return st_gram(trace, np.ascontiguousarray(tests[:, ::-1]), grid)
 
 
 def dn_matrix(
@@ -123,7 +125,6 @@ def dn_matrix(
     """Pairing matrix M[a, b] = <L phi_a, psi_b*> against the time-reversed
     tests psi_b*, the orientation the recovery identity uses.  The control
     states are solved once, as a batch, and reused across all tests."""
-    # reversed tests as a contiguous copy: a strided view raised peak memory
-    test_block = np.ascontiguousarray(_controls(tests, grid, (3,))[:, ::-1])
+    tests = _controls(tests, grid, (3,))
     states = forward_map(controls, op, grid, model)
-    return _pairings(states, controls, test_block, op, grid)
+    return _pairings(states, controls, tests, op, grid)

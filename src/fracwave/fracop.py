@@ -74,17 +74,15 @@ def centered_weights(s: float, j_max: int) -> np.ndarray:
 def _composed_weights(s: float, j_max: int) -> np.ndarray:
     """Weights for arbitrary order s > 0 via stencil composition.
 
-    For s <= 1 this is centered_weights directly.  For s > 1 the fractional
-    part alpha = s - floor(s) is convolved with floor(s) copies of the
-    3-point integer Laplacian stencil; on zero-extended grid data the
-    composition is exact and symmetric by construction.
+    For s <= 1 this is centered_weights directly.  For s > 1, not an
+    integer, the fractional part alpha = s - floor(s) is convolved with
+    floor(s) copies of the 3-point integer Laplacian stencil; on
+    zero-extended grid data the composition is exact and symmetric.
     """
     k = int(math.floor(s))
     if s <= 1.0:
         return centered_weights(s, j_max)
     alpha = s - k
-    if alpha == 0.0:
-        raise ValueError(f"integer order s = {s} is not supported")
     # extra reach so the convolution is exact up to offset j_max
     reach = j_max + k
     galpha = centered_weights(alpha, reach)

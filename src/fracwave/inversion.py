@@ -12,13 +12,14 @@ identity is bilinear in (phi, psi), so pairing matrices taken once over a
 control/test basis (two (B, n_t+1, n_ext) stacks, see `fields`) extend to
 every fitted superposition for free.  Replacing v_1 by v_2 linearizes in
 dq = q_1 - q_2 (a Born step), turning each pairing into a moment of dq
-against a product of computable fields.  The moment system is severely
-ill-posed (its singular values decay by many orders over a few dozen
-modes), so the update is the equilibrated truncated-SVD least squares
-solution.  Passes beyond the first repeat the construction around
-the updated background while reusing the measured data, a Newton iteration
-on the measurement map; the spectral cutoff tightens along a continuation
-schedule as the linearization error shrinks.
+against a product of computable fields, both on the known background: one
+sweep of the joined control/test stack gives them and the model's pairing
+matrix.  The moment system is severely ill-posed (its singular values decay
+by many orders over a few dozen modes), so the update is the equilibrated
+truncated-SVD least squares solution.  Passes beyond the first repeat the
+construction around the updated background while reusing the measured data,
+a Newton iteration on the measurement map; the spectral cutoff tightens
+along a continuation schedule as the linearization error shrinks.
 
 Expansion recovery peels a polyhomogeneous nonlinearity
 f(x, z) = sum_k b_k(x) |z|^(r_k) z from small-amplitude responses.  The
@@ -129,15 +130,16 @@ def recover_potential(
     pairings are used directly: the moments are the entries of the data
     mismatch and the rows the weighted products of the computed control and
     reversed test states, which carries the entire measurement with no
-    fitting stage.  cutoff is the relative spectral cutoff of the
-    truncated-SVD update, one value per pass (a scalar means one pass).
+    fitting stage.  Each background model is one `forward_map` sweep of the
+    controls and tests joined.  cutoff is the relative spectral cutoff of
+    the truncated-SVD update, one value per pass (a scalar means one pass).
     """
+    controls = _controls(controls, grid, (3,))
+    tests = _controls(tests, grid, (3,))
+    n_c, n_te = len(controls), len(tests)
     d_meas = np.asarray(measured, dtype=float)
-    if d_meas.shape != (len(controls), len(tests)):
-        raise ValueError(
-            f"measured matrix is {d_meas.shape}, basis is "
-            f"{(len(controls), len(tests))}"
-        )
+    if d_meas.shape != (n_c, n_te):
+        raise ValueError(f"measured matrix is {d_meas.shape}, basis is {(n_c, n_te)}")
     schedule = tuple(float(c) for c in np.atleast_1d(cutoff))
     if not schedule:
         raise ValueError("cutoff schedule is empty")
@@ -147,13 +149,13 @@ def recover_potential(
     q2 = np.zeros(grid.n_int) if q_start is None else np.array(q_start, dtype=float)
 
     w = trapezoid_weights(grid.n_t, grid.dt)
-    rev_block = np.ascontiguousarray(tests[:, ::-1])  # (n_te, n_t+1, n_ext)
+    stack = np.concatenate([controls, tests])
 
     def _bundle(q_model) -> tuple[np.ndarray, np.ndarray]:
-        """Control states and their pairing matrix at one background, from
-        the same solves."""
-        states = forward_map(controls, op, grid, q_model)
-        return states, _pairings(states, controls, rev_block, op, grid)
+        """States of the joined stack at one background, from one sweep,
+        and the pairing matrix of its control half."""
+        states = forward_map(stack, op, grid, q_model)
+        return states, _pairings(states[:n_c], controls, tests, op, grid)
 
     increments: list[np.ndarray] = []
     moment_residuals: list[float] = []
@@ -161,36 +163,29 @@ def recover_potential(
     accepted_cutoffs: list[float] = []
 
     denom = np.linalg.norm(d_meas) + 1e-300
-    states_u, d_model = _bundle(q2)
+    states, d_model = _bundle(q2)
     delta = d_meas - d_model
     data_misfits = [float(np.linalg.norm(delta) / denom)]
 
     for cut in schedule:
-        # weight the fresh test states in place (w reversed: the rows read
-        # them reversed), so the row einsum has two operands and no copy of
-        # the stack is made; numpy runs three-operand einsums on a slower loop
-        states_v = forward_map(tests, op, grid, q2)
-        states_v *= w[::-1, None]
-        states_v = states_v[:, ::-1]
-        moments = delta.reshape(-1)
-        rows = grid.h * np.einsum("atx,btx->abx", states_u, states_v).reshape(
-            len(controls) * len(tests), grid.n_int
-        )
-        # the rows are all the next steps need of these states: free them so
-        # only the trial's state stack is alive through the trial solve
-        del states_u, states_v
-
-        dq, resid, rank = _tsvd_solve(rows, moments, cut)
+        # weight the test states in place (w reversed: the rows read them
+        # reversed), so the row einsum has two operands and no copy of the
+        # stack is made; numpy runs three-operand einsums on a slower loop
+        states[n_c:] *= w[::-1, None]
+        rows = grid.h * np.einsum(
+            "atx,btx->abx", states[:n_c], states[n_c:, ::-1]
+        ).reshape(n_c * n_te, grid.n_int)
+        del states  # the rows are all this pass needs: free it before the trial
+        dq, resid, rank = _tsvd_solve(rows, delta.reshape(-1), cut)
 
         q_trial = q2 + dq
-        states_trial, d_trial = _bundle(q_trial)
+        states, d_trial = _bundle(q_trial)
         misfit_trial = float(np.linalg.norm(d_meas - d_trial) / denom)
         if misfit_trial >= data_misfits[-1]:
             break  # update would not improve the data fit: discard and stop
 
         q2 = q_trial
-        states_u, d_model = states_trial, d_trial
-        delta = d_meas - d_model
+        delta = d_meas - d_trial
         data_misfits.append(misfit_trial)
         increments.append(dq)
         moment_residuals.append(resid)

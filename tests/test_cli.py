@@ -121,7 +121,8 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("invert-q", "invq.freqs=0", "at least one frequency"),
         ("invert-f", "invf.amps=0,1", "invf.amps must be nonzero"),
         ("dn", "model.kind=potential", "unknown key 'model.kind'"),
-        ("invert-f", "invf.eps_pow_max=1100", "eps_ladder needs at least two"),
+        ("invert-f", "invf.eps_pow_max=1100", "must lie in -1023..1074"),
+        ("invert-f", "invf.eps_pow_min=-2000", "must lie in -1023..1074"),
         ("invert-f", "invf.exponents=;invf.amps=", "at least one term"),
         ("verify", "verify.checks=,", "no checks named"),
     ],
@@ -129,7 +130,7 @@ def test_config_errors_exit_with_code_2(tmp_path):
          "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
          "window_number", "node", "invf_node", "negative_node", "node_off_window",
          "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp", "model_kind",
-         "underflow_rung", "no_terms", "no_checks"],
+         "underflow_rung", "overflow_rung", "no_terms", "no_checks"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
     # a ValueError from the input guard of any library function the config

@@ -352,6 +352,14 @@ def test_potential_sweep_batch_matches_single():
     for v, u in zip(values, batch):
         single = fw.solve_with_potential(v[None], q, op, grid)[0]
         assert np.max(np.abs(u - single)) <= 1e-12 * np.max(np.abs(single))
+    # a joined stack sweeps bit for bit like its parts, so recovery passes
+    # that sweep controls and tests together repeat the separate sweeps
+    tests = fw.control_basis(grid, grid.w_mask(1), 2)
+    joined = fw.solve_with_potential(np.concatenate([values, tests]), q, op, grid)
+    assert np.array_equal(joined[: len(values)], batch)
+    assert np.array_equal(
+        joined[len(values) :], fw.solve_with_potential(tests, q, op, grid)
+    )
 
 
 def test_potential_sweep_shape_checks():

@@ -95,6 +95,11 @@ def test_recover_potential_rejects_shape_mismatch(small, battery):
     with pytest.raises(ValueError, match="basis is"):
         inv.recover_potential(np.zeros((3, 2)), controls, probes,
                               op, grid)
+    # a test stack one time slice short is named as such, not left to the
+    # pairing's matmul
+    with pytest.raises(ValueError, match="control shape"):
+        inv.recover_potential(np.zeros((len(controls), len(probes))),
+                              controls, probes[:, 1:], op, grid)
 
 
 def test_recover_potential_rejects_bad_cutoffs(small, battery):
@@ -135,6 +140,30 @@ def test_recover_potential_pairs_closed_loop(small, battery):
     assert len(rec.increments) == len(rec.data_misfits) - 1
     assert len(rec.increments) == len(rec.ranks) == len(rec.cutoffs)
     assert np.allclose(rec.q_est, sum(rec.increments))
+
+
+def test_one_sweep_per_background(small, battery, monkeypatch):
+    """Every background model costs one forward_map call, on controls and
+    tests joined: the first model and one trial per attempted pass."""
+    grid, op, basis = small
+    controls, probes = battery
+    q_true = 0.4 * np.sin(np.pi * grid.interior_coords)
+    meas = dn_matrix(op, grid, controls, probes, q_true)
+    rows = []
+
+    def counted(stack, *args):
+        rows.append(len(stack))
+        return fw.forward_map(stack, *args)
+
+    monkeypatch.setattr(inv, "forward_map", counted)
+    schedule = tuple(10.0 ** -np.arange(2, 10))
+    rec = inv.recover_potential(meas, controls, probes, op, grid,
+                                cutoff=schedule)
+    # the schedule ends early, on a discarded trial: one more pass attempted
+    # than accepted
+    assert len(rec.increments) < len(schedule)
+    attempted = len(rec.increments) + 1
+    assert rows == [len(controls) + len(probes)] * (1 + attempted)
 
 
 # ------------------------------------------------------- linear response
