@@ -15,12 +15,20 @@ R_11 = P diag(sigma) W^T, each alpha costs c = W diag(sigma / (sigma^2 +
 alpha)) P^T Q^T psi.  sigma^2 are the eigenvalues of the Gram matrix
 G_ab = <u_a, u_b>, so alpha keeps its Gram scale and cond(G) =
 (sigma_max / sigma_min)^2, but G, which squares the condition number, is
-never formed.  The misfit is recomputed from the achieved superposition.
+never formed.  The misfit is read off the same factorization,
+
+    misfit = hypot(|| alpha / (sigma^2 + alpha) P^T Q^T psi ||, |R_BB|),
+
+R_BB being the target's part off the span (none with fewer rows than
+states).  Recomputed from the superposition, whose ||c|| reaches 1e10 on
+a wide window, it rose as alpha fell.
 
 Two monotonicity facts matter downstream.  Shrinking alpha never increases
-the misfit (exact for any fixed basis), and enlarging the basis never
-increases the full objective (nested feasible sets); the misfit alone of
-nested prefixes states[:k] may move either way at fixed alpha.
+the misfit (exact for any fixed basis, and kept in floating point by the
+filter factors alpha / (sigma^2 + alpha), which fall with alpha), and
+enlarging the basis never increases the full objective (nested feasible
+sets); the misfit alone of nested prefixes states[:k] may move either way
+at fixed alpha.
 """
 from __future__ import annotations
 
@@ -40,7 +48,8 @@ def st_norm(a: np.ndarray, grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class RungeSolution:
-    """Fitted coefficients and directly recomputed fit quality."""
+    """Fitted coefficients, their superposition and the fit quality read off
+    the factorization (see the module docstring)."""
 
     coeffs: np.ndarray
     alpha: float
@@ -78,24 +87,24 @@ def approximate_target(
     cols = np.empty((n_b + 1, *target.shape))  # the tall matrix, column-major
     np.multiply(states, root, out=cols[:-1])
     np.multiply(target, root, out=cols[-1])
-    r = np.linalg.qr(cols.reshape(n_b + 1, -1).T, mode="r")[:n_b]
-    p, sig, wt = np.linalg.svd(r[:, :-1], full_matrices=False)
-    moments = p.T @ r[:, -1]
+    r = np.linalg.qr(cols.reshape(n_b + 1, -1).T, mode="r")
+    off = abs(r[n_b, n_b]) if len(r) > n_b else 0.0  # the target off the span
+    p, sig, wt = np.linalg.svd(r[:n_b, :-1], full_matrices=False)
+    moments = p.T @ r[:n_b, -1]
     low = sig[-1] if len(sig) == n_b else 0.0  # fewer rows than states: singular
     cond = float((sig[0] / low) ** 2) if low > 0 else np.inf
     scale = st_norm(target, grid)
     out = []
     for alpha in alphas:
         coeffs = wt.T @ (sig / (sig**2 + alpha) * moments)
-        achieved = np.einsum("a,atx->tx", coeffs, states)
-        misfit = st_norm(achieved - target, grid)
+        misfit = float(np.hypot(np.linalg.norm(alpha / (sig**2 + alpha) * moments), off))
         out.append(RungeSolution(
             coeffs=coeffs,
             alpha=float(alpha),
             misfit=misfit,
             residual=misfit / (scale + 1e-300),
             coeff_norm=float(np.linalg.norm(coeffs)),
-            achieved=achieved,
+            achieved=np.einsum("a,atx->tx", coeffs, states),
             gram_cond=cond,
         ))
     return out

@@ -66,8 +66,9 @@ def eigendecompose(op: FracOperator) -> SpectralBasis:
     mag = np.abs(v)
     lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
     v = v * np.sign(v[lead, np.arange(v.shape[1])])
-    # column-major: the potential sweep's per-step `c @ phi.T` then reads
-    # contiguous rows, faster than on C-ordered modes (about 2x at K = 128)
+    # column-major, kept for its digests: the potential sweep builds its step
+    # matrix from products with the modes once per sweep, and C-ordered modes
+    # round those differently (every sweep digest moved) with no speed gain
     modes = np.asfortranarray(v / np.sqrt(op.h))
     lam.setflags(write=False)
     modes.setflags(write=False)

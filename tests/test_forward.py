@@ -321,18 +321,25 @@ def test_picard_rejects_bad_potential_shape():
         fw.solve_with_potential_picard(basis, np.full(grid.n_int, np.inf), zero, None, grid)
 
 
+def _smooth(x):
+    return 1.0 + 0.5 * np.cos(np.pi * x)
+
+
 @pytest.mark.parametrize(
-    "profile",
+    "profile, n_t",
     [
-        lambda x: 1.0 + 0.5 * np.cos(np.pi * x),
-        lambda x: 20.0 * np.sin(3 * np.pi * x),
-        lambda x: np.full_like(x, -10.0),  # makes A_int + q indefinite
-        np.zeros_like,  # Picard returns the modal solve itself
+        (_smooth, 128),
+        (lambda x: 20.0 * np.sin(3 * np.pi * x), 128),
+        (lambda x: np.full_like(x, -10.0), 128),  # makes A_int + q indefinite
+        (np.zeros_like, 128),  # Picard returns the modal solve itself
+        # a long horizon: the plain two-step form u_{j+1} = u_j P - u_{j-1} + drive,
+        # which rounds 2 cos(theta) near 2, drifts in phase to 7e-11 here
+        (_smooth, 1024),
     ],
-    ids=["smooth", "oscillating", "indefinite", "zero"],
+    ids=["smooth", "oscillating", "indefinite", "zero", "smooth_long"],
 )
-def test_potential_sweep_matches_picard(profile):
-    grid, op, basis = case(n_int=24, s=0.7, n_t=128)
+def test_potential_sweep_matches_picard(profile, n_t):
+    grid, op, basis = case(n_int=24, s=0.7, n_t=n_t)
     q = profile(grid.interior_coords)
     controls = fw.control_basis(grid, grid.w_mask(1), 2)
     states = fw.solve_with_potential(controls, q, op, grid)

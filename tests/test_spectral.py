@@ -35,8 +35,8 @@ def test_eigendecompose_rerun_is_byte_identical():
 
 
 def test_modes_are_column_major():
-    # the potential sweep multiplies by modes.T every time step; F-ordered
-    # modes make that product read contiguous rows, about twice as fast
+    # the potential sweep's step matrix is built from products with the
+    # modes, whose rounding, and so every sweep digest, depends on this order
     _, op, _ = case(n_int=24, s=0.7)
     assert op.basis.modes.flags.f_contiguous
 
