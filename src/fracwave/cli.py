@@ -373,7 +373,7 @@ def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
     import numpy as np
 
     from .fields import tensor_control
-    from .forward import solve_newmark
+    from .forward import march_slabs
     from .inversion import recover_expansion
     from .nonlinearity import PolyNonlinearity
 
@@ -397,7 +397,7 @@ def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
         grid, cfg["invf.node"], cfg["invf.freq"], mask=grid.w_mask(1)
     )
     est = recover_expansion(
-        lambda c: solve_newmark(op, grid, model=truth, control=c),
+        lambda c: march_slabs(op, grid, model=truth, control=c),
         control,
         exponents,
         op,

@@ -1,5 +1,5 @@
-"""Wave solvers: modal Duhamel, exterior lifting, potentials (exact sweep and
-Picard oracle), explicit time stepping, and the weak-form residual checks.
+"""Wave solvers: modal Duhamel, potentials (exact sweep and Picard oracle),
+explicit time stepping, and the weak-form residual checks.
 
 Trajectories are plain float arrays, (n_t+1, n_int) or (n_t+1, n_nodes);
 `_trajectory` checks one that enters from outside (a state, a source, a
@@ -42,10 +42,12 @@ Time stepping route.  An explicit central-difference (Stormer-Verlet) march
 on the full grid doubles as an independent oracle for the modal solver and
 as the workhorse for semilinear models, under the usual CFL restriction
 dt <= 2 / sqrt(lambda_max (1 + CFL_MARGIN)).  The march always advances a
-batch: the states of B exterior controls live in one (n_t+1, B, n_nodes)
-buffer and each step costs one (B, n_nodes) product with the interior rows
-of A, so an amplitude ladder or a control basis is one march, not one per
-control; the march returns the (B, n_t+1, n_nodes) view of that buffer.
+batch: the states of B exterior controls live in one time-major
+(slices, B, n_nodes) buffer and each step costs one (B, n_nodes) product
+with the interior rows of A, so an amplitude ladder or a control basis is
+one march, not one per control.  `solve_newmark` gives it n_t+1 slices;
+`march_slabs` gives it MARCH_SLAB + 2 and hands them over each time they
+fill, keeping the two the next step needs, so a time reduction streams.
 The last two interior states roll through contiguous (B, n_int) buffers
 and each step works in place in one force buffer
 
@@ -76,10 +78,10 @@ __all__ = [
     "PicardError",
     "SolverBlowupError",
     "solve_linear_modal",
-    "lift_exterior",
     "solve_with_potential",
     "solve_with_potential_picard",
     "solve_newmark",
+    "march_slabs",
     "newmark_dt_bound",
     "very_weak_residual",
     "distributional_residual",
@@ -92,6 +94,8 @@ __all__ = [
 
 # relative headroom of the march's CFL bound over the Gershgorin lambda_max
 CFL_MARGIN = 0.25
+# time steps per slab of `march_slabs` (each slab also repeats two slices)
+MARCH_SLAB = 256
 # Picard stops once an update falls below PICARD_TOL times the first
 # iterate's size, and raises after PICARD_MAX_ITER updates
 PICARD_TOL = 1e-12
@@ -210,15 +214,6 @@ def solve_linear_modal(
     return WaveSolution(u=reconstruct(c.T, basis), udot=reconstruct(cdot.T, basis))
 
 
-def lift_exterior(control: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
-    """Interior source -chi_Omega A (extension of the control), (n_t+1, n_int):
-    v = u - phi then solves v'' + A v = source with zero Cauchy data and
-    zero exterior values."""
-    control = _controls(control, grid)
-    a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
-    return -(control @ a_ie.T)
-
-
 def solve_with_potential(
     values: np.ndarray,
     q: np.ndarray,
@@ -332,41 +327,9 @@ def newmark_dt_bound(op: FracOperator) -> float:
     return 2.0 / np.sqrt(lam_max * (1.0 + CFL_MARGIN))
 
 
-def solve_newmark(
-    op: FracOperator,
-    grid: Grid,
-    model: PolyNonlinearity | np.ndarray | None = None,
-    control: np.ndarray | None = None,
-    data: CauchyData | None = None,
-    source: np.ndarray | None = None,
-) -> np.ndarray:
-    """Explicit central-difference march of
-    u'' + A u + q u + f(x, u) = F on the full grid; model is the potential
-    q (an interior array) or the nonlinearity f.
-
-    Exterior nodes follow the control (zero when absent); interior nodes
-    start from the Cauchy data with a second-order startup step.  One
-    control (n_t+1, n_ext), or None, returns its full-grid trajectory
-    (n_t+1, n_nodes); a stack of B controls (B, n_t+1, n_ext) is marched as
-    one batch, sharing the model, data and source, and returns the
-    (B, n_t+1, n_nodes) trajectories in control order, a view of the batch
-    buffer.  Raises on CFL violation and on Cauchy data or controls that do
-    not fit the grid, and aborts with the step index and the batch rows when
-    the march produces non-finite values.
-
-    Each step forms the force g = A u + q u + f(x, u) - F of the current
-    interior rows u in one preallocated buffer, scales it by dt^2 and sets
-    u_new = 2 u - u_prev - g; u and u_prev are rolling contiguous (B, n_int)
-    buffers and u_new is copied once into the full-grid buffer.  This is
-    bitwise the step 2 u - u_prev + dt^2 accel with accel = -A u - q u - f + F,
-    negation being exact.  That floating-point order is a contract with
-    `inversion.reaction_from_march`, which inverts it to read q u + f back.
-    A fused step matrix 2I - dt^2 A is cheaper but not the same arithmetic:
-    at n_int = 48, n_t = 8192 it moved the trajectories by a few 1e-12 and
-    the recovered second term of f (invert-f, two terms) from 2.0e-4 to
-    3.7e-3 relative error, because the amplitude ladder divides the
-    reaction's roundoff by small rungs.
-    """
+def _march(op, grid, model, control, data, source, span):
+    """The march of `solve_newmark`'s arguments through a reused buffer of
+    span time slices, as a generator; its checks run on the first slab."""
     dt = grid.dt
     bound = newmark_dt_bound(op)
     if dt > bound:
@@ -393,22 +356,15 @@ def solve_newmark(
     if control is None:
         control = np.zeros((grid.n_t + 1, grid.n_ext))
     values = _controls(control, grid)
-    single = values.ndim == 2
-    values = values.reshape(-1, *values.shape[-2:])
+    values = values.reshape(-1, *values.shape[-2:]).transpose(1, 0, 2)  # time-major
 
-    n_t = grid.n_t
-    full = np.zeros((n_t + 1, values.shape[0], grid.n_nodes))
-    full[:, :, grid.exterior_indices] = values.transpose(1, 0, 2)
-    interior = grid.interior_slice
+    n_t, interior, ext = grid.n_t, grid.interior_slice, grid.exterior_indices
+    buf = np.empty((min(span, n_t + 1), values.shape[1], grid.n_nodes))
     stiff_t = op.a_full[interior].T  # (n_nodes, n_int): rows of A on the interior
 
-    full[0, :, interior] = data.u0
-    u_prev = full[0, :, interior].copy()  # rolling contiguous (B, n_int) rows
-    g = np.empty_like(u_prev)
-
-    def force(n: int, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """A u + q u + f(x, u) - F at step n on the interior rows, into g."""
-        np.matmul(full[n], stiff_t, out=g)
+    def force(r: int, n: int, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """A u + q u + f(x, u) - F at step n, buffer row r, into g."""
+        np.matmul(buf[r], stiff_t, out=g)
         if q is not None:
             g += q * u
         if nonlin is not None:
@@ -417,11 +373,17 @@ def solve_newmark(
             g -= source[n]
         return g
 
-    u = data.u0 + dt * data.u1 - 0.5 * dt * dt * force(0, u_prev, g)
-    full[1, :, interior] = u
+    t0 = 0  # the step held in buffer row 0
+    buf[:, :, ext] = values[: len(buf)]
+    buf[0, :, interior] = data.u0
+    u_prev = buf[0, :, interior].copy()  # rolling contiguous (B, n_int) rows
+    g = np.empty_like(u_prev)
+    u = data.u0 + dt * data.u1 - 0.5 * dt * dt * force(0, 0, u_prev, g)
+    buf[1, :, interior] = u
     new = np.empty_like(u)
     for n in range(1, n_t):
-        force(n, u, g)
+        r = n - t0
+        force(r, n, u, g)
         g *= dt * dt
         np.multiply(u, 2.0, out=new)
         new -= u_prev
@@ -432,9 +394,59 @@ def solve_newmark(
                 f"non-finite values at step {n + 1} (t = {(n + 1) * dt:.6g}) "
                 f"in batch rows {rows}"
             )
-        full[n + 1, :, interior] = new
+        buf[r + 1, :, interior] = new
         u_prev, u, new = u, new, u_prev
-    return full[:, 0] if single else full.transpose(1, 0, 2)
+        if r + 2 == len(buf) and n + 1 < n_t:  # full: hand over, keep two
+            yield buf
+            buf[:2] = buf[-2:]
+            t0 = n
+            buf[2 : n_t + 1 - n, :, ext] = values[n + 2 : n + len(buf)]
+    yield buf[: n_t + 1 - t0]
+
+
+def march_slabs(op, grid, model=None, control=None, data=None, source=None):
+    """`solve_newmark`'s march (same arguments) as time-major (m, B, n_nodes)
+    views of one reused (MARCH_SLAB + 2, B, n_nodes) buffer, B = 1 for one
+    control or none.  Each slab after the first starts with the last two
+    slices of the one before, the last ends at slice n_t, and joined without
+    the repeats they are `solve_newmark`'s output bit for bit.  The checks
+    run when the first slab is asked for, and a slab is overwritten when the
+    next is."""
+    return _march(op, grid, model, control, data, source, MARCH_SLAB + 2)
+
+
+def solve_newmark(
+    op: FracOperator,
+    grid: Grid,
+    model: PolyNonlinearity | np.ndarray | None = None,
+    control: np.ndarray | None = None,
+    data: CauchyData | None = None,
+    source: np.ndarray | None = None,
+) -> np.ndarray:
+    """Explicit central-difference march of
+    u'' + A u + q u + f(x, u) = F on the full grid; model is the potential
+    q (an interior array) or the nonlinearity f.
+
+    Exterior nodes follow the control (zero when absent); interior nodes
+    start from the Cauchy data with a second-order startup step.  One
+    control (n_t+1, n_ext), or None, returns its full-grid trajectory
+    (n_t+1, n_nodes); a stack of B controls (B, n_t+1, n_ext) is marched as
+    one batch, sharing the model, data and source, and returns the
+    (B, n_t+1, n_nodes) trajectories in control order, a view of the batch
+    buffer.  Raises on CFL violation and on Cauchy data or controls that do
+    not fit the grid, and aborts with the step index and the batch rows when
+    the march produces non-finite values.
+
+    The step arithmetic of the module docstring is a contract with
+    `inversion.reaction_from_march`, which inverts it to read q u + f back.
+    A fused step matrix 2I - dt^2 A is cheaper but not the same arithmetic:
+    at n_int = 48, n_t = 8192 it moved the trajectories by a few 1e-12 and
+    the recovered second term of f (invert-f, two terms) from 2.0e-4 to
+    3.7e-3 relative error, because the amplitude ladder divides the
+    reaction's roundoff by small rungs.
+    """
+    (full,) = _march(op, grid, model, control, data, source, grid.n_t + 1)
+    return full[:, 0] if np.ndim(control) < 3 else full.transpose(1, 0, 2)
 
 
 def very_weak_residual(

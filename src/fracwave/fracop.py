@@ -5,12 +5,14 @@ uniform mesh the fractional centered-difference weights
 
     g_j = (-1)^j Gamma(2s+1) / (Gamma(s-j+1) Gamma(s+j+1))
 
-give the second-order approximation (-Delta)^s u(x_i) ~ h^(-2s) sum_j
-g_|i-j| u(x_j).  The generating symbol is (2 - 2 cos theta)^s, so weights of
-order s1 and s2 convolve to weights of order s1+s2; orders above one are
-assembled by composing the integer 3-point Laplacian stencil with the
-fractional part, which on zero-extended data equals the direct order-s
-stencil.
+give (-Delta)^s u(x_i) ~ h^(-2s) sum_j g_|i-j| u(x_j), second order on
+smooth functions but of observed order 1 + s (1.69 at s = 0.7) on the
+Getoor profile (1 - y^2)_+^s, whose image is Gamma(2s+1) on (-1, 1) and
+whose dist(x, boundary)^s edge the paper's solutions share.  The
+generating symbol is (2 - 2 cos theta)^s, so weights of order s1 and s2
+convolve to weights of order s1+s2; orders above one are assembled by
+composing the integer 3-point Laplacian stencil with the fractional part,
+which on zero-extended data equals the direct order-s stencil.
 
 For j >= 1 and s in (0, 1) the reflection formula removes the Gamma poles:
 

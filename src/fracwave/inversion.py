@@ -35,15 +35,15 @@ in exactly those powers removes them, and b_k follows from a nodewise least
 squares fit against |v|^(r_k) v on sufficiently excited rows.  Both steps
 are linear in the samples: the limit is a fixed combination of the rungs
 and the fit a time sum, in which the earlier profiles bhat_j(x) factor
-out.  So each trajectory is reduced, as it is read, to per-node moments
-against the masked regressors (of its reaction and of |u_eps|^(r_j) u_eps),
-and extrapolation and peeling run on (rungs, nodes) arrays.  The ladder
-itself is one (rungs, n_t+1, n_ext) stack, eps * control for each rung,
-measured in one call.
+out.  The ladder, eps * control for each rung, is measured in one call
+that returns all rungs in time slabs; each slab is reduced, as it
+arrives, to per-node moments against the masked regressors (of its
+reaction and of |u_eps|^(r_j) u_eps), and extrapolation and peeling run
+on (rungs, nodes) arrays, so no trajectory stack is held.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +60,6 @@ __all__ = [
     "linear_response",
     "reaction_from_march",
     "extrapolate_powers",
-    "fit_profile",
     "ExpansionEstimate",
     "recover_expansion",
 ]
@@ -220,6 +219,18 @@ def linear_response(
     return grid.restrict(solve_newmark(op, grid, control=control))
 
 
+def _readback(v: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
+    """-d2 v - A v at the interior slices 1 .. m-2 of full-grid slices
+    v (m, ..., n_nodes), in the march's order of operations, bitwise."""
+    vi = v[..., grid.interior_slice]
+    out = vi[2:] - 2.0 * vi[1:-1]
+    out += vi[:-2]
+    out /= grid.dt**2
+    np.negative(out, out=out)
+    out -= v[1:-1] @ op.a_full[:, grid.interior_slice]
+    return out
+
+
 def reaction_from_march(
     u_full: np.ndarray,
     op: FracOperator,
@@ -234,18 +245,9 @@ def reaction_from_march(
     defined u^(n+1) through the same relation.  Endpoint rows are not
     recoverable and are omitted.
     """
-    v = _trajectory(u_full, grid.n_nodes, grid)
-    interior = grid.interior_slice
-    vi = v[:, interior]
-    # -d2 - A v (+ F), evaluated in that order in one buffer so the rows are
-    # bitwise those of the plain expression; only A's interior columns are used
-    out = vi[2:] - 2.0 * vi[1:-1]
-    out += vi[:-2]
-    out /= grid.dt**2
-    np.negative(out, out=out)
-    out -= v[1:-1] @ op.a_full[:, interior]
+    out = _readback(_trajectory(u_full, grid.n_nodes, grid), op, grid)
     if source is not None:
-        out += np.asarray(source, dtype=float)[1:-1]
+        out += _trajectory(source, grid.n_int, grid)[1:-1]
     return out
 
 
@@ -315,27 +317,6 @@ def _solve_nodes(sg: np.ndarray, gsq: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return b, informative
 
 
-def fit_profile(
-    s_limit: np.ndarray,
-    v_rows: np.ndarray,
-    r: float,
-    *,
-    floor_rel: float = 1e-3,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodewise least squares for b(x) in s_limit ~ b(x) |v|^r v.
-
-    Rows where |v| falls below floor_rel * max|v| carry no information and
-    are masked out; nodes with no informative rows inherit the estimate of
-    the nearest informative node and are flagged False in the mask.  This
-    is the sample route: recover_expansion takes the same fit from moments
-    of the ladder trajectories, and tests compare the two.
-    """
-    if s_limit.shape != v_rows.shape:
-        raise ValueError("sample and response shapes differ")
-    g = _regressors(v_rows, (r,), floor_rel)[0]
-    return _solve_nodes(np.einsum("tx,tx->x", g, s_limit), np.einsum("tx,tx->x", g, g))
-
-
 @dataclass(frozen=True)
 class ExpansionEstimate:
     """Per-term coefficient profiles with self-reported accuracy.
@@ -355,7 +336,7 @@ class ExpansionEstimate:
 
 
 def recover_expansion(
-    measure: Callable[[np.ndarray], Sequence[np.ndarray]],
+    measure: Callable[[np.ndarray], Iterable[np.ndarray]],
     control: np.ndarray,
     exponents: tuple[float, ...],
     op: FracOperator,
@@ -369,16 +350,16 @@ def recover_expansion(
 
     control is one (n_t + 1, n_ext) array.  measure takes the
     (rungs, n_t + 1, n_ext) stack of ladder controls (the control scaled by
-    each rung, largest first) and returns the full-grid trajectory
-    (n_t + 1, n_nodes) of the unknown model for each, in the same order; it
-    is called once.  For synthetic studies, pass the stack straight to the
-    explicit march, which marches it as one batch and returns the
-    (rungs, n_t + 1, n_nodes) stack.  Each returned trajectory is read
-    once, in order, reduced to its per-node fit moments and not kept, so no
-    (rungs, n_t, n_int) array is built.  The stage-k extrapolation basis is
-    {0} + {r_j - r_k : j < k} + {r_1} + {r_(k+1) - r_k}; a stage whose basis
-    outgrows the ladder is reported unresolved (zero profile, error inf)
-    rather than extrapolated badly.
+    each rung, largest first) and returns the full-grid trajectories of the
+    unknown model as an iterable of time-major slabs (m, rungs, n_nodes),
+    rungs in the same order; it is called once.  Each slab after the first
+    starts with the last two slices of the one before and the last ends at
+    slice n_t, as `forward.march_slabs` yields them for a synthetic study (a
+    list of the whole time-major stack is one slab); each is checked and
+    reduced to per-node fit moments as it arrives, and not kept.  The
+    stage-k extrapolation basis is {0} + {r_j - r_k : j < k} + {r_1} +
+    {r_(k+1) - r_k}; a stage whose basis outgrows the ladder is reported
+    unresolved (zero profile, error inf) rather than extrapolated badly.
     Stage-1 scaled reactions that grow along the whole ladder and end more
     than ten times above the first rung mean the ladder has fallen below
     the solver noise floor, and raise np.linalg.LinAlgError; so does a
@@ -405,24 +386,34 @@ def recover_expansion(
     g = _regressors(linear_response(control, op, grid)[1:-1], exps, floor_rel)
     gram = np.einsum("ktx,ktx->kx", g, g)
 
-    fields = measure(eps_arr[:, None, None] * control)
-    if len(fields) != n_rungs:
-        raise ValueError(f"measure returned {len(fields)} fields for {n_rungs} controls")
-    pending = list(fields)[::-1]
-    del fields
     # fit moments per rung i: fits[k, i] = sum_t g_k reaction_i and
-    # peels[k, j, i] = sum_t g_k |s_i|^(r_j) s_i for j < k
-    fits = np.empty((n_terms, n_rungs, grid.n_int))
+    # peels[k, j, i] = sum_t g_k |s_i|^(r_j) s_i for j < k, summed slab by slab
+    fits = np.zeros((n_terms, n_rungs, grid.n_int))
     peels = np.zeros((n_terms, n_terms, n_rungs, grid.n_int))
-    norms = np.empty(n_rungs)  # of the scaled stage-1 reactions
-    for i, eps in enumerate(eps_arr):
-        u_full = pending.pop()  # read once, not kept
-        reaction = reaction_from_march(u_full, op, grid)
-        norms[i] = np.linalg.norm(reaction) / eps ** (1.0 + exps[0])
-        fits[:, i] = np.einsum("ktx,tx->kx", g, reaction)
-        s = grid.restrict(u_full)[1:-1]
+    sq = np.zeros(n_rungs)  # squared norms of the stage-1 reactions
+    t0, tail = 0, None  # t0: the slice the next slab starts at
+    for slab in measure(eps_arr[:, None, None] * control):
+        slab = np.asarray(slab, dtype=float)
+        m = slab.shape[0] if slab.ndim == 3 else 0
+        if slab.shape[1:] != (n_rungs, grid.n_nodes) or not 2 < m <= grid.n_t + 1 - t0:
+            raise ValueError(f"measured trajectory slab at slice {t0} has shape "
+                             f"{slab.shape}, rungs {n_rungs}, nodes {grid.n_nodes}")
+        if not np.isfinite(slab).all():
+            raise ValueError(f"measured trajectory slab at slice {t0} is not finite")
+        if tail is not None and not np.array_equal(slab[:2], tail):
+            raise ValueError(f"measured trajectory slab at slice {t0} breaks the overlap")
+        reaction = _readback(slab, op, grid)  # (m - 2, rungs, n_int)
+        rows = g[:, t0 : t0 + m - 2]
+        sq += np.einsum("tix,tix->i", reaction, reaction)
+        fits += np.einsum("ktx,tix->kix", rows, reaction)
+        s = slab[1:-1, :, grid.interior_slice]
         for j, r_j in enumerate(exps[:-1]):
-            peels[j + 1 :, j, i] = np.einsum("ktx,tx->kx", g[j + 1 :], np.abs(s) ** r_j * s)
+            peels[j + 1 :, j] += np.einsum("ktx,tix->kix", rows[j + 1 :], np.abs(s) ** r_j * s)
+        tail = slab[-2:].copy()
+        t0 += m - 2
+    if t0 + 1 != grid.n_t:
+        raise ValueError(f"measured trajectory slabs stop before slice n_t = {grid.n_t}")
+    norms = np.sqrt(sq) / eps_arr ** (1.0 + exps[0])
     if np.all(np.diff(norms) > 0.0) and norms[-1] > 10.0 * max(norms[0], 1e-300):
         pretty = ", ".join(f"{n:.3e}" for n in norms)
         raise np.linalg.LinAlgError(

@@ -15,7 +15,7 @@ import pytest
 import fracwave as fw
 from fracwave.fields import CauchyData, control_basis, tensor_control, time_window
 from fracwave.forward import (data_energy, distributional_residual,
-                              solve_linear_modal, solve_newmark,
+                              march_slabs, solve_linear_modal, solve_newmark,
                               solve_with_potential_picard, sup_energy,
                               very_weak_residual)
 from fracwave.dnmap import dn_matrix, forward_map
@@ -294,7 +294,7 @@ def test_c11_two_term_expansion_recovered(expansion_setup):
     independent amplitude ladders agree within the sum of their reported
     per-term errors."""
     grid, op, basis, model, control, profiles = expansion_setup
-    measure = lambda c: solve_newmark(op, grid, model=model, control=c)
+    measure = lambda c: march_slabs(op, grid, model=model, control=c)
     ladder_a = tuple(2.0 ** -k for k in range(3, 10))
     ladder_b = tuple(0.75 * 2.0 ** -k for k in range(3, 10))
     est_a = recover_expansion(measure, control, (0.5, 1.0), op, grid,

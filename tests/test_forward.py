@@ -3,8 +3,9 @@ import pytest
 
 import fracwave as fw
 from fracwave import CauchyData, PolyNonlinearity
-from fracwave.forward import PICARD_MAX_ITER
+from fracwave.forward import MARCH_SLAB, PICARD_MAX_ITER
 from conftest import case
+from oracles import lift_exterior
 
 
 def mode_data(basis, k, a=1.0, b=0.0):
@@ -243,6 +244,58 @@ def test_newmark_matches_old_step_exactly():
             assert np.array_equal(field, expected[:, b])
 
 
+@pytest.mark.parametrize(
+    "n_t", [2 * MARCH_SLAB, 2 * MARCH_SLAB + 37, MARCH_SLAB + 1],
+    ids=["multiple", "remainder", "one_slab"],
+)
+def test_march_slabs_tile_solve_newmark(n_t):
+    """The slabs are views of one buffer of MARCH_SLAB + 2 slices; each
+    after the first repeats the last two slices of the one before, the
+    last ends at slice n_t, and joined they are solve_newmark's
+    trajectories bit for bit."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=n_t)
+    x = grid.interior_coords
+    two_term = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
+    data = CauchyData(0.1 * np.sin(np.pi * x), 0.2 * np.cos(3.0 * x))
+    source = 0.05 * np.random.default_rng(3).standard_normal((n_t + 1, grid.n_int))
+    (control,) = ladder_controls(grid, 1)
+    cases = [
+        dict(model=1.0 + 0.5 * np.sin(3.0 * x), control=control),
+        dict(model=two_term, control=ladder_controls(grid, 5)),
+        dict(model=two_term, data=data, source=source),
+    ]
+    for kwargs in cases:
+        full = fw.solve_newmark(op, grid, **kwargs)
+        full = full[:, None] if full.ndim == 2 else full.transpose(1, 0, 2)
+        slabs, bases = [], set()
+        for slab in fw.march_slabs(op, grid, **kwargs):
+            bases.add(slab.__array_interface__["data"][0])  # one buffer
+            assert slab.shape[1:] == full.shape[1:]
+            assert 2 < len(slab) <= MARCH_SLAB + 2
+            if slabs:
+                assert np.array_equal(slab[:2], slabs[-1][-2:])
+            slabs.append(slab.copy())
+        assert len(bases) == 1 and len(slabs) == -(-(n_t - 1) // MARCH_SLAB)
+        joined = np.concatenate([slabs[0]] + [slab[2:] for slab in slabs[1:]])
+        assert np.array_equal(joined, full)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_march_slabs_keep_guards():
+    """Guards raise when the first slab is asked for, and a blowup raised
+    while the slabs are read names the step and the batch rows."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=512)
+    with pytest.raises(ValueError, match="potential shape"):
+        next(fw.march_slabs(op, grid, model=np.zeros(grid.n_int + 1)))
+    bad = PolyNonlinearity.single(2.0, -1e8, n_nodes=grid.n_int)
+    (control,) = ladder_controls(grid, 1)
+    mixed = [a * control for a in (1e-6, 1.0, 1e-6)]
+    with pytest.raises(fw.SolverBlowupError, match=r"step \d+ .* batch rows \[1\]$"):
+        for _ in fw.march_slabs(op, grid, model=bad, control=mixed):
+            pass
+
+
 def test_picard_zero_potential_short_circuits():
     grid, op, basis = case(n_int=24, s=0.7, n_t=64)
     data, _, _ = mode_data(basis, 0)
@@ -300,7 +353,7 @@ def test_picard_matches_sweep_or_raises():
     # an unconverged iterate as converged
     grid, op, basis = case(n_int=24, s=0.7, n_t=256, T=1.0)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    source = fw.lift_exterior(control, op, grid)
+    source = lift_exterior(control, op, grid)
     zero = CauchyData.zero(grid.n_int)
     q = np.full(grid.n_int, 300.0)
     exact = fw.solve_with_potential(control[None], q, op, grid)[0]
@@ -345,7 +398,7 @@ def test_potential_sweep_matches_picard(profile, n_t):
     states = fw.solve_with_potential(controls, q, op, grid)
     zero = CauchyData.zero(grid.n_int)
     for control, u in zip(controls, states):
-        source = fw.lift_exterior(control, op, grid)
+        source = lift_exterior(control, op, grid)
         ref, _ = fw.solve_with_potential_picard(basis, q, zero, source, grid)
         scale = np.max(np.abs(ref.u))
         assert np.max(np.abs(u - ref.u)) <= 1e-12 * scale
@@ -409,7 +462,7 @@ def test_control_guards(spoil, message):
         lambda: fw.solve_newmark(op, grid, control=bad),
         lambda: fw.solve_newmark(op, grid, control=bad[None]),
         lambda: fw.solve_with_potential(bad[None], np.zeros(grid.n_int), op, grid),
-        lambda: fw.lift_exterior(bad, op, grid),
+        lambda: next(fw.march_slabs(op, grid, control=bad)),
         lambda: fw.dn_matrix(op, grid, good, bad[None]),
         lambda: fw.recover_expansion(lambda cs: pytest.fail("measured"), bad, (1.0,),
                                      op, grid, eps_ladder=(0.5, 0.25)),
@@ -511,7 +564,7 @@ def test_trajectory_guards(guard):
         "wrong_n_t": lambda: fw.reaction_from_march(full[:-1], op, grid),
         "nan_entry": lambda: fw.dn_trace(holed, op, grid),
         "measure_interior": lambda: fw.recover_expansion(
-            lambda cs: grid.restrict(fw.solve_newmark(op, grid, control=cs)),
+            lambda cs: (grid.restrict(s) for s in fw.march_slabs(op, grid, control=cs)),
             control, (0.5,), op, grid, eps_ladder=(0.25, 0.125),
         ),
     }

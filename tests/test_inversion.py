@@ -8,9 +8,10 @@ import pytest
 import fracwave as fw
 from fracwave import inversion as inv
 from fracwave.dnmap import dn_matrix, solve_exterior
-from fracwave.forward import solve_newmark, trapezoid_weights
+from fracwave.forward import march_slabs, solve_newmark, trapezoid_weights
 
 from conftest import case
+from oracles import fit_profile
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +218,21 @@ def test_reaction_rows_match_nonlinearity_with_source(small):
     assert np.max(np.abs(rows - model.evaluate(u_int[1:-1]))) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "spoil", [lambda f: f[:, :1], lambda f: np.where(f == f.max(), np.nan, f)],
+    ids=["one_column", "nan"],
+)
+def test_reaction_checks_source(small, spoil):
+    """The march's forcing is checked like a trajectory: a single column
+    must not broadcast over the nodes, and a NaN must not pass."""
+    grid, op, basis = small
+    x = grid.interior_coords
+    source = np.sin(3.0 * grid.times())[:, None] * np.sin(2 * np.pi * x)[None, :]
+    u_full = solve_newmark(op, grid, source=source)
+    with pytest.raises(ValueError, match="trajectory"):
+        inv.reaction_from_march(u_full, op, grid, source=spoil(source))
+
+
 # --------------------------------------------------------- profile fitting
 
 
@@ -224,7 +240,7 @@ def test_fit_profile_exact_on_synthetic_samples():
     v_rows = np.linspace(0.5, 1.5, 5)[:, None] * np.ones((5, 4))
     coeff = np.array([1.0, 2.0, 3.0, 4.0])
     s_limit = coeff[None, :] * np.abs(v_rows) ** 0.5 * v_rows
-    fitted, mask = inv.fit_profile(s_limit, v_rows, 0.5)
+    fitted, mask = fit_profile(s_limit, v_rows, 0.5)
     np.testing.assert_allclose(fitted, coeff, atol=1e-12)
     assert mask.all()
 
@@ -234,7 +250,7 @@ def test_fit_profile_masks_and_inherits_unexcited_nodes():
     v_rows[:, 3] = 1e-9
     coeff = np.array([1.0, 2.0, 3.0, 40.0])
     s_limit = coeff[None, :] * np.abs(v_rows) ** 0.5 * v_rows
-    fitted, mask = inv.fit_profile(s_limit, v_rows, 0.5)
+    fitted, mask = fit_profile(s_limit, v_rows, 0.5)
     assert list(mask) == [True, True, True, False]
     np.testing.assert_allclose(fitted[:3], coeff[:3], atol=1e-12)
     assert fitted[3] == pytest.approx(coeff[2])
@@ -242,12 +258,12 @@ def test_fit_profile_masks_and_inherits_unexcited_nodes():
 
 def test_fit_profile_rejects_fully_silent_response():
     with pytest.raises(ValueError, match="never excites"):
-        inv.fit_profile(np.zeros((3, 4)), np.zeros((3, 4)), 0.5)
+        fit_profile(np.zeros((3, 4)), np.zeros((3, 4)), 0.5)
 
 
 def test_fit_profile_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shapes differ"):
-        inv.fit_profile(np.zeros((3, 4)), np.zeros((3, 5)), 0.5)
+        fit_profile(np.zeros((3, 4)), np.zeros((3, 5)), 0.5)
 
 
 # -------------------------------------------------- power-law extrapolation
@@ -314,7 +330,7 @@ def test_recover_expansion_single_term(fast_case):
     profile = 2.0 * (1 + 0.3 * np.cos(np.pi * x))
     model = fw.PolyNonlinearity((0.5,), profile[None, :])
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: solve_newmark(op, grid, model=model, control=c)
+    measure = lambda c: march_slabs(op, grid, model=model, control=c)
     ladder = tuple(2.0**-k for k in range(3, 9))
     est = inv.recover_expansion(measure, control, (0.5,), op, grid,
                                 eps_ladder=ladder)
@@ -336,7 +352,7 @@ def test_recover_expansion_reports_unresolved_stages(fast_case):
     x = grid.interior_coords
     model = fw.PolyNonlinearity((0.5,), (2.0 * (1 + 0.3 * np.cos(np.pi * x)))[None, :])
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: solve_newmark(op, grid, model=model, control=c)
+    measure = lambda c: march_slabs(op, grid, model=model, control=c)
     est = inv.recover_expansion(measure, control, (0.5, 1.0, 1.5),
                                 op, grid, eps_ladder=(0.125, 0.0625))
     assert est.resolved == (True, False, False)
@@ -349,7 +365,7 @@ def test_recover_expansion_zero_model_yields_zero_coefficients(fast_case):
     grid, op, basis = fast_case
     model = fw.PolyNonlinearity((0.5,), np.zeros((1, grid.n_int)))
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: solve_newmark(op, grid, model=model, control=c)
+    measure = lambda c: march_slabs(op, grid, model=model, control=c)
     ladder = tuple(2.0**-k for k in range(3, 9))
     est = inv.recover_expansion(measure, control, (0.5,), op, grid,
                                 eps_ladder=ladder)
@@ -359,7 +375,7 @@ def test_recover_expansion_zero_model_yields_zero_coefficients(fast_case):
 def test_recover_expansion_validates_arguments(fast_case):
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: solve_newmark(op, grid, control=c)
+    measure = lambda c: march_slabs(op, grid, control=c)
     with pytest.raises(ValueError, match="strictly increasing"):
         inv.recover_expansion(measure, control, (1.0, 0.5), op, grid,
                               eps_ladder=(0.25, 0.125))
@@ -374,9 +390,6 @@ def test_recover_expansion_validates_arguments(fast_case):
         with pytest.raises(ValueError, match="floor_rel must lie"):
             inv.recover_expansion(measure, control, (0.5,), op, grid,
                                   eps_ladder=(0.25, 0.125), floor_rel=bad)
-    with pytest.raises(ValueError, match="returned 1 fields for 2 controls"):
-        inv.recover_expansion(lambda cs: measure(cs)[:1], control, (0.5,), op,
-                              grid, eps_ladder=(0.25, 0.125))
 
 
 @pytest.mark.parametrize(
@@ -387,7 +400,7 @@ def test_recover_expansion_rejects_repeated_rungs(fast_case, ladder):
     sub-ladders identical, so the self-reported error would read 0."""
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda cs: solve_newmark(op, grid, control=cs)
+    measure = lambda cs: march_slabs(op, grid, control=cs)
     with pytest.raises(ValueError, match="repeats a rung"):
         inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=ladder)
@@ -399,24 +412,70 @@ def test_recover_expansion_detects_noise_floor(fast_case):
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     frozen = solve_newmark(op, grid, control=control)
-    measure = lambda cs: [frozen] * len(cs)
+    measure = lambda cs: [np.stack([frozen] * len(cs), axis=1)]  # one slab
     ladder = tuple(2.0**-k for k in range(3, 8))
     with pytest.raises(ValueError, match="diverge"):
         inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=ladder)
 
 
+def _tiles(stack, step):
+    """A time-major stack cut into slabs of step + 2 slices that overlap by two."""
+    return [stack[t0 : t0 + step + 2] for t0 in range(0, len(stack) - 2, step)]
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda tiles: [t[:, :1] for t in tiles], "shape"),
+    (lambda tiles: [t[:, :, 1:] for t in tiles], "shape"),
+    (lambda tiles: tiles[:-1], "stop before slice n_t"),
+    (lambda tiles: tiles[:1] + tiles[2:], "breaks the overlap"),
+    (lambda tiles: tiles[:1] + [np.concatenate([tiles[1][:1], tiles[1][2:]])] + tiles[2:],
+     "breaks the overlap"),
+    (lambda tiles: tiles + tiles[-1:], "shape"),
+    (lambda tiles: tiles[:2] + [np.where(tiles[2] == tiles[2].max(), np.inf, tiles[2])]
+     + tiles[3:], "not finite"),
+], ids=["rungs", "nodes", "short", "gap", "no_overlap", "overrun", "inf"])
+def test_recover_expansion_checks_measured_slabs(fast_case, spoil, message):
+    """A wrong rung or node count, slabs that stop short of n_t, overrun it
+    or break the overlap, and a non-finite slab raise ValueError."""
+    grid, op, basis = fast_case
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    stack = lambda cs: solve_newmark(op, grid, control=cs).transpose(1, 0, 2)
+    with pytest.raises(ValueError, match=message):
+        inv.recover_expansion(lambda cs: spoil(_tiles(stack(cs), 60)), control,
+                              (0.5,), op, grid, eps_ladder=(0.25, 0.125))
+
+
+def test_recover_expansion_any_overlapping_tiling(fast_case):
+    """Slabs of any length that keep the overlap give the recovery of one
+    whole time-major slab to roundoff."""
+    grid, op, basis = fast_case
+    model = fw.PolyNonlinearity((0.5,), _profiles(grid, 1))
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    ladder = tuple(2.0 ** -k for k in range(3, 9))
+    stack = lambda cs: solve_newmark(op, grid, model=model,
+                                     control=cs).transpose(1, 0, 2)
+    run = lambda measure: inv.recover_expansion(measure, control, (0.5,), op,
+                                                grid, eps_ladder=ladder)
+    whole = run(lambda cs: [stack(cs)])
+    for step in (1, 60, grid.n_t - 2):
+        tiled = run(lambda cs: _tiles(stack(cs), step))
+        np.testing.assert_allclose(tiled.coeffs, whole.coeffs, rtol=1e-12, atol=0.0)
+        assert tiled.errors == pytest.approx(whole.errors, rel=1e-9)
+
+
 # --------------------------------------- moment route against sample route
 
 
-def _sample_route(measure, control, exps, op, grid, ladder, floor_rel=1e-3):
-    """Expansion recovery on the full (n_rungs, n_t - 1, n_int) samples:
-    every reaction is kept, peeled term by term, scaled, extrapolated
-    sample by sample and fitted with fit_profile.  Returns
-    (coeffs, errors, masks, extrap_conds)."""
+def _sample_route(model, control, exps, op, grid, ladder, floor_rel=1e-3):
+    """Expansion recovery on the full (n_rungs, n_t - 1, n_int) samples of
+    one batched solve_newmark call: every reaction is kept, peeled term by
+    term, scaled, extrapolated sample by sample and fitted with
+    fit_profile.  Returns (coeffs, errors, masks, extrap_conds)."""
     eps_arr = np.asarray(sorted(ladder, reverse=True))
     v_rows = inv.linear_response(control, op, grid)[1:-1]
-    fields = measure(eps_arr[:, None, None] * control)
+    fields = solve_newmark(op, grid, model=model,
+                           control=eps_arr[:, None, None] * control)
     peeled = np.stack([inv.reaction_from_march(u, op, grid) for u in fields])
     states = np.stack([grid.restrict(u)[1:-1] for u in fields])
     coeffs = np.zeros((len(exps), grid.n_int))
@@ -430,9 +489,9 @@ def _sample_route(measure, control, exps, op, grid, ladder, floor_rel=1e-3):
         powers = tuple(sorted(powers))
         scaled = peeled / (eps_arr ** (1.0 + r_k))[:, None, None]
         limit, _, cond = inv.extrapolate_powers(eps_arr, scaled, powers)
-        coeffs[k], masks[k] = inv.fit_profile(limit, v_rows, r_k,
+        coeffs[k], masks[k] = fit_profile(limit, v_rows, r_k,
                                               floor_rel=floor_rel)
-        parts = [inv.fit_profile(inv.extrapolate_powers(eps_arr[sel], scaled[sel],
+        parts = [fit_profile(inv.extrapolate_powers(eps_arr[sel], scaled[sel],
                                                         powers)[0],
                                  v_rows, r_k, floor_rel=floor_rel)[0]
                  for sel in (even, odd)]
@@ -464,10 +523,10 @@ def test_recover_expansion_moments_match_sample_route(exps, n_t, ladder,
     grid, op, basis = case(n_int=48, s=0.7, n_t=n_t, T=1.0)
     model = fw.PolyNonlinearity(exps, _profiles(grid, len(exps)))
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda cs: solve_newmark(op, grid, model=model, control=cs)
+    measure = lambda cs: march_slabs(op, grid, model=model, control=cs)
     est = inv.recover_expansion(measure, control, exps, op, grid,
                                 eps_ladder=ladder, floor_rel=floor_rel)
-    coeffs, errors, masks, conds = _sample_route(measure, control, exps, op,
+    coeffs, errors, masks, conds = _sample_route(model, control, exps, op,
                                                  grid, ladder, floor_rel)
     assert est.resolved == (True,) * len(exps)
     assert est.masks.all() == (floor_rel < 0.01)
@@ -480,22 +539,22 @@ def test_recover_expansion_moments_match_sample_route(exps, n_t, ladder,
 
 
 def test_recover_expansion_streams_the_ladder():
-    """With the trajectories measured beforehand, the recovery allocates
-    less than 1.5 times one (n_rungs, n_t - 1, n_int) sample array: each
-    trajectory is reduced to its fit moments when it is read."""
-    grid, op, basis = case(n_int=48, s=0.7, n_t=1024, T=1.0)
+    """The whole recovery, the batched march of the ladder included,
+    allocates less than one (n_rungs, n_t - 1, n_int) sample array: the
+    march hands its trajectories over in time slabs and each slab is
+    reduced to fit moments as it arrives."""
+    grid, op, basis = case(n_int=48, s=0.7, n_t=4096, T=1.0)
     model = fw.PolyNonlinearity((0.5, 1.0), _profiles(grid, 2))
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     ladder = tuple(2.0 ** -k for k in range(3, 10))
-    fields = solve_newmark(op, grid, model=model,
-                           control=np.multiply.outer(ladder, control))
-    budget = 1.5 * len(ladder) * (grid.n_t - 1) * grid.n_int * 8
+    budget = len(ladder) * (grid.n_t - 1) * grid.n_int * 8
     tracemalloc.start()
     try:
-        est = inv.recover_expansion(lambda cs: fields, control, (0.5, 1.0),
-                                    op, grid, eps_ladder=ladder)
+        est = inv.recover_expansion(
+            lambda cs: march_slabs(op, grid, model=model, control=cs),
+            control, (0.5, 1.0), op, grid, eps_ladder=ladder)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.resolved == (True, True)
-    assert peak <= budget, f"peak {peak / budget * 1.5:.2f}x one sample array"
+    assert peak <= budget, f"peak {peak / budget:.2f}x one sample array"
