@@ -38,8 +38,10 @@ and the fit a time sum, in which the earlier profiles bhat_j(x) factor
 out.  The ladder, eps * control for each rung, is measured in one call
 that returns all rungs in time slabs; each slab is reduced, as it
 arrives, to per-node moments against the masked regressors (of its
-reaction and of |u_eps|^(r_j) u_eps), and extrapolation and peeling run
-on (rungs, nodes) arrays, so no trajectory stack is held.
+reaction and of |u_eps|^(r_j) u_eps), which are formed for that slab from
+the held interior linear response v, and extrapolation and peeling run
+on (rungs, nodes) arrays, so neither a trajectory nor a regressor stack
+is held.
 """
 from __future__ import annotations
 
@@ -50,7 +52,7 @@ import numpy as np
 
 from .dnmap import _pairings, forward_map
 from .fields import _controls
-from .forward import _trajectory, solve_newmark, trapezoid_weights
+from .forward import _trajectory, march_slabs, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
 
@@ -214,16 +216,22 @@ def linear_response(
 
     The explicit stepper matches the discretization of marched measurements
     exactly, so remainders and peeling stages see no integrator mismatch
-    (for dyadic amplitudes the linear march scales bitwise).
+    (for dyadic amplitudes the linear march scales bitwise).  The interior
+    slices of `march_slabs` fill the result; no full-grid array is built.
     """
-    return grid.restrict(solve_newmark(op, grid, control=control))
+    v, t0 = np.empty((grid.n_t + 1, grid.n_int)), 0
+    for slab in march_slabs(op, grid, control=control):
+        v[t0 : t0 + len(slab)] = slab[:, 0, grid.interior_slice]
+        t0 += len(slab) - 2
+    return v
 
 
 def _readback(v: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
     """-d2 v - A v at the interior slices 1 .. m-2 of full-grid slices
     v (m, ..., n_nodes), in the march's order of operations, bitwise."""
     vi = v[..., grid.interior_slice]
-    out = vi[2:] - 2.0 * vi[1:-1]
+    out = 2.0 * vi[1:-1]
+    np.subtract(vi[2:], out, out=out)
     out += vi[:-2]
     out /= grid.dt**2
     np.negative(out, out=out)
@@ -287,16 +295,15 @@ def extrapolate_powers(
 
 
 def _regressors(
-    v_rows: np.ndarray, exponents: tuple[float, ...], floor_rel: float
+    v_rows: np.ndarray, exponents: tuple[float, ...], floor: float
 ) -> np.ndarray:
     """Masked regressors |v|^r v, one per exponent, stacked on a leading
-    axis; zero on rows where |v| falls below floor_rel * max|v|."""
+    axis; zero on rows where |v| falls below floor."""
     mag = np.abs(v_rows)
-    active = mag >= floor_rel * np.max(mag)
     g = np.empty((len(exponents), *v_rows.shape))
     for k, r in enumerate(exponents):
         np.multiply(mag**r, v_rows, out=g[k])
-    g[:, ~active] = 0.0
+    g[:, mag < floor] = 0.0
     return g
 
 
@@ -356,7 +363,8 @@ def recover_expansion(
     starts with the last two slices of the one before and the last ends at
     slice n_t, as `forward.march_slabs` yields them for a synthetic study (a
     list of the whole time-major stack is one slab); each is checked and
-    reduced to per-node fit moments as it arrives, and not kept.  The
+    reduced to per-node fit moments as it arrives, and not kept, against
+    regressors formed for its slices from the interior linear response.  The
     stage-k extrapolation basis is {0} + {r_j - r_k : j < k} + {r_1} +
     {r_(k+1) - r_k}; a stage whose basis outgrows the ladder is reported
     unresolved (zero profile, error inf) rather than extrapolated badly.
@@ -383,11 +391,13 @@ def recover_expansion(
 
     control = _controls(control, grid, (2,))
     n_rungs, n_terms = eps_arr.size, len(exps)
-    g = _regressors(linear_response(control, op, grid)[1:-1], exps, floor_rel)
-    gram = np.einsum("ktx,ktx->kx", g, g)
+    v = linear_response(control, op, grid)
+    floor = floor_rel * max(v[1:-1].max(), -v[1:-1].min())  # floor_rel * max|v|
 
-    # fit moments per rung i: fits[k, i] = sum_t g_k reaction_i and
+    # regressors g_k = |v|^(r_k) v per slab, their Gram sums gram[k] = sum_t g_k^2
+    # and fit moments per rung i: fits[k, i] = sum_t g_k reaction_i and
     # peels[k, j, i] = sum_t g_k |s_i|^(r_j) s_i for j < k, summed slab by slab
+    gram = np.zeros((n_terms, grid.n_int))
     fits = np.zeros((n_terms, n_rungs, grid.n_int))
     peels = np.zeros((n_terms, n_terms, n_rungs, grid.n_int))
     sq = np.zeros(n_rungs)  # squared norms of the stage-1 reactions
@@ -403,7 +413,8 @@ def recover_expansion(
         if tail is not None and not np.array_equal(slab[:2], tail):
             raise ValueError(f"measured trajectory slab at slice {t0} breaks the overlap")
         reaction = _readback(slab, op, grid)  # (m - 2, rungs, n_int)
-        rows = g[:, t0 : t0 + m - 2]
+        rows = _regressors(v[t0 + 1 : t0 + m - 1], exps, floor)
+        gram += np.einsum("ktx,ktx->kx", rows, rows)
         sq += np.einsum("tix,tix->i", reaction, reaction)
         fits += np.einsum("ktx,tix->kix", rows, reaction)
         s = slab[1:-1, :, grid.interior_slice]

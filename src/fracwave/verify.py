@@ -5,7 +5,8 @@ property the rest of the package relies on, and returns a flat dict of
 scalar diagnostics.  `run_checks` executes a deterministic batch from a
 seed, in which the checks share one operator (and eigenbasis) per order
 and size; the CLI serializes the result, and reruns with the same seed
-must produce identical bytes.
+must produce identical bytes.  The two sides of the energy estimate that
+the `energy` check compares, `sup_energy` and `data_energy`, live here.
 """
 from __future__ import annotations
 
@@ -16,22 +17,51 @@ import numpy.random  # noqa: F401 - every check draws: load it here, not on the 
 
 from .fields import control_basis, tensor_control
 from .forward import (
+    WaveSolution,
     _modal_coefficients,
-    data_energy,
+    _trajectory,
     solve_linear_modal,
     solve_with_potential_picard,
-    sup_energy,
+    trapezoid_weights,
     very_weak_residual,
 )
 from .dnmap import dn_matrix, forward_map
 from .fracop import FracOperator, assemble_operator, centered_weights
 from .fields import CauchyData
-from .grid import build_grid
+from .grid import Grid, build_grid
 from .inversion import reaction_from_march
 from .runge import approximate_target, st_norm
-from .spectral import dual_norm, dual_norm_variational
+from .spectral import SpectralBasis, dual_norm, dual_norm_variational, project_l2
 
-__all__ = ["CHECKS", "THRESHOLDS", "run_checks", "report_lines"]
+__all__ = ["CHECKS", "THRESHOLDS", "run_checks", "report_lines", "sup_energy", "data_energy"]
+
+
+def sup_energy(sol: WaveSolution, basis: SpectralBasis, grid: Grid) -> float:
+    """sup_t ( ||u(t)||_L2 + ||u'(t)||_H^-s )."""
+    l2 = np.sqrt(grid.h) * np.linalg.norm(sol.u, axis=1)
+    coeffs = project_l2(sol.udot, basis)
+    dual = np.sqrt(np.sum(coeffs * coeffs / basis.lambdas[None, :], axis=1))
+    return float(np.max(l2 + dual))
+
+
+def data_energy(
+    data: CauchyData,
+    source: np.ndarray | None,
+    basis: SpectralBasis,
+    grid: Grid,
+) -> float:
+    """||u0||_L2 + ||u1||_H^-s + ||F||_L2(0,T;H^-s)."""
+    l2_u0 = np.sqrt(grid.h) * np.linalg.norm(data.u0)
+    c1 = project_l2(data.u1, basis)
+    dual_u1 = np.sqrt(np.sum(c1 * c1 / basis.lambdas))
+    f_term = 0.0
+    if source is not None:
+        cf = project_l2(_trajectory(source, grid.n_int, grid), basis)
+        dual_sq = np.sum(cf * cf / basis.lambdas[None, :], axis=1)
+        w = trapezoid_weights(grid.n_t, grid.dt)
+        f_term = np.sqrt(np.sum(w * dual_sq))
+    return float(l2_u0 + dual_u1 + f_term)
+
 
 # (s, n_int, n_t, T) -> (grid, op); a check takes a seeded generator and the
 # setup factory of its batch

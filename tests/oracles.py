@@ -26,5 +26,5 @@ def fit_profile(s_limit, v_rows, r, *, floor_rel=1e-3):
     """
     if s_limit.shape != v_rows.shape:
         raise ValueError("sample and response shapes differ")
-    g = _regressors(v_rows, (r,), floor_rel)[0]
+    g = _regressors(v_rows, (r,), floor_rel * np.max(np.abs(v_rows)))[0]
     return _solve_nodes(np.einsum("tx,tx->x", g, s_limit), np.einsum("tx,tx->x", g, g))

@@ -14,15 +14,15 @@ import pytest
 
 import fracwave as fw
 from fracwave.fields import CauchyData, control_basis, tensor_control, time_window
-from fracwave.forward import (data_energy, distributional_residual,
-                              march_slabs, solve_linear_modal, solve_newmark,
-                              solve_with_potential_picard, sup_energy,
-                              very_weak_residual)
+from fracwave.forward import (distributional_residual, march_slabs,
+                              solve_linear_modal, solve_newmark,
+                              solve_with_potential_picard, very_weak_residual)
 from fracwave.dnmap import dn_matrix, forward_map
 from fracwave.inversion import (linear_response, reaction_from_march,
                                 recover_expansion, recover_potential)
 from fracwave.runge import approximate_target, st_norm
 from fracwave.spectral import dual_norm, dual_norm_variational
+from fracwave.verify import data_energy, sup_energy
 
 from conftest import case
 

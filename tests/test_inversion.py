@@ -179,6 +179,16 @@ def test_linear_response_scales_bitwise_for_dyadic_factor(small):
     assert np.array_equal(v_half, 0.5 * v_full)
 
 
+@pytest.mark.parametrize("n_t", [512, 549, 257], ids=["multiple", "remainder", "one_slab"])
+def test_linear_response_is_the_restricted_march(n_t):
+    """linear_response joins march_slabs' interior slices; they equal the
+    interior of the full-grid march bit for bit at every slab tiling."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=n_t)
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    expected = grid.restrict(solve_newmark(op, grid, control=control))
+    assert np.array_equal(inv.linear_response(control, op, grid), expected)
+
+
 def test_linear_response_routes_agree(small):
     grid, op, basis = small
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
@@ -540,14 +550,15 @@ def test_recover_expansion_moments_match_sample_route(exps, n_t, ladder,
 
 def test_recover_expansion_streams_the_ladder():
     """The whole recovery, the batched march of the ladder included,
-    allocates less than one (n_rungs, n_t - 1, n_int) sample array: the
-    march hands its trajectories over in time slabs and each slab is
+    allocates less than 0.6 of one (n_rungs, n_t - 1, n_int) sample array:
+    the march hands its trajectories over in time slabs, the regressors
+    are formed per slab from the held linear response, and each slab is
     reduced to fit moments as it arrives."""
     grid, op, basis = case(n_int=48, s=0.7, n_t=4096, T=1.0)
     model = fw.PolyNonlinearity((0.5, 1.0), _profiles(grid, 2))
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     ladder = tuple(2.0 ** -k for k in range(3, 10))
-    budget = len(ladder) * (grid.n_t - 1) * grid.n_int * 8
+    sample = len(ladder) * (grid.n_t - 1) * grid.n_int * 8  # bytes
     tracemalloc.start()
     try:
         est = inv.recover_expansion(
@@ -557,4 +568,4 @@ def test_recover_expansion_streams_the_ladder():
     finally:
         tracemalloc.stop()
     assert est.resolved == (True, True)
-    assert peak <= budget, f"peak {peak / budget:.2f}x one sample array"
+    assert peak <= 0.6 * sample, f"peak {peak / sample:.2f}x one sample array"
