@@ -14,10 +14,13 @@ reversal of phi.  The integral identity used for potential recovery pairs
 controls with time-reversed tests, the orientation of `dn_matrix`.
 
 Controls and tests are plain float arrays (see `fields`): `solve_exterior`
-takes one (n_t+1, n_ext) control, `dn_matrix` two (B, n_t+1, n_ext) stacks.
-A single pairing of a trace with a test psi is
-`st_inner(dn_trace(u_full, op, grid), psi, grid)`.  The `dn` pipeline of
-the command line writes the matrix to dn.json; nothing reads it back.
+takes one (n_t+1, n_ext) control, `dn_matrix` two (B, n_t+1, n_ext) stacks
+and reduces the control states under a potential in time slabs as the
+sweep makes them, so it holds no state stack.  `_born` reduces one sweep
+of a joined control/test stack the same way into the model pairings and
+their derivative in q, the Born rows `inversion.recover_potential` fits.
+The `dn` pipeline of the command line writes the matrix to dn.json;
+nothing reads it back.
 """
 from __future__ import annotations
 
@@ -26,13 +29,18 @@ import hashlib
 import numpy as np
 
 from .fields import _controls
-from .forward import _trajectory, solve_newmark, solve_with_potential, st_gram
+from .forward import (
+    SWEEP_SLAB,
+    _sweep,
+    solve_newmark,
+    solve_with_potential,
+    trapezoid_weights,
+)
 from .fracop import FracOperator
 from .grid import Grid
 from .nonlinearity import PolyNonlinearity
 
 __all__ = [
-    "dn_trace",
     "solve_exterior",
     "dn_matrix",
     "forward_map",
@@ -59,13 +67,6 @@ def grid_signature(grid: Grid, s: float) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def dn_trace(u_full: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
-    """Exterior trace of A u for a full-grid trajectory u (n_t + 1, n_nodes),
-    shape (n_t + 1, n_ext)."""
-    u_full = _trajectory(u_full, grid.n_nodes, grid)
-    return (u_full @ op.a_full)[:, grid.exterior_indices]
-
-
 def solve_exterior(
     control: np.ndarray,
     op: FracOperator,
@@ -89,8 +90,10 @@ def forward_map(
     stack (B, n_t+1, n_ext); a single control is refused on every model.
     A potential (an interior array, or None for q = 0) takes one batched
     sweep of `solve_with_potential`; a power-type nonlinearity marches all
-    controls as one batch.  This is the expensive step of every measurement
-    and fit; `runge.approximate_target` fits one output for every alpha."""
+    controls as one batch.  It builds the whole state stack, which
+    `runge.approximate_target` fits once for every alpha; `dn_matrix` and
+    `inversion.recover_potential` reduce a potential's sweep in slabs
+    instead and never hold it."""
     controls = _controls(controls, grid, (3,))
     if isinstance(model, PolyNonlinearity):
         return grid.restrict(solve_newmark(op, grid, model=model, control=controls))
@@ -98,21 +101,33 @@ def forward_map(
     return solve_with_potential(controls, q, op, grid)
 
 
-def _pairings(
-    states: np.ndarray,
+def _pairing(
     controls: np.ndarray,
     tests: np.ndarray,
     op: FracOperator,
     grid: Grid,
-) -> np.ndarray:
+):
     """M[a, b] = h sum_t w_t <(A u_a)(t) on the exterior, psi_b(T - t)> for
-    the control states u_a and a (n_tests, n_t+1, n_ext) test stack psi_b:
-    the pairing against the time-reversed tests, made here alone."""
+    the states u_a of the controls and a (n_tests, n_t+1, n_ext) test stack
+    psi_b: the pairing against the time-reversed tests, made here alone, as
+    (fixed, pair).  fixed is the part of the controls themselves, which no
+    model changes; pair(slab, t0) is the part of a batch-major state slab
+    (B, m, n_int) holding slices t0 .. t0+m-1, rows past the controls' left
+    out: one product against the weighted reversed tests lifted by the
+    interior rows of A, so M is fixed plus pair summed over any tiling."""
+    n_c, n_te = len(controls), len(tests)
     ext = grid.exterior_indices
     a_ext = op.a_full[:, ext]
-    trace = states @ a_ext[grid.interior_slice] + controls @ a_ext[ext]
-    # reversed tests as a contiguous copy: a strided view raised peak memory
-    return st_gram(trace, np.ascontiguousarray(tests[:, ::-1]), grid)
+    w = trapezoid_weights(grid.n_t, grid.dt)
+    psi = np.ascontiguousarray(tests[:, ::-1]) * (grid.h * w)[:, None]
+    fixed = (controls @ a_ext[ext]).reshape(n_c, -1) @ psi.reshape(n_te, -1).T
+    lift = a_ext[grid.interior_slice].T  # (n_ext, n_int)
+
+    def pair(slab: np.ndarray, t0: int) -> np.ndarray:
+        m = slab.shape[1]
+        return slab[:n_c].reshape(n_c, -1) @ (psi[:, t0 : t0 + m] @ lift).reshape(n_te, -1).T
+
+    return fixed, pair
 
 
 def dn_matrix(
@@ -124,7 +139,56 @@ def dn_matrix(
 ) -> np.ndarray:
     """Pairing matrix M[a, b] = <L phi_a, psi_b*> against the time-reversed
     tests psi_b*, the orientation the recovery identity uses.  The control
-    states are solved once, as a batch, and reused across all tests."""
+    states are solved once, as a batch: a potential's sweep is reduced in
+    slabs of SWEEP_SLAB time slices as they arrive, so no state stack is
+    held; a nonlinearity's march stack is one slab."""
+    controls = _controls(controls, grid, (3,))
     tests = _controls(tests, grid, (3,))
-    states = forward_map(controls, op, grid, model)
-    return _pairings(states, controls, tests, op, grid)
+    if isinstance(model, PolyNonlinearity):
+        slabs = [forward_map(controls, op, grid, model)]
+    else:
+        q = np.zeros(grid.n_int) if model is None else model
+        slabs = _sweep(controls, q, op, grid, SWEEP_SLAB)
+    m, pair = _pairing(controls, tests, op, grid)
+    t0 = 0
+    for slab in slabs:
+        m += pair(slab, t0)
+        t0 += slab.shape[1]
+    return m
+
+
+def _born(stack, n_c, q, pairing, op, grid):
+    """Born rows (n_c * n_te, n_int) and model pairing matrix (n_c, n_te) at
+    the background q: the derivative of `dn_matrix` in q and its value,
+    from one sweep of the joined stack (controls first) reduced slab by
+    slab.  For the rows h sum_t w_t u_a(t) v_b(T - t) only slices
+    0 .. n_t//2 are held: each later slice t meets its held mirror n_t - t
+    in both orientations (the weights are symmetric), the two staged
+    x-major for one x-batched product per slab; the middle slice of an
+    even n_t adds its own term."""
+    fixed, pair = pairing
+    n_t, half, n_te = grid.n_t, grid.n_t // 2, len(stack) - n_c
+    w = trapezoid_weights(n_t, grid.dt)
+    held = np.empty((len(stack), half + 1, grid.n_int))
+    staged = np.empty((len(stack), grid.n_int, 2 * SWEEP_SLAB))
+    rows = np.zeros((grid.n_int, n_c, n_te))
+    d_model, t0 = fixed.copy(), 0
+    for slab in _sweep(stack, q, op, grid, SWEEP_SLAB):
+        d_model += pair(slab, t0)
+        m = slab.shape[1]
+        k = min(m, max(half + 1 - t0, 0))  # held slices of this slab
+        held[:, t0 : t0 + k] = slab[:, :k]
+        if k < m:  # later slices t0+k .. t0+m-1, reversed, meet mirrors r0 .. r0+n-1
+            n, r0 = m - k, n_t + 1 - t0 - m
+            later = slab[:, k:][:, ::-1].transpose(0, 2, 1)
+            mirror = held[:, r0 : r0 + n].transpose(0, 2, 1)
+            staged[:n_c, :, :n], staged[:n_c, :, n : 2 * n] = later[:n_c], mirror[:n_c]
+            staged[n_c:, :, :n], staged[n_c:, :, n : 2 * n] = mirror[n_c:], later[n_c:]
+            staged[:n_c, :, : 2 * n] *= np.tile(w[r0 : r0 + n], 2)
+            x = staged[:, :, : 2 * n].transpose(1, 0, 2)
+            rows += x[:, :n_c] @ x[:, n_c:].transpose(0, 2, 1)
+        t0 += m
+    if n_t % 2 == 0:
+        mid = held[:, half].T
+        rows += w[half] * mid[:, :n_c, None] * mid[:, None, n_c:]
+    return grid.h * rows.transpose(1, 2, 0).reshape(n_c * n_te, grid.n_int), d_model

@@ -1,5 +1,5 @@
 """Wave solvers: modal Duhamel, potentials (exact sweep and Picard oracle),
-explicit time stepping, and the weak-form residual checks.
+explicit time stepping, and the very-weak residual check.
 
 Trajectories are plain float arrays, (n_t+1, n_int) or (n_t+1, n_nodes);
 `_trajectory` checks one that enters from outside (a state, a source, a
@@ -31,7 +31,9 @@ form d_{j+1} = d_j - 4 sin^2(theta/2) c_j + g f_j, c_{j+1} = c_j + d_{j+1}
 2 cos(theta) near 2 and the low modes drift in phase as n_t^2, 1.1e-9 off
 a long-double run of the cos/sin sums at n_int = 48, n_t = 4096, where the
 difference form is 3.3e-15 off.  The basis is complete (h Phi Phi^T = I),
-so the sweep runs the recurrence on nodal states (`solve_with_potential`).
+so the sweep runs the recurrence on nodal states: `solve_with_potential`
+into one buffer of n_t+1 slices, and the private `_sweep` in time slabs of
+a reused buffer, which pairings and Born rows reduce as they arrive.
 
 Every space-time pairing in this package uses the trapezoid weights of
 `st_gram` (the Runge fit applies them to its design matrix directly); that
@@ -86,7 +88,6 @@ __all__ = [
     "march_slabs",
     "newmark_dt_bound",
     "very_weak_residual",
-    "distributional_residual",
     "trapezoid_weights",
     "st_gram",
     "st_inner",
@@ -96,6 +97,8 @@ __all__ = [
 CFL_MARGIN = 0.25
 # time steps per slab of `march_slabs` (each slab also repeats two slices)
 MARCH_SLAB = 256
+# time slices per slab where a potential sweep is reduced as it runs
+SWEEP_SLAB = 16
 # Picard stops once an update falls below PICARD_TOL times the first
 # iterate's size, and raises after PICARD_MAX_ITER updates
 PICARD_TOL = 1e-12
@@ -214,6 +217,47 @@ def solve_linear_modal(
     return WaveSolution(u=reconstruct(c.T, basis), udot=reconstruct(cdot.T, basis))
 
 
+def _sweep(values, q, op, grid, span):
+    """`solve_with_potential`'s sweep (same arguments and checks) as
+    batch-major (B, m, n_int) views of one reused buffer of span time
+    slices.  The slabs do not overlap, the last ends at slice n_t, and
+    joined they are `solve_with_potential`'s output bit for bit.  The
+    checks run when the first slab is asked for, and a slab is overwritten
+    when the next is."""
+    q = _potential(q, grid)
+    values = _controls(values, grid, (3,))
+    h, phi, om = grid.h, op.basis.modes, op.basis.omegas
+    theta = grid.dt * om
+    g = grid.dt * np.sin(theta) / om
+    a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
+    lift = -h * ((a_ie.T @ phi) * g) @ phi.T  # L, (n_ext, n_int)
+    gap = 4.0 * np.sin(0.5 * theta) ** 2
+    step = -h * ((phi * gap + (q[:, None] * phi) * g) @ phi.T)  # D, (n_int, n_int)
+
+    n_t = grid.n_t
+    buf = np.empty((values.shape[0], min(span, n_t + 1), grid.n_int))
+    prev = np.empty((values.shape[0], grid.n_int))  # the slice before the slab
+    dv = np.empty_like(prev)
+    for t0 in range(0, n_t + 1, buf.shape[1]):
+        slab = buf[:, : n_t + 1 - t0]
+        t1 = t0 + slab.shape[1]
+        lo = max(t0, 1)  # slot of slice t holds drive_{t-1} until step t-1 overwrites it
+        np.matmul(values[:, lo - 1 : t1 - 1], lift, out=slab[:, lo - t0 :])
+        if t0 == 0:
+            slab[:, 0] = 0.0
+        if t0 <= 1 < t1:
+            slab[:, 1 - t0] *= 0.5
+            v = slab[:, 1 - t0].copy()
+        for t in range(max(t0, 2), t1):
+            u = slab[:, t - t0 - 1] if t > t0 else prev
+            np.matmul(u, step, out=dv)
+            dv += slab[:, t - t0]
+            v += dv
+            np.add(u, v, out=slab[:, t - t0])
+        yield slab
+        prev[...] = slab[:, -1]
+
+
 def solve_with_potential(
     values: np.ndarray,
     q: np.ndarray,
@@ -236,27 +280,7 @@ def solve_with_potential(
     where A_int + diag(q) is indefinite.  Slot j+1 of the output holds
     drive_j until step j overwrites it, so no second state-sized array exists.
     """
-    q = _potential(q, grid)
-    values = _controls(values, grid, (3,))
-    h, phi, om = grid.h, op.basis.modes, op.basis.omegas
-    theta = grid.dt * om
-    g = grid.dt * np.sin(theta) / om
-    a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
-    lift = -h * ((a_ie.T @ phi) * g) @ phi.T  # L, (n_ext, n_int)
-    gap = 4.0 * np.sin(0.5 * theta) ** 2
-    step = -h * ((phi * gap + (q[:, None] * phi) * g) @ phi.T)  # D, (n_int, n_int)
-
-    states = np.empty((values.shape[0], grid.n_t + 1, grid.n_int))
-    states[:, 0] = 0.0
-    np.matmul(values[:, :-1], lift, out=states[:, 1:])  # slot j+1: drive_j
-    states[:, 1] *= 0.5
-    v = states[:, 1].copy()
-    dv = np.empty_like(v)
-    for j in range(1, grid.n_t):
-        np.matmul(states[:, j], step, out=dv)
-        dv += states[:, j + 1]
-        v += dv
-        np.add(states[:, j], v, out=states[:, j + 1])
+    (states,) = _sweep(values, q, op, grid, grid.n_t + 1)
     return states
 
 
@@ -488,45 +512,4 @@ def very_weak_residual(
     rhs = grid.h * float(data.u1 @ v0) - grid.h * float(data.u0 @ vdot0)
     if source is not None:
         rhs += st_inner(source, v, grid)
-    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
-
-
-def distributional_residual(
-    u: np.ndarray,
-    data: CauchyData,
-    source: np.ndarray | None,
-    q: np.ndarray | None,
-    phi: np.ndarray,
-    op: FracOperator,
-    grid: Grid,
-) -> float:
-    """Defect of int u (phi'' + A phi + q phi) against
-    int <F, phi> + <u0, phi'(0)> - <u1, phi(0)> for an interior trajectory u
-    (n_t+1, n_int) and a smooth interior test function phi vanishing near
-    t = T.  Second-order differencing in time, so the residual of a true
-    solution is O(dt^2)."""
-    u = _trajectory(u, grid.n_int, grid)
-    phi = _trajectory(phi, grid.n_int, grid)
-    if source is not None:
-        source = _trajectory(source, grid.n_int, grid)
-    if q is not None:
-        q = _potential(q, grid)
-    if np.any(phi[-2:] != 0.0):
-        raise ValueError("phi must vanish on the last two time slices")
-
-    dt = grid.dt
-    d2 = np.empty_like(phi)
-    d2[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
-    d2[0] = (phi[0] - 2.0 * phi[1] + phi[2]) / dt**2
-    d2[-1] = (phi[-1] - 2.0 * phi[-2] + phi[-3]) / dt**2
-
-    waveop = d2 + phi @ op.a_int
-    if q is not None:
-        waveop = waveop + q[None, :] * phi
-    lhs = st_inner(u, waveop, grid)
-
-    dphi0 = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * dt)
-    rhs = grid.h * float(data.u0 @ dphi0) - grid.h * float(data.u1 @ phi[0])
-    if source is not None:
-        rhs += st_inner(source, phi, grid)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)

@@ -14,12 +14,14 @@ every fitted superposition for free.  Replacing v_1 by v_2 linearizes in
 dq = q_1 - q_2 (a Born step), turning each pairing into a moment of dq
 against a product of computable fields, both on the known background: one
 sweep of the joined control/test stack gives them and the model's pairing
-matrix.  The moment system is severely ill-posed (its singular values decay
-by many orders over a few dozen modes), so the update is the equilibrated
-truncated-SVD least squares solution.  Passes beyond the first repeat the
-construction around the updated background while reusing the measured data,
-a Newton iteration on the measurement map; the spectral cutoff tightens
-along a continuation schedule as the linearization error shrinks.
+matrix, reduced slab by slab as it runs, with only the first half of its
+time slices held (each later slice meets its mirror).  The moment system
+is severely ill-posed (its singular values decay by many orders over a
+few dozen modes), so the update is the equilibrated truncated-SVD least
+squares solution.  Passes beyond the first repeat the construction around
+the updated background while reusing the measured data, a Newton
+iteration on the measurement map; the spectral cutoff tightens along a
+continuation schedule as the linearization error shrinks.
 
 Expansion recovery peels a polyhomogeneous nonlinearity
 f(x, z) = sum_k b_k(x) |z|^(r_k) z from small-amplitude responses.  The
@@ -50,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnmap import _pairings, forward_map
+from .dnmap import _born, _pairing
 from .fields import _controls
-from .forward import _trajectory, march_slabs, trapezoid_weights
+from .forward import _trajectory, march_slabs
 from .fracop import FracOperator
 from .grid import Grid
 
@@ -131,9 +133,10 @@ def recover_potential(
     pairings are used directly: the moments are the entries of the data
     mismatch and the rows the weighted products of the computed control and
     reversed test states, which carries the entire measurement with no
-    fitting stage.  Each background model is one `forward_map` sweep of the
-    controls and tests joined.  cutoff is the relative spectral cutoff of
-    the truncated-SVD update, one value per pass (a scalar means one pass).
+    fitting stage.  Each background model is one sweep of the controls and
+    tests joined, reduced as it runs (`dnmap._born`).  cutoff is the
+    relative spectral cutoff of the truncated-SVD update, one value per
+    pass (a scalar means one pass).
     """
     controls = _controls(controls, grid, (3,))
     tests = _controls(tests, grid, (3,))
@@ -148,15 +151,8 @@ def recover_potential(
         raise ValueError(f"cutoffs must lie in (0, 1), got {schedule}")
 
     q2 = np.zeros(grid.n_int) if q_start is None else np.array(q_start, dtype=float)
-
-    w = trapezoid_weights(grid.n_t, grid.dt)
     stack = np.concatenate([controls, tests])
-
-    def _bundle(q_model) -> tuple[np.ndarray, np.ndarray]:
-        """States of the joined stack at one background, from one sweep,
-        and the pairing matrix of its control half."""
-        states = forward_map(stack, op, grid, q_model)
-        return states, _pairings(states[:n_c], controls, tests, op, grid)
+    pairing = _pairing(controls, tests, op, grid)
 
     increments: list[np.ndarray] = []
     moment_residuals: list[float] = []
@@ -164,23 +160,15 @@ def recover_potential(
     accepted_cutoffs: list[float] = []
 
     denom = np.linalg.norm(d_meas) + 1e-300
-    states, d_model = _bundle(q2)
+    rows, d_model = _born(stack, n_c, q2, pairing, op, grid)
     delta = d_meas - d_model
     data_misfits = [float(np.linalg.norm(delta) / denom)]
 
     for cut in schedule:
-        # weight the test states in place (w reversed: the rows read them
-        # reversed), so the row einsum has two operands and no copy of the
-        # stack is made; numpy runs three-operand einsums on a slower loop
-        states[n_c:] *= w[::-1, None]
-        rows = grid.h * np.einsum(
-            "atx,btx->abx", states[:n_c], states[n_c:, ::-1]
-        ).reshape(n_c * n_te, grid.n_int)
-        del states  # the rows are all this pass needs: free it before the trial
         dq, resid, rank = _tsvd_solve(rows, delta.reshape(-1), cut)
 
         q_trial = q2 + dq
-        states, d_trial = _bundle(q_trial)
+        rows, d_trial = _born(stack, n_c, q_trial, pairing, op, grid)
         misfit_trial = float(np.linalg.norm(d_meas - d_trial) / denom)
         if misfit_trial >= data_misfits[-1]:
             break  # update would not improve the data fit: discard and stop

@@ -4,7 +4,34 @@ something a package function computes another way, and tests compare the two."""
 import numpy as np
 
 from fracwave.fields import _controls
+from fracwave.forward import _potential, _trajectory, st_gram, st_inner, trapezoid_weights
 from fracwave.inversion import _regressors, _solve_nodes
+
+
+def dn_trace(u_full, op, grid):
+    """Exterior trace of A u for a full-grid trajectory u (n_t + 1, n_nodes),
+    shape (n_t + 1, n_ext): one pairing with a test psi is
+    st_inner(dn_trace(u_full, op, grid), psi, grid)."""
+    u_full = _trajectory(u_full, grid.n_nodes, grid)
+    return (u_full @ op.a_full)[:, grid.exterior_indices]
+
+
+def stack_pairings(states, controls, tests, op, grid):
+    """The pairing matrix of `dn_matrix` from the whole control state stack
+    (B, n_t+1, n_int): st_gram of the full exterior traces against the
+    time-reversed tests."""
+    full = grid.extend(states) + grid.scatter_exterior(controls)
+    trace = np.stack([dn_trace(u, op, grid) for u in full])
+    return st_gram(trace, np.ascontiguousarray(tests[:, ::-1]), grid)
+
+
+def stack_born_rows(states, n_c, grid):
+    """Born rows h sum_t w_t u_a(t) v_b(T - t), (n_c * n_te, n_int), from the
+    whole joined state stack (controls first): one einsum over all slices."""
+    w = trapezoid_weights(grid.n_t, grid.dt)
+    tests = states[n_c:] * w[::-1, None]
+    rows = grid.h * np.einsum("atx,btx->abx", states[:n_c], tests[:, ::-1])
+    return rows.reshape(-1, grid.n_int)
 
 
 def lift_exterior(control, op, grid):
@@ -28,3 +55,36 @@ def fit_profile(s_limit, v_rows, r, *, floor_rel=1e-3):
         raise ValueError("sample and response shapes differ")
     g = _regressors(v_rows, (r,), floor_rel * np.max(np.abs(v_rows)))[0]
     return _solve_nodes(np.einsum("tx,tx->x", g, s_limit), np.einsum("tx,tx->x", g, g))
+
+
+def distributional_residual(u, data, source, q, phi, op, grid):
+    """Defect of int u (phi'' + A phi + q phi) against
+    int <F, phi> + <u0, phi'(0)> - <u1, phi(0)> for an interior trajectory u
+    (n_t+1, n_int) and a smooth interior test function phi vanishing near
+    t = T.  Second-order differencing in time, so the residual of a true
+    solution is O(dt^2)."""
+    u = _trajectory(u, grid.n_int, grid)
+    phi = _trajectory(phi, grid.n_int, grid)
+    if source is not None:
+        source = _trajectory(source, grid.n_int, grid)
+    if q is not None:
+        q = _potential(q, grid)
+    if np.any(phi[-2:] != 0.0):
+        raise ValueError("phi must vanish on the last two time slices")
+
+    dt = grid.dt
+    d2 = np.empty_like(phi)
+    d2[1:-1] = (phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / dt**2
+    d2[0] = (phi[0] - 2.0 * phi[1] + phi[2]) / dt**2
+    d2[-1] = (phi[-1] - 2.0 * phi[-2] + phi[-3]) / dt**2
+
+    waveop = d2 + phi @ op.a_int
+    if q is not None:
+        waveop = waveop + q[None, :] * phi
+    lhs = st_inner(u, waveop, grid)
+
+    dphi0 = (-3.0 * phi[0] + 4.0 * phi[1] - phi[2]) / (2.0 * dt)
+    rhs = grid.h * float(data.u0 @ dphi0) - grid.h * float(data.u1 @ phi[0])
+    if source is not None:
+        rhs += st_inner(source, phi, grid)
+    return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)

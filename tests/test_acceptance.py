@@ -14,8 +14,7 @@ import pytest
 
 import fracwave as fw
 from fracwave.fields import CauchyData, control_basis, tensor_control, time_window
-from fracwave.forward import (distributional_residual, march_slabs,
-                              solve_linear_modal, solve_newmark,
+from fracwave.forward import (march_slabs, solve_linear_modal, solve_newmark,
                               solve_with_potential_picard, very_weak_residual)
 from fracwave.dnmap import dn_matrix, forward_map
 from fracwave.inversion import (linear_response, reaction_from_march,
@@ -25,6 +24,7 @@ from fracwave.spectral import dual_norm, dual_norm_variational
 from fracwave.verify import data_energy, sup_energy
 
 from conftest import case
+from oracles import distributional_residual
 
 SUITE_ORDERS = (0.3, 0.5, 0.8, 1.5)
 SUITE_SIZES = (32, 64, 128)

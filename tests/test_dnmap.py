@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import fracwave as fw
 from fracwave import PolyNonlinearity
-from fracwave.dnmap import dn_matrix, dn_trace, grid_signature, solve_exterior
+from fracwave.dnmap import dn_matrix, grid_signature, solve_exterior
 from fracwave.forward import solve_newmark, st_inner
 from conftest import case
+from oracles import dn_trace, stack_pairings
 
 
 def batteries(grid, n_freqs=2):
@@ -109,3 +112,38 @@ def test_forward_map_refuses_single_control(model):
         fw.forward_map(controls[0], op, grid, model)
     with pytest.raises(ValueError, match="control shape"):
         dn_matrix(op, grid, controls[0], tests, model)
+
+
+@pytest.mark.parametrize("n_t", [130, 137], ids=["even", "odd"])
+@pytest.mark.parametrize("model", ["none", "potential", "nonlinear"])
+def test_dn_matrix_matches_full_trace_oracle(n_t, model):
+    """The streamed pairing (slabs of the sweep, or the march stack as one
+    slab) equals st_gram of the full exterior traces of the whole state
+    stack against the reversed tests."""
+    grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
+    controls, tests = batteries(grid, 2)
+    model = {
+        "none": None,
+        "potential": 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords),
+        "nonlinear": PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int),
+    }[model]
+    m = dn_matrix(op, grid, controls, tests, model)
+    ref = stack_pairings(fw.forward_map(controls, op, grid, model), controls, tests, op, grid)
+    assert np.max(np.abs(m - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_dn_matrix_streams_the_sweep():
+    """On a potential, dn_matrix reduces the sweep's slabs as they arrive:
+    it allocates less than 0.3 of the control state stack it never
+    builds."""
+    grid, op, basis = case(n_int=128, s=0.7, n_t=512)
+    controls, tests = batteries(grid, 4)
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    stack = controls.shape[0] * (grid.n_t + 1) * grid.n_int * 8  # bytes
+    tracemalloc.start()
+    try:
+        dn_matrix(op, grid, controls, tests, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.3 * stack, f"peak {peak / stack:.2f}x the control state stack"

@@ -3,9 +3,9 @@ import pytest
 
 import fracwave as fw
 from fracwave import CauchyData, PolyNonlinearity
-from fracwave.forward import MARCH_SLAB, PICARD_MAX_ITER
+from fracwave.forward import MARCH_SLAB, PICARD_MAX_ITER, _sweep
 from conftest import case
-from oracles import lift_exterior
+from oracles import distributional_residual, dn_trace, lift_exterior
 
 
 def mode_data(basis, k, a=1.0, b=0.0):
@@ -435,6 +435,31 @@ def test_potential_sweep_batch_matches_single():
     )
 
 
+@pytest.mark.parametrize("n_t", [96, 97], ids=["even", "odd"])
+@pytest.mark.parametrize(
+    "span",
+    [lambda n: 1, lambda n: 7, lambda n: 32, lambda n: n, lambda n: n + 1, lambda n: n + 9],
+    ids=["1", "7", "32", "n_t", "n_t+1", "n_t+9"],
+)
+def test_sweep_slabs_tile_solve_with_potential(n_t, span):
+    """The sweep's slabs are views of one buffer of span slices; they do not
+    overlap, the last ends at slice n_t, and joined they are
+    solve_with_potential's states bit for bit, signs of zeros included."""
+    grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
+    span = span(n_t)
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    values = np.concatenate([fw.control_basis(grid, grid.w_mask(w), 2) for w in (1, 2)])
+    full = fw.solve_with_potential(values, q, op, grid)
+    slabs, bases = [], set()
+    for slab in _sweep(values, q, op, grid, span):
+        bases.add(slab.__array_interface__["data"][0])  # one buffer
+        assert slab.shape[0] == len(values) and 0 < slab.shape[1] <= span
+        slabs.append(slab.copy())
+    assert len(bases) == 1 and len(slabs) == -(-(n_t + 1) // span)
+    joined = np.concatenate(slabs, axis=1)
+    assert joined.tobytes() == full.tobytes()
+
+
 def test_potential_sweep_shape_checks():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     values = np.zeros((1, grid.n_t + 1, grid.n_ext))
@@ -500,14 +525,14 @@ def test_residuals_accept_true_reject_perturbed(rng):
 
     w = fw.time_window(grid, (0.1, 0.8))
     phi = np.outer(w, np.sin(2 * np.pi * x) + 0.5 * np.sin(np.pi * x))
-    r_dist = fw.distributional_residual(sol.u, data, source, q, phi, op, grid)
+    r_dist = distributional_residual(sol.u, data, source, q, phi, op, grid)
     assert r_dist <= 1e-4
 
     bump = sol.u + 0.02 * np.max(np.abs(sol.u)) * np.outer(
         np.sin(np.pi * t), np.sin(np.pi * x)
     )
     assert fw.very_weak_residual(bump, data, source, q, g, basis, grid) > 1e-4
-    assert fw.distributional_residual(bump, data, source, q, phi, op, grid) > 1e-4
+    assert distributional_residual(bump, data, source, q, phi, op, grid) > 1e-4
 
 
 def test_residual_shape_guards():
@@ -520,7 +545,7 @@ def test_residual_shape_guards():
         )
     phi_bad = np.ones((grid.n_t + 1, grid.n_int))
     with pytest.raises(ValueError, match="last two"):
-        fw.distributional_residual(u, data, None, None, phi_bad, op, grid)
+        distributional_residual(u, data, None, None, phi_bad, op, grid)
 
 
 @pytest.mark.parametrize(
@@ -537,7 +562,7 @@ def test_residuals_reject_wrong_shaped_potential(residual, q):
     test = np.zeros_like(u)
     with pytest.raises(ValueError, match="potential shape"):
         if residual == "distributional":
-            fw.distributional_residual(u, data, None, q, test, op, grid)
+            distributional_residual(u, data, None, q, test, op, grid)
         else:
             fw.very_weak_residual(u, data, None, q, test, basis, grid)
 
@@ -567,15 +592,15 @@ def test_trajectory_guards(guard):
     holed[grid.n_t // 2, grid.interior_slice.start] = np.nan
     calls = {
         "reaction_interior": lambda: fw.reaction_from_march(interior, op, grid),
-        "dn_trace_interior": lambda: fw.dn_trace(interior, op, grid),
+        "dn_trace_interior": lambda: dn_trace(interior, op, grid),
         "very_weak_full": lambda: fw.very_weak_residual(
             full, data, None, None, test, basis, grid
         ),
-        "distributional_full": lambda: fw.distributional_residual(
+        "distributional_full": lambda: distributional_residual(
             full, data, None, None, test, op, grid
         ),
         "wrong_n_t": lambda: fw.reaction_from_march(full[:-1], op, grid),
-        "nan_entry": lambda: fw.dn_trace(holed, op, grid),
+        "nan_entry": lambda: dn_trace(holed, op, grid),
         "measure_interior": lambda: fw.recover_expansion(
             lambda cs: (grid.restrict(s) for s in fw.march_slabs(op, grid, control=cs)),
             control, (0.5,), op, grid, eps_ladder=(0.25, 0.125),
@@ -622,10 +647,10 @@ def test_interior_array_guards(entry, spoil):
         "very_weak_test": lambda: fw.very_weak_residual(
             good, data, None, None, bad, basis, grid
         ),
-        "distributional_source": lambda: fw.distributional_residual(
+        "distributional_source": lambda: distributional_residual(
             good, data, bad, None, good, op, grid
         ),
-        "distributional_test": lambda: fw.distributional_residual(
+        "distributional_test": lambda: distributional_residual(
             good, data, None, None, bad, op, grid
         ),
         "runge_target": lambda: fw.approximate_target(bad, states, grid, (1e-6,)),

@@ -7,11 +7,12 @@ import pytest
 
 import fracwave as fw
 from fracwave import inversion as inv
-from fracwave.dnmap import dn_matrix, solve_exterior
-from fracwave.forward import march_slabs, solve_newmark, trapezoid_weights
+from fracwave import dnmap
+from fracwave.dnmap import _pairing, dn_matrix, solve_exterior
+from fracwave.forward import _sweep, march_slabs, solve_newmark, trapezoid_weights
 
 from conftest import case
-from oracles import fit_profile
+from oracles import fit_profile, stack_born_rows, stack_pairings
 
 
 @pytest.fixture(scope="module")
@@ -144,8 +145,8 @@ def test_recover_potential_pairs_closed_loop(small, battery):
 
 
 def test_one_sweep_per_background(small, battery, monkeypatch):
-    """Every background model costs one forward_map call, on controls and
-    tests joined: the first model and one trial per attempted pass."""
+    """Every background model costs one sweep, of controls and tests
+    joined: the first model and one trial per attempted pass."""
     grid, op, basis = small
     controls, probes = battery
     q_true = 0.4 * np.sin(np.pi * grid.interior_coords)
@@ -154,9 +155,9 @@ def test_one_sweep_per_background(small, battery, monkeypatch):
 
     def counted(stack, *args):
         rows.append(len(stack))
-        return fw.forward_map(stack, *args)
+        return _sweep(stack, *args)
 
-    monkeypatch.setattr(inv, "forward_map", counted)
+    monkeypatch.setattr(dnmap, "_sweep", counted)
     schedule = tuple(10.0 ** -np.arange(2, 10))
     rec = inv.recover_potential(meas, controls, probes, op, grid,
                                 cutoff=schedule)
@@ -165,6 +166,45 @@ def test_one_sweep_per_background(small, battery, monkeypatch):
     assert len(rec.increments) < len(schedule)
     attempted = len(rec.increments) + 1
     assert rows == [len(controls) + len(probes)] * (1 + attempted)
+
+
+@pytest.mark.parametrize("n_t", [130, 137], ids=["even", "odd"])
+@pytest.mark.parametrize("span", [lambda n: 5, lambda n: dnmap.SWEEP_SLAB, lambda n: n + 1],
+                         ids=["5", "SWEEP_SLAB", "n_t+1"])
+def test_born_matches_stack_oracle(n_t, span, monkeypatch):
+    """The Born rows and model pairings reduced from the sweep's slabs, half
+    the stack held, equal the reductions of the whole joined stack."""
+    grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
+    monkeypatch.setattr(dnmap, "SWEEP_SLAB", span(n_t))
+    controls = fw.control_basis(grid, grid.w_mask(1), 2)
+    tests = fw.control_basis(grid, grid.w_mask(2), 3)
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    stack = np.concatenate([controls, tests])
+    n_c = len(controls)
+    rows, pairs = dnmap._born(stack, n_c, q, _pairing(controls, tests, op, grid), op, grid)
+    states = fw.forward_map(stack, op, grid, q)
+    for got, ref in ((rows, stack_born_rows(states, n_c, grid)),
+                     (pairs, stack_pairings(states[:n_c], controls, tests, op, grid))):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_recover_potential_streams_the_sweep():
+    """A recovery holds half of one joined state stack per background, not
+    the stack: it allocates less than 0.75 of one."""
+    grid, op, basis = case(n_int=128, s=0.7, n_t=512)
+    controls = fw.control_basis(grid, grid.w_mask(1), 4)
+    tests = fw.control_basis(grid, grid.w_mask(2), 4)
+    meas = dn_matrix(op, grid, controls, tests, 0.4 * np.sin(np.pi * grid.interior_coords))
+    stack = (len(controls) + len(tests)) * (grid.n_t + 1) * grid.n_int * 8  # bytes
+    tracemalloc.start()
+    try:
+        rec = inv.recover_potential(meas, controls, tests, op, grid, cutoff=(1e-2,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rec.increments) == 1
+    assert peak <= 0.75 * stack, f"peak {peak / stack:.2f}x one joined stack"
 
 
 # ------------------------------------------------------- linear response
