@@ -19,8 +19,10 @@ and reduces the control states under a potential in time slabs as the
 sweep makes them, so it holds no state stack.  `_born` reduces one sweep
 of a joined control/test stack the same way into the model pairings and
 their derivative in q, the Born rows `inversion.recover_potential` fits.
-The `dn` pipeline of the command line writes the matrix to dn.json;
-nothing reads it back.
+`forward_map` builds the whole state stack, for `verify`, `solve_exterior`
+and a nonlinearity; the `runge` pipeline's fit also takes the sweep's
+slabs as they arrive.  The `dn` pipeline of the command line writes the
+matrix to dn.json; nothing reads it back.
 """
 from __future__ import annotations
 
@@ -90,10 +92,10 @@ def forward_map(
     stack (B, n_t+1, n_ext); a single control is refused on every model.
     A potential (an interior array, or None for q = 0) takes one batched
     sweep of `solve_with_potential`; a power-type nonlinearity marches all
-    controls as one batch.  It builds the whole state stack, which
-    `runge.approximate_target` fits once for every alpha; `dn_matrix` and
-    `inversion.recover_potential` reduce a potential's sweep in slabs
-    instead and never hold it."""
+    controls as one batch.  It builds the whole state stack, for `verify`,
+    `solve_exterior` and a nonlinearity's pairings; `dn_matrix`,
+    `inversion.recover_potential` and the `runge` pipeline's fit reduce a
+    potential's sweep in slabs instead and never hold it."""
     controls = _controls(controls, grid, (3,))
     if isinstance(model, PolyNonlinearity):
         return grid.restrict(solve_newmark(op, grid, model=model, control=controls))

@@ -33,7 +33,9 @@ a long-double run of the cos/sin sums at n_int = 48, n_t = 4096, where the
 difference form is 3.3e-15 off.  The basis is complete (h Phi Phi^T = I),
 so the sweep runs the recurrence on nodal states: `solve_with_potential`
 into one buffer of n_t+1 slices, and the private `_sweep` in time slabs of
-a reused buffer, which pairings and Born rows reduce as they arrive.
+a reused buffer, which pairings, Born rows and the Runge fit reduce as
+they arrive.  Each sweep slab is checked for non-finite values as the
+march's slabs are (below).
 
 Every space-time pairing in this package uses the trapezoid weights of
 `st_gram` (the Runge fit applies them to its design matrix directly); that
@@ -51,7 +53,9 @@ one march, not one per control.  `solve_newmark` gives it n_t+1 slices;
 `march_slabs` gives it MARCH_SLAB + 2 and hands them over each time they
 fill, keeping the two the next step needs, so a time reduction streams.
 Both step in slabs of MARCH_SLAB steps with numpy's overflow and invalid
-warnings muted, and check each slab's new slices once for non-finite values.
+warnings muted, and check each slab once for non-finite values: these
+persist, so the slab's last slice shows them, and only then are its new
+slices scanned for the first bad step.
 The last two interior states roll through contiguous (B, n_int) buffers
 and each step works in place in one force buffer
 
@@ -122,7 +126,21 @@ class PicardError(RuntimeError):
 
 
 class SolverBlowupError(RuntimeError):
-    """Time march produced non-finite values."""
+    """A march or a sweep produced non-finite values."""
+
+
+def _finite(new, first, dt):
+    # raise naming the first slice of the time-major slices new (m, B, n),
+    # numbered from first, that holds non-finite values, and its batch rows;
+    # non-finite values persist, so the last slice shows them, and after
+    # finite slabs the first bad slice is the failed step
+    if not np.isfinite(new[-1]).all():
+        bad = ~np.isfinite(new).all(axis=2)
+        k = bad.any(axis=1).argmax()
+        raise SolverBlowupError(
+            f"non-finite values at step {first + k} (t = {(first + k) * dt:.6g}) "
+            f"in batch rows {np.flatnonzero(bad[k]).tolist()}"
+        )
 
 
 def _potential(q: np.ndarray, grid: Grid) -> np.ndarray:
@@ -133,6 +151,11 @@ def _potential(q: np.ndarray, grid: Grid) -> np.ndarray:
     if not np.isfinite(q).all():
         raise ValueError("potential contains non-finite values")
     return q
+
+
+def _check_data(data, grid):
+    if data.u0.shape[0] != grid.n_int:
+        raise ValueError(f"data has {data.u0.shape[0]} nodes, grid interior is {grid.n_int}")
 
 
 def _trajectory(u: np.ndarray, n_nodes: int, grid: Grid) -> np.ndarray:
@@ -203,10 +226,7 @@ def solve_linear_modal(
     and forcing enter through modal pairings h phi_k^T (.), their natural
     dual-space reading.
     """
-    if data.u0.shape[0] != grid.n_int:
-        raise ValueError(
-            f"data has {data.u0.shape[0]} nodes, grid interior is {grid.n_int}"
-        )
+    _check_data(data, grid)
     tgrid = grid.times()
     u0k = project_l2(data.u0, basis)
     u1k = project_l2(data.u1, basis)
@@ -223,7 +243,9 @@ def _sweep(values, q, op, grid, span):
     slices.  The slabs do not overlap, the last ends at slice n_t, and
     joined they are `solve_with_potential`'s output bit for bit.  The
     checks run when the first slab is asked for, and a slab is overwritten
-    when the next is."""
+    when the next is.  Each slab is stepped with numpy's overflow and
+    invalid warnings muted and checked once, as the march's are: a
+    non-finite value raises SolverBlowupError with its step and batch rows."""
     q = _potential(q, grid)
     values = _controls(values, grid, (3,))
     h, phi, om = grid.h, op.basis.modes, op.basis.omegas
@@ -248,12 +270,14 @@ def _sweep(values, q, op, grid, span):
         if t0 <= 1 < t1:
             slab[:, 1 - t0] *= 0.5
             v = slab[:, 1 - t0].copy()
-        for t in range(max(t0, 2), t1):
-            u = slab[:, t - t0 - 1] if t > t0 else prev
-            np.matmul(u, step, out=dv)
-            dv += slab[:, t - t0]
-            v += dv
-            np.add(u, v, out=slab[:, t - t0])
+        with np.errstate(over="ignore", invalid="ignore"):  # checked per slab
+            for t in range(max(t0, 2), t1):
+                u = slab[:, t - t0 - 1] if t > t0 else prev
+                np.matmul(u, step, out=dv)
+                dv += slab[:, t - t0]
+                v += dv
+                np.add(u, v, out=slab[:, t - t0])
+        _finite(slab.transpose(1, 0, 2), t0, grid.dt)
         yield slab
         prev[...] = slab[:, -1]
 
@@ -371,10 +395,7 @@ def _march(op, grid, model, control, data, source, span):
 
     if data is None:
         data = CauchyData.zero(grid.n_int)
-    if data.u0.shape[0] != grid.n_int:
-        raise ValueError(
-            f"data has {data.u0.shape[0]} nodes, grid interior is {grid.n_int}"
-        )
+    _check_data(data, grid)
     if source is not None:
         source = _trajectory(source, grid.n_int, grid)
     if control is None:
@@ -416,13 +437,7 @@ def _march(op, grid, model, control, data, source, span):
                 new -= g
                 buf[r + 1, :, interior] = new
                 u_prev, u, new = u, new, u_prev
-        bad = ~np.isfinite(buf[r + 1 + s - n : r + 2, :, interior]).all(axis=2)
-        if bad.any():  # non-finite values persist: the first bad slice is the step
-            step = s + 1 + bad.any(axis=1).argmax()
-            raise SolverBlowupError(
-                f"non-finite values at step {step} (t = {step * dt:.6g}) "
-                f"in batch rows {np.flatnonzero(bad[step - s - 1]).tolist()}"
-            )
+        _finite(buf[r + 1 + s - n : r + 2, :, interior], s + 1, dt)
         if r + 2 == len(buf) and n + 1 < n_t:  # full: hand over, keep two
             yield buf
             buf[:2] = buf[-2:]

@@ -52,9 +52,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dnmap import _born, _pairing
+from .dnmap import _born, _pairing, dn_matrix
 from .fields import _controls
-from .forward import _trajectory, march_slabs
+from .forward import SolverBlowupError, _trajectory, march_slabs
 from .fracop import FracOperator
 from .grid import Grid
 
@@ -103,7 +103,8 @@ class PotentialRecovery:
     """Recovered potential and per-pass diagnostics.
 
     All per-pass tuples cover accepted passes only; a trial update that
-    fails to shrink the data mismatch is discarded and stops the iteration.
+    fails to shrink the data mismatch, or whose sweep or mismatch is not
+    finite, is discarded and stops the iteration.
     data_misfits holds the relative measurement mismatch before pass 1 and
     after every accepted pass (length = passes + 1, strictly decreasing).
     """
@@ -134,7 +135,12 @@ def recover_potential(
     mismatch and the rows the weighted products of the computed control and
     reversed test states, which carries the entire measurement with no
     fitting stage.  Each background model is one sweep of the controls and
-    tests joined, reduced as it runs (`dnmap._born`).  cutoff is the
+    tests joined, reduced as it runs (`dnmap._born`); the last scheduled
+    trial, whose Born rows no pass would read, sweeps the controls alone
+    for its pairings (`dnmap.dn_matrix`).  A trial whose sweep overflows
+    (SolverBlowupError) or whose misfit is not finite is discarded like
+    one that does not lower the misfit, so data_misfits stays finite and
+    strictly decreasing.  cutoff is the
     relative spectral cutoff of the truncated-SVD update, one value per
     pass (a scalar means one pass).
     """
@@ -154,41 +160,35 @@ def recover_potential(
     stack = np.concatenate([controls, tests])
     pairing = _pairing(controls, tests, op, grid)
 
-    increments: list[np.ndarray] = []
-    moment_residuals: list[float] = []
-    ranks: list[int] = []
-    accepted_cutoffs: list[float] = []
-
+    passes = []  # (increment, moment residual, rank, cutoff) of each accepted pass
     denom = np.linalg.norm(d_meas) + 1e-300
     rows, d_model = _born(stack, n_c, q2, pairing, op, grid)
     delta = d_meas - d_model
     data_misfits = [float(np.linalg.norm(delta) / denom)]
 
-    for cut in schedule:
+    for i, cut in enumerate(schedule):
         dq, resid, rank = _tsvd_solve(rows, delta.reshape(-1), cut)
-
+        del rows  # freed before the trial's sweep, which forms its own
         q_trial = q2 + dq
-        rows, d_trial = _born(stack, n_c, q_trial, pairing, op, grid)
-        misfit_trial = float(np.linalg.norm(d_meas - d_trial) / denom)
-        if misfit_trial >= data_misfits[-1]:
-            break  # update would not improve the data fit: discard and stop
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow: a non-finite misfit
+            try:
+                if i + 1 < len(schedule):
+                    rows, d_trial = _born(stack, n_c, q_trial, pairing, op, grid)
+                else:  # no pass reads the last trial's rows: pair the controls alone
+                    d_trial = dn_matrix(op, grid, controls, tests, q_trial)
+            except SolverBlowupError:
+                break  # the trial's sweep overflowed: discard it and stop
+            misfit_trial = float(np.linalg.norm(d_meas - d_trial) / denom)
+        if not misfit_trial < data_misfits[-1]:
+            break  # no better fit, or a non-finite one: discard the trial and stop
 
         q2 = q_trial
         delta = d_meas - d_trial
         data_misfits.append(misfit_trial)
-        increments.append(dq)
-        moment_residuals.append(resid)
-        ranks.append(rank)
-        accepted_cutoffs.append(cut)
+        passes.append((dq, resid, rank, cut))
 
-    return PotentialRecovery(
-        q_est=q2,
-        increments=tuple(increments),
-        moment_residuals=tuple(moment_residuals),
-        ranks=tuple(ranks),
-        cutoffs=tuple(accepted_cutoffs),
-        data_misfits=tuple(data_misfits),
-    )
+    increments, residuals, ranks, cutoffs = zip(*passes) if passes else [()] * 4
+    return PotentialRecovery(q2, increments, residuals, ranks, cutoffs, tuple(data_misfits))
 
 
 # ------------------------------------------------------------- nonlinearity
@@ -371,11 +371,9 @@ def recover_expansion(
         )
     if not 0.0 <= floor_rel < 1.0:
         raise ValueError(f"floor_rel must lie in [0, 1), got {floor_rel}")
+    if len(set(rungs)) < len(rungs):
+        raise ValueError(f"eps_ladder repeats a rung: {rungs}")
     eps_arr = np.asarray(sorted(rungs, reverse=True))
-    if np.any(eps_arr[1:] == eps_arr[:-1]):  # sorted: repeats are neighbours
-        raise ValueError(
-            f"eps_ladder repeats a rung: {tuple(float(e) for e in eps_arr)}"
-        )
 
     control = _controls(control, grid, (2,))
     n_rungs, n_terms = eps_arr.size, len(exps)
@@ -422,9 +420,7 @@ def recover_expansion(
 
     coeffs = np.zeros((n_terms, grid.n_int))
     masks = np.zeros((n_terms, grid.n_int), dtype=bool)
-    errors: list[float] = []
-    resolved: list[bool] = []
-    conds: list[float] = []
+    stages = []  # (error, resolved, extrapolation condition) per term
 
     even, odd = np.arange(0, n_rungs, 2), np.arange(1, n_rungs, 2)
     for k, r_k in enumerate(exps):
@@ -434,9 +430,7 @@ def recover_expansion(
             powers.add(exps[k + 1] - r_k)
         powers = tuple(sorted(powers))
         if n_rungs < len(powers):
-            errors.append(np.inf)
-            resolved.append(False)
-            conds.append(np.inf)
+            stages.append((np.inf, False, np.inf))
             continue
 
         # the extrapolated limit is a fixed combination of the rungs and the
@@ -456,16 +450,8 @@ def recover_expansion(
 
         coeffs[k] = b_k
         masks[k] = mask
-        errors.append(err)
-        resolved.append(True)
-        conds.append(cond)
+        stages.append((err, True, cond))
 
-    return ExpansionEstimate(
-        exponents=exps,
-        coeffs=coeffs,
-        errors=tuple(errors),
-        masks=masks,
-        resolved=tuple(resolved),
-        extrap_conds=tuple(conds),
-        eps_ladder=tuple(float(e) for e in eps_arr),
-    )
+    errors, resolved, conds = zip(*stages)
+    return ExpansionEstimate(exps, coeffs, errors, masks, resolved, conds,
+                             tuple(float(e) for e in eps_arr))

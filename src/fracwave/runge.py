@@ -3,14 +3,20 @@
 Interior restrictions of exterior-controlled solutions are dense in
 space-time L^2, so any target trajectory can be approached by fitting
 control coefficients.  The fit is Tikhonov-regularized least squares over
-a finite stack of control states u_a (the `forward_map` output),
+B control states u_a,
 
     min_c  || sum_a c_a u_a - psi ||^2  +  alpha ||c||^2,
 
 solved by filter factors on a factorization, never through the normal
 equations.  Weighted by sqrt(h w_t) (the trapezoid weights of `st_gram`),
 the states and the target are the columns of one tall matrix; its QR
-triangle holds R_11 and Q^T psi, so Q is never formed.  With the SVD
+triangle holds R_11 and Q^T psi, so Q is never formed.  The matrix is
+never held either: its rows arrive in time slabs, as a sweep
+(`forward._sweep`) makes them, and each slab is folded into a running
+triangle, R <- qr([R; slab rows]).  R^T R stays the Gram matrix of the
+rows folded so far, so the last R is the whole matrix's triangle up to the
+signs of its rows.  A state stack (B, n_t+1, n_int) that is already held,
+such as a `forward_map` output, is one slab.  With the SVD
 R_11 = P diag(sigma) W^T, each alpha costs c = W diag(sigma / (sigma^2 +
 alpha)) P^T Q^T psi.  sigma^2 are the eigenvalues of the Gram matrix
 G_ab = <u_a, u_b>, so alpha keeps its Gram scale and cond(G) =
@@ -32,6 +38,7 @@ at fixed alpha.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +55,15 @@ def st_norm(a: np.ndarray, grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class RungeSolution:
-    """Fitted coefficients, their superposition and the fit quality read off
-    the factorization (see the module docstring)."""
+    """Fitted coefficients and the fit quality read off the factorization
+    (see the module docstring).  The fit holds no states, so a caller that
+    wants the superposition sum_a c_a u_a forms it from its own."""
 
     coeffs: np.ndarray
     alpha: float
-    misfit: float  # || achieved - target ||
+    misfit: float  # || sum_a c_a u_a - target ||
     residual: float  # misfit / || target ||
     coeff_norm: float
-    achieved: np.ndarray  # (n_t + 1, n_int)
     gram_cond: float
 
     @property
@@ -66,28 +73,42 @@ class RungeSolution:
 
 def approximate_target(
     target: np.ndarray,
-    states: np.ndarray,
+    states: np.ndarray | Iterable[np.ndarray],
     grid: Grid,
     alphas: tuple[float, ...],
 ) -> list[RungeSolution]:
     """Best approximation of an interior target trajectory (n_t+1, n_int)
-    by a superposition of a state stack (B, n_t+1, n_int), one solution per
-    alpha in the order given."""
+    by a superposition of B control states, one solution per alpha in the
+    order given.  states is either the whole stack (B, n_t+1, n_int), read
+    as one slab, or an iterable of batch-major slabs (B, m, n_int) that
+    tile the time slices 0 .. n_t in order, such as `forward._sweep`'s; a
+    slab is folded into the running triangle before the next is asked for."""
     target = _trajectory(target, grid.n_int, grid)
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 3 or states.shape[0] == 0 or states.shape[1:] != target.shape:
-        raise ValueError(f"states shape {states.shape} is not (B > 0, *{target.shape})")
-    if not np.isfinite(states).all():
-        raise ValueError("states contain non-finite values")
     if len(alphas) == 0 or not all(0 < a < np.inf for a in alphas):
         raise ValueError(f"alphas must be positive and nonempty, got {alphas}")
 
-    n_b = states.shape[0]
     root = np.sqrt(grid.h * trapezoid_weights(grid.n_t, grid.dt))[:, None]
-    cols = np.empty((n_b + 1, *target.shape))  # the tall matrix, column-major
-    np.multiply(states, root, out=cols[:-1])
-    np.multiply(target, root, out=cols[-1])
-    r = np.linalg.qr(cols.reshape(n_b + 1, -1).T, mode="r")
+    n_b, r, t0 = 0, np.empty((0, 1)), 0  # r: the running triangle, no rows yet
+    for slab in [states] if isinstance(states, np.ndarray) else states:
+        slab = np.asarray(slab, dtype=float)
+        left = len(target) - t0  # time slices still to come
+        if (slab.ndim != 3 or slab.shape[::2] != (n_b or len(slab), grid.n_int)
+                or not slab.size or slab.shape[1] > left):
+            raise ValueError(f"states shape {slab.shape} at slice {t0} is not "
+                             f"({n_b or 'B > 0'}, 1..{left}, {grid.n_int})")
+        if not np.isfinite(slab).all():
+            raise ValueError("states contain non-finite values")
+        n_b, m = slab.shape[:2]
+        cols = np.empty((n_b + 1, len(r) + m * grid.n_int))  # [R; slab rows], column-major
+        cols[:, : len(r)] = r.T
+        rows = cols[:, len(r) :].reshape(n_b + 1, m, grid.n_int)
+        np.multiply(slab, root[t0 : t0 + m], out=rows[:-1])
+        np.multiply(target[t0 : t0 + m], root[t0 : t0 + m], out=rows[-1])
+        r = np.linalg.qr(cols.T, mode="r")
+        t0 += m
+    if t0 < len(target):
+        raise ValueError(f"states shape: the slabs hold {t0} of the {len(target)} time slices")
+
     off = abs(r[n_b, n_b]) if len(r) > n_b else 0.0  # the target off the span
     p, sig, wt = np.linalg.svd(r[:n_b, :-1], full_matrices=False)
     moments = p.T @ r[:n_b, -1]
@@ -104,7 +125,6 @@ def approximate_target(
             misfit=misfit,
             residual=misfit / (scale + 1e-300),
             coeff_norm=float(np.linalg.norm(coeffs)),
-            achieved=np.einsum("a,atx->tx", coeffs, states),
             gram_cond=cond,
         ))
     return out

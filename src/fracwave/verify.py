@@ -230,7 +230,10 @@ def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
     sols = approximate_target(target, states, grid, (1e-2, 1e-6, 1e-10))
     # recomputed from the superposition, not read off the fit's factorization
     scale = st_norm(target, grid)
-    residuals = [st_norm(sol.achieved - target, grid) / scale for sol in sols]
+    residuals = [
+        st_norm(np.einsum("a,atx->tx", sol.coeffs, states) - target, grid) / scale
+        for sol in sols
+    ]
     drops = all(b <= a + 1e-12 for a, b in zip(residuals, residuals[1:]))
     return {
         "residual_alpha_small": residuals[-1],

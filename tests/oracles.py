@@ -34,6 +34,29 @@ def stack_born_rows(states, n_c, grid):
     return rows.reshape(-1, grid.n_int)
 
 
+def stack_fit(target, states, grid, alphas):
+    """The Tikhonov fit of `runge.approximate_target` from the whole state
+    stack (B, n_t+1, n_int): one QR of the weighted (n_t+1)·n_int × (B+1)
+    matrix [states | target], the route the fit takes slab by slab.
+    Returns (coeffs, misfit, gram_cond) per alpha."""
+    target = _trajectory(target, grid.n_int, grid)
+    n_b = len(states)
+    root = np.sqrt(grid.h * trapezoid_weights(grid.n_t, grid.dt))[:, None]
+    cols = np.concatenate([states * root, (target * root)[None]])
+    r = np.linalg.qr(cols.reshape(n_b + 1, -1).T, mode="r")
+    off = abs(r[n_b, n_b]) if len(r) > n_b else 0.0
+    p, sig, wt = np.linalg.svd(r[:n_b, :-1], full_matrices=False)
+    moments = p.T @ r[:n_b, -1]
+    low = sig[-1] if len(sig) == n_b else 0.0
+    cond = float((sig[0] / low) ** 2) if low > 0 else np.inf
+    out = []
+    for alpha in alphas:
+        coeffs = wt.T @ (sig / (sig**2 + alpha) * moments)
+        misfit = float(np.hypot(np.linalg.norm(alpha / (sig**2 + alpha) * moments), off))
+        out.append((coeffs, misfit, cond))
+    return out
+
+
 def lift_exterior(control, op, grid):
     """Interior source -chi_Omega A (extension of the control), (n_t+1, n_int):
     v = u - phi then solves v'' + A v = source with zero Cauchy data and

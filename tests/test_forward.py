@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import fracwave as fw
 from fracwave import CauchyData, PolyNonlinearity
-from fracwave.forward import MARCH_SLAB, PICARD_MAX_ITER, _sweep
+from fracwave.forward import MARCH_SLAB, PICARD_MAX_ITER, SWEEP_SLAB, _sweep
 from conftest import case
 from oracles import distributional_residual, dn_trace, lift_exterior
 
@@ -458,6 +460,30 @@ def test_sweep_slabs_tile_solve_with_potential(n_t, span):
     assert len(bases) == 1 and len(slabs) == -(-(n_t + 1) // span)
     joined = np.concatenate(slabs, axis=1)
     assert joined.tobytes() == full.tobytes()
+
+
+def test_sweep_blowup_names_first_bad_step():
+    """A sweep that overflows raises SolverBlowupError naming its first
+    non-finite step and batch rows, the same for every span and for
+    solve_with_potential, with no overflow or invalid-value warning on the
+    way; every slab handed over before it is finite, so the step lies in
+    the first slab that is not (spans 3 and 4 pin it to one slice)."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=128)
+    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+    values = np.stack([0.0 * control, control, 0.0 * control])
+    q = np.full(grid.n_int, -1e8)  # about 6e3 growth per step
+    message = r"non-finite values at step 99 \(t = 0\.773438\) in batch rows \[1\]$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for span in (3, 4, SWEEP_SLAB, grid.n_t + 1):
+            seen = 0
+            with pytest.raises(fw.SolverBlowupError, match=message):
+                for slab in _sweep(values, q, op, grid, span):
+                    assert np.isfinite(slab).all()
+                    seen += slab.shape[1]
+            assert seen <= 99 < seen + span
+        with pytest.raises(fw.SolverBlowupError, match=message):
+            fw.solve_with_potential(values, q, op, grid)
 
 
 def test_potential_sweep_shape_checks():

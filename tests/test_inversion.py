@@ -1,6 +1,7 @@
 """Tests for potential recovery and nonlinearity-expansion recovery."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -145,12 +146,15 @@ def test_recover_potential_pairs_closed_loop(small, battery):
 
 
 def test_one_sweep_per_background(small, battery, monkeypatch):
-    """Every background model costs one sweep, of controls and tests
-    joined: the first model and one trial per attempted pass."""
+    """Every background model costs one sweep: the first model and one
+    trial per attempted pass.  The sweep is of controls and tests joined,
+    but no pass reads the last scheduled trial's Born rows, so that trial
+    sweeps the controls alone for its pairings."""
     grid, op, basis = small
     controls, probes = battery
     q_true = 0.4 * np.sin(np.pi * grid.interior_coords)
     meas = dn_matrix(op, grid, controls, probes, q_true)
+    joined = len(controls) + len(probes)
     rows = []
 
     def counted(stack, *args):
@@ -161,11 +165,70 @@ def test_one_sweep_per_background(small, battery, monkeypatch):
     schedule = tuple(10.0 ** -np.arange(2, 10))
     rec = inv.recover_potential(meas, controls, probes, op, grid,
                                 cutoff=schedule)
-    # the schedule ends early, on a discarded trial: one more pass attempted
-    # than accepted
-    assert len(rec.increments) < len(schedule)
+    # the schedule ends early, on a discarded trial that is not the last
+    # scheduled: one more pass attempted than accepted
+    assert len(rec.increments) < len(schedule) - 1
     attempted = len(rec.increments) + 1
-    assert rows == [len(controls) + len(probes)] * (1 + attempted)
+    assert rows == [joined] * (1 + attempted)
+    # a schedule that runs out: every pass accepted, the last trial narrow
+    rows.clear()
+    rec = inv.recover_potential(meas, controls, probes, op, grid,
+                                cutoff=schedule[:3])
+    assert len(rec.increments) == 3
+    assert rows == [joined] * 3 + [len(controls)]
+
+
+def test_last_trial_pairs_as_born(small, battery):
+    """The controls' sweep alone pairs exactly as the joined sweep does."""
+    grid, op, basis = small
+    controls, probes = battery
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    pairing = _pairing(controls, probes, op, grid)
+    stack = np.concatenate([controls, probes])
+    _, d_model = dnmap._born(stack, len(controls), q, pairing, op, grid)
+    assert np.array_equal(dn_matrix(op, grid, controls, probes, q), d_model)
+
+
+@pytest.mark.parametrize(
+    "cutoffs, blowups",
+    [((1e-12,), 1), ((1e-12, 1e-2), 1), ((1e-2, 1e-12), 0)],
+    ids=["last_trial", "born_trial", "overflowing_misfit"],
+)
+def test_non_finite_trial_never_passes(monkeypatch, cutoffs, blowups):
+    """invert-q at its defaults but for the cutoffs: a 1e-12 cutoff from
+    q = 0 makes a trial whose sweep overflows (the pass was once accepted
+    with a NaN misfit and a relative error of 2.5e7), and after one good
+    pass it makes a finite trial whose misfit overflows.  Both trials are
+    discarded: the misfits stay finite and strictly decreasing, and no
+    RuntimeWarning is raised."""
+    grid, op, basis = case(n_int=48, s=0.7, n_t=256)
+    q_true = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    controls = fw.control_basis(grid, grid.w_mask(1), 4)
+    tests = fw.control_basis(grid, grid.w_mask(2), 4)
+    meas = dn_matrix(op, grid, controls, tests, q_true)
+    raised = []
+
+    def spy(fn):
+        def wrapped(*args):
+            try:
+                return fn(*args)
+            except fw.SolverBlowupError as exc:
+                raised.append(exc)
+                raise
+        return wrapped
+
+    monkeypatch.setattr(inv, "_born", spy(inv._born))
+    monkeypatch.setattr(inv, "dn_matrix", spy(inv.dn_matrix))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = inv.recover_potential(meas, controls, tests, op, grid, cutoff=cutoffs)
+    assert len(raised) == blowups
+    misfits = np.array(rec.data_misfits)
+    assert np.isfinite(misfits).all() and np.all(np.diff(misfits) < 0)
+    assert len(rec.cutoffs) == (cutoffs[0] == 1e-2)
+    assert np.isfinite(rec.q_est).all()
+    err = np.linalg.norm(rec.q_est - q_true) / np.linalg.norm(q_true)
+    assert err <= 1.0
 
 
 @pytest.mark.parametrize("n_t", [130, 137], ids=["even", "odd"])
