@@ -184,6 +184,13 @@ class _Artifacts:
         self.hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
         return path
 
+    def write_json(self, name: str, payload) -> Path:
+        try:
+            text = json.dumps(payload, indent=1, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # a numerical failure (exit 1), not a rejected input
+            raise FloatingPointError(f"non-finite value in {name}: {exc}") from None
+        return self.write_text(name, text)
+
     def cleanup(self) -> None:
         for path in self._created:
             try:
@@ -277,7 +284,7 @@ def _run_dn(cfg, art, seed) -> tuple[int, dict]:
         "tests": [{"index": i} for i in range(len(tests))],
         "matrix": [[float(v) for v in row] for row in matrix],
     }
-    art.write_text("dn.json", json.dumps(payload, indent=1, sort_keys=True))
+    art.write_json("dn.json", payload)
     print(f"dn: {matrix.shape[0]}x{matrix.shape[1]} pairing matrix written")
     return 0, {"matrix_shape": list(matrix.shape)}
 
@@ -366,7 +373,7 @@ def _run_invert_q(cfg, art, seed) -> tuple[int, dict]:
         "data_misfits": list(rec.data_misfits),
         "noise_sigma": sigma,
     }
-    art.write_text("recovery_report.json", json.dumps(report, indent=1, sort_keys=True))
+    art.write_json("recovery_report.json", report)
     print(f"invert-q: relative L2 error {rel:.4e} after {len(rec.cutoffs)} pass(es)")
     return 0, {"rel_l2_error": rel}
 
@@ -423,7 +430,7 @@ def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
         "resolved": list(est.resolved),
         "eps_ladder": list(est.eps_ladder),
     }
-    art.write_text("recovery_report.json", json.dumps(report, indent=1, sort_keys=True))
+    art.write_json("recovery_report.json", report)
     print(
         "invert-f: relative Linf errors "
         + ", ".join(f"{e:.4e}" for e in rel_errors)
@@ -521,43 +528,42 @@ def _run(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     art = _Artifacts(outdir)
 
+    import platform
+
     import numpy as np
+
+    from . import __version__
 
     started = time.perf_counter()
     try:
         code, extras = _RUNNERS[args.cmd](cfg, art, args.seed)
+        elapsed = time.perf_counter() - started
+        manifest = {
+            "format": "fracwave-manifest/1",
+            "subcommand": args.cmd,
+            "config": {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()},
+            "config_sha256": hashlib.sha256(_canonical_config(cfg).encode()).hexdigest(),
+            "seed": args.seed,
+            "threads": args.threads if args.threads is not None else "default",
+            "versions": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "fracwave": __version__,
+            },
+            "artifacts": art.hashes,
+            "timings": {"total_s": elapsed},
+            "summary": extras,
+        }
+        art.write_json("manifest.json", manifest)
     except Exception as exc:  # noqa: BLE001 - harness boundary
         art.cleanup()
         # a ValueError is a rejected input (exit 2); LinAlgError,
-        # SolverBlowupError, PicardError and anything else are exit 1
+        # SolverBlowupError, PicardError, non-finite JSON and anything else are exit 1
         if isinstance(exc, ValueError) and not isinstance(exc, np.linalg.LinAlgError):
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - started
-
-    import platform
-
-    from . import __version__
-
-    manifest = {
-        "format": "fracwave-manifest/1",
-        "subcommand": args.cmd,
-        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()},
-        "config_sha256": hashlib.sha256(_canonical_config(cfg).encode()).hexdigest(),
-        "seed": args.seed,
-        "threads": args.threads if args.threads is not None else "default",
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "fracwave": __version__,
-        },
-        "artifacts": art.hashes,
-        "timings": {"total_s": elapsed},
-        "summary": extras,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return code
 
 

@@ -113,21 +113,22 @@ def _pairing(
     the states u_a of the controls and a (n_tests, n_t+1, n_ext) test stack
     psi_b: the pairing against the time-reversed tests, made here alone, as
     (fixed, pair).  fixed is the part of the controls themselves, which no
-    model changes; pair(slab, t0) is the part of a batch-major state slab
-    (B, m, n_int) holding slices t0 .. t0+m-1, rows past the controls' left
-    out: one product against the weighted reversed tests lifted by the
-    interior rows of A, so M is fixed plus pair summed over any tiling."""
+    model changes; pair(slab, t0) is the part of a state slab (B, m, n_int)
+    holding slices t0 .. t0+m-1, rows past the controls' left out: the slab
+    times the interior rows of A (exterior first, no slab-sized temporary)
+    paired with the weighted reversed tests, so M is fixed plus pair summed
+    over any tiling."""
     n_c, n_te = len(controls), len(tests)
     ext = grid.exterior_indices
     a_ext = op.a_full[:, ext]
     w = trapezoid_weights(grid.n_t, grid.dt)
     psi = np.ascontiguousarray(tests[:, ::-1]) * (grid.h * w)[:, None]
     fixed = (controls @ a_ext[ext]).reshape(n_c, -1) @ psi.reshape(n_te, -1).T
-    lift = a_ext[grid.interior_slice].T  # (n_ext, n_int)
+    a_ie = a_ext[grid.interior_slice]  # (n_int, n_ext)
 
     def pair(slab: np.ndarray, t0: int) -> np.ndarray:
-        m = slab.shape[1]
-        return slab[:n_c].reshape(n_c, -1) @ (psi[:, t0 : t0 + m] @ lift).reshape(n_te, -1).T
+        trace = np.matmul(slab[:n_c], a_ie)  # (n_c, m, n_ext)
+        return trace.reshape(n_c, -1) @ psi[:, t0 : t0 + trace.shape[1]].reshape(n_te, -1).T
 
     return fixed, pair
 

@@ -31,11 +31,11 @@ form d_{j+1} = d_j - 4 sin^2(theta/2) c_j + g f_j, c_{j+1} = c_j + d_{j+1}
 2 cos(theta) near 2 and the low modes drift in phase as n_t^2, 1.1e-9 off
 a long-double run of the cos/sin sums at n_int = 48, n_t = 4096, where the
 difference form is 3.3e-15 off.  The basis is complete (h Phi Phi^T = I),
-so the sweep runs the recurrence on nodal states: `solve_with_potential`
-into one buffer of n_t+1 slices, and the private `_sweep` in time slabs of
-a reused buffer, which pairings, Born rows and the Runge fit reduce as
-they arrive.  Each sweep slab is checked for non-finite values as the
-march's slabs are (below).
+so the sweep runs the recurrence on nodal states, each step on contiguous
+(B, n_int) rows of a time-major buffer that it hands out in batch-major
+views: `solve_with_potential` all n_t+1 slices, the private `_sweep` time
+slabs of a reused buffer, which pairings, Born rows and the Runge fit
+reduce as they arrive.  Sweep slabs are checked as the march's are (below).
 
 Every space-time pairing in this package uses the trapezoid weights of
 `st_gram` (the Runge fit applies them to its design matrix directly); that
@@ -239,7 +239,7 @@ def solve_linear_modal(
 
 def _sweep(values, q, op, grid, span):
     """`solve_with_potential`'s sweep (same arguments and checks) as
-    batch-major (B, m, n_int) views of one reused buffer of span time
+    batch-major (B, m, n_int) views of one reused time-major buffer of span
     slices.  The slabs do not overlap, the last ends at slice n_t, and
     joined they are `solve_with_potential`'s output bit for bit.  The
     checks run when the first slab is asked for, and a slab is overwritten
@@ -257,29 +257,29 @@ def _sweep(values, q, op, grid, span):
     step = -h * ((phi * gap + (q[:, None] * phi) * g) @ phi.T)  # D, (n_int, n_int)
 
     n_t = grid.n_t
-    buf = np.empty((values.shape[0], min(span, n_t + 1), grid.n_int))
+    buf = np.empty((min(span, n_t + 1), values.shape[0], grid.n_int))  # time-major
     prev = np.empty((values.shape[0], grid.n_int))  # the slice before the slab
     dv = np.empty_like(prev)
-    for t0 in range(0, n_t + 1, buf.shape[1]):
-        slab = buf[:, : n_t + 1 - t0]
-        t1 = t0 + slab.shape[1]
+    for t0 in range(0, n_t + 1, len(buf)):
+        slab = buf[: n_t + 1 - t0]
+        t1 = t0 + len(slab)
         lo = max(t0, 1)  # slot of slice t holds drive_{t-1} until step t-1 overwrites it
-        np.matmul(values[:, lo - 1 : t1 - 1], lift, out=slab[:, lo - t0 :])
+        np.matmul(values[:, lo - 1 : t1 - 1].transpose(1, 0, 2), lift, out=slab[lo - t0 :])
         if t0 == 0:
-            slab[:, 0] = 0.0
+            slab[0] = 0.0
         if t0 <= 1 < t1:
-            slab[:, 1 - t0] *= 0.5
-            v = slab[:, 1 - t0].copy()
+            slab[1 - t0] *= 0.5
+            v = slab[1 - t0].copy()
         with np.errstate(over="ignore", invalid="ignore"):  # checked per slab
             for t in range(max(t0, 2), t1):
-                u = slab[:, t - t0 - 1] if t > t0 else prev
+                u = slab[t - t0 - 1] if t > t0 else prev
                 np.matmul(u, step, out=dv)
-                dv += slab[:, t - t0]
+                dv += slab[t - t0]
                 v += dv
-                np.add(u, v, out=slab[:, t - t0])
-        _finite(slab.transpose(1, 0, 2), t0, grid.dt)
-        yield slab
-        prev[...] = slab[:, -1]
+                np.add(u, v, out=slab[t - t0])
+        _finite(slab, t0, grid.dt)
+        yield slab.transpose(1, 0, 2)
+        prev[...] = slab[-1]
 
 
 def solve_with_potential(
@@ -301,8 +301,9 @@ def solve_with_potential(
     drive_j = values_j L and L = -h a_ie^T Phi diag(g) Phi^T.  Each step is
     one (B, n_int) x (n_int, n_int) product, and 4 sin^2(theta/2) stands
     for 2 - 2 cos(theta) without its cancellation.  Exact for any q, also
-    where A_int + diag(q) is indefinite.  Slot j+1 of the output holds
-    drive_j until step j overwrites it, so no second state-sized array exists.
+    where A_int + diag(q) is indefinite.  The output views one time-major
+    buffer; slot j+1 holds drive_j until step j overwrites it, so no second
+    state-sized array exists.
     """
     (states,) = _sweep(values, q, op, grid, grid.n_t + 1)
     return states

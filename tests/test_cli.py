@@ -238,6 +238,40 @@ def test_numerical_failure_exits_with_code_1(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("error: LinAlgError")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_every_json_artifact_is_strict(tmp_path):
+    """Every JSON artifact of the seven pipelines parses under a strict
+    parser: no NaN or Infinity constant in any of them."""
+    seen = set()
+    for cmd in ("eig", *PIPELINE_SETS):
+        out = tmp_path / cmd
+        assert run([cmd, "--out", str(out)] + PIPELINE_SETS.get(cmd, SMALL)) == 0
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_refuse_constant)
+            seen.add(path.name)
+    assert seen == {"manifest.json", "dn.json", "recovery_report.json"}
+
+
+@pytest.mark.parametrize("artifact", ["dn.json", "manifest.json"])
+def test_non_finite_artifact_exits_with_code_1(tmp_path, capsys, monkeypatch, artifact):
+    """A non-finite value that reaches a JSON writer is a numerical failure
+    (exit 1) naming the artifact, not a rejected input, and leaves no files."""
+    import fracwave.dnmap
+
+    if artifact == "dn.json":
+        monkeypatch.setattr(fracwave.dnmap, "dn_matrix", lambda *a: np.full((2, 2), np.nan))
+    else:
+        monkeypatch.setitem(cli._RUNNERS, "dn", lambda *a: (0, {"misfit": np.inf}))
+    out = tmp_path / "o"
+    assert run(["dn", "--out", str(out)] + PIPELINE_SETS["dn"]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: FloatingPointError: non-finite value in {artifact}")
+    assert not list(out.iterdir())
+
+
 def test_config_hash_tracks_settings(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(["eig", "--out", str(out1)] + SMALL) == 0

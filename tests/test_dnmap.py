@@ -5,8 +5,8 @@ import pytest
 
 import fracwave as fw
 from fracwave import PolyNonlinearity
-from fracwave.dnmap import dn_matrix, grid_signature, solve_exterior
-from fracwave.forward import solve_newmark, st_inner
+from fracwave.dnmap import _pairing, dn_matrix, grid_signature, solve_exterior
+from fracwave.forward import SWEEP_SLAB, _sweep, solve_newmark, st_inner
 from conftest import case
 from oracles import dn_trace, stack_pairings
 
@@ -147,3 +147,23 @@ def test_dn_matrix_streams_the_sweep():
     finally:
         tracemalloc.stop()
     assert peak <= 0.3 * stack, f"peak {peak / stack:.2f}x the control state stack"
+
+
+def test_pairing_holds_no_slab_sized_temporary():
+    """One pair(slab, t0) call contracts the slab through the exterior
+    first: it allocates less than 0.25 of the slab it reads."""
+    grid, op, basis = case(n_int=128, s=0.7, n_t=512)
+    controls, tests = batteries(grid, 4)
+    assert len(controls) == 12
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    fixed, pair = _pairing(controls, tests, op, grid)
+    slabs = _sweep(controls, q, op, grid, SWEEP_SLAB)
+    next(slabs)
+    slab = next(slabs)  # slices SWEEP_SLAB .. 2 SWEEP_SLAB - 1
+    tracemalloc.start()
+    try:
+        pair(slab, SWEEP_SLAB)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * slab.nbytes, f"peak {peak / slab.nbytes:.2f}x the slab"

@@ -444,9 +444,10 @@ def test_potential_sweep_batch_matches_single():
     ids=["1", "7", "32", "n_t", "n_t+1", "n_t+9"],
 )
 def test_sweep_slabs_tile_solve_with_potential(n_t, span):
-    """The sweep's slabs are views of one buffer of span slices; they do not
-    overlap, the last ends at slice n_t, and joined they are
-    solve_with_potential's states bit for bit, signs of zeros included."""
+    """The sweep's slabs are views of one time-major buffer of span slices,
+    so every step row slab[:, k] is C-contiguous; they do not overlap, the
+    last ends at slice n_t, and joined they are solve_with_potential's
+    states bit for bit, signs of zeros included."""
     grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
     span = span(n_t)
     q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
@@ -454,12 +455,14 @@ def test_sweep_slabs_tile_solve_with_potential(n_t, span):
     full = fw.solve_with_potential(values, q, op, grid)
     slabs, bases = [], set()
     for slab in _sweep(values, q, op, grid, span):
-        bases.add(slab.__array_interface__["data"][0])  # one buffer
+        bases.add((id(slab.base), slab.__array_interface__["data"][0]))  # one buffer
         assert slab.shape[0] == len(values) and 0 < slab.shape[1] <= span
+        assert all(slab[:, k].flags.c_contiguous for k in range(slab.shape[1]))
         slabs.append(slab.copy())
     assert len(bases) == 1 and len(slabs) == -(-(n_t + 1) // span)
     joined = np.concatenate(slabs, axis=1)
     assert joined.tobytes() == full.tobytes()
+    assert all(full[:, k].flags.c_contiguous for k in range(n_t + 1))
 
 
 def test_sweep_blowup_names_first_bad_step():

@@ -232,8 +232,8 @@ def test_non_finite_trial_never_passes(monkeypatch, cutoffs, blowups):
 
 
 @pytest.mark.parametrize("n_t", [130, 137], ids=["even", "odd"])
-@pytest.mark.parametrize("span", [lambda n: 5, lambda n: dnmap.SWEEP_SLAB, lambda n: n + 1],
-                         ids=["5", "SWEEP_SLAB", "n_t+1"])
+@pytest.mark.parametrize("span", [lambda n: 1, lambda n: 5, lambda n: dnmap.SWEEP_SLAB,
+                                  lambda n: n + 1], ids=["1", "5", "SWEEP_SLAB", "n_t+1"])
 def test_born_matches_stack_oracle(n_t, span, monkeypatch):
     """The Born rows and model pairings reduced from the sweep's slabs, half
     the stack held, equal the reductions of the whole joined stack."""
