@@ -13,16 +13,16 @@ the reversal of psi equals pairing the solution driven by psi against the
 reversal of phi.  The integral identity used for potential recovery pairs
 controls with time-reversed tests, the orientation of `dn_matrix`.
 
-Controls and tests are plain float arrays (see `fields`): `solve_exterior`
-takes one (n_t+1, n_ext) control, `dn_matrix` two (B, n_t+1, n_ext) stacks
-and reduces the control states under a potential in time slabs as the
-sweep makes them, so it holds no state stack.  `_born` reduces one sweep
-of a joined control/test stack the same way into the model pairings and
-their derivative in q, the Born rows `inversion.recover_potential` fits.
-`forward_map` builds the whole state stack, for `verify`, `solve_exterior`
-and a nonlinearity; the `runge` pipeline's fit also takes the sweep's
-slabs as they arrive.  The `dn` pipeline of the command line writes the
-matrix to dn.json; nothing reads it back.
+Controls and tests are plain float arrays (see `fields`) and a model is a
+potential q (an interior array, None for q = 0); every state comes from the
+sweep `forward._sweep`.  `forward_map` returns a control stack's whole
+state stack, for `verify` and `solve_exterior` (one control, full grid).
+`dn_matrix` reduces the control states in time slabs as the sweep makes
+them, so it holds no state stack, and `_born` reduces one sweep of a joined
+control/test stack the same way into the model pairings and their
+derivative in q, the Born rows `inversion.recover_potential` fits.  The
+`dn` pipeline of the command line writes the matrix to dn.json; nothing
+reads it back.
 """
 from __future__ import annotations
 
@@ -31,16 +31,9 @@ import hashlib
 import numpy as np
 
 from .fields import _controls
-from .forward import (
-    SWEEP_SLAB,
-    _sweep,
-    solve_newmark,
-    solve_with_potential,
-    trapezoid_weights,
-)
+from .forward import SWEEP_SLAB, _sweep, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
-from .nonlinearity import PolyNonlinearity
 
 __all__ = [
     "solve_exterior",
@@ -73,12 +66,13 @@ def solve_exterior(
     control: np.ndarray,
     op: FracOperator,
     grid: Grid,
-    model: PolyNonlinearity | np.ndarray | None = None,
+    q: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Full-grid state (n_t + 1, n_nodes) driven by an exterior control with
-    zero Cauchy data: the interior from the batched state path every
-    measurement uses, the control values on the exterior nodes."""
-    u = forward_map(control[None], op, grid, model)[0]
+    """Full-grid state (n_t + 1, n_nodes) driven by one exterior control
+    (n_t + 1, n_ext) under the potential q, zero Cauchy data: the interior
+    from `forward_map`, the control values on the exterior nodes."""
+    control = _controls(control, grid, (2,))
+    u = forward_map(control[None], op, grid, q)[0]
     return grid.extend(u) + grid.scatter_exterior(control)
 
 
@@ -86,21 +80,13 @@ def forward_map(
     controls: np.ndarray,
     op: FracOperator,
     grid: Grid,
-    model: PolyNonlinearity | np.ndarray | None = None,
+    q: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Interior displacements (n_controls, n_t+1, n_int) of a control
-    stack (B, n_t+1, n_ext); a single control is refused on every model.
-    A potential (an interior array, or None for q = 0) takes one batched
-    sweep of `solve_with_potential`; a power-type nonlinearity marches all
-    controls as one batch.  It builds the whole state stack, for `verify`,
-    `solve_exterior` and a nonlinearity's pairings; `dn_matrix`,
-    `inversion.recover_potential` and the `runge` pipeline's fit reduce a
-    potential's sweep in slabs instead and never hold it."""
-    controls = _controls(controls, grid, (3,))
-    if isinstance(model, PolyNonlinearity):
-        return grid.restrict(solve_newmark(op, grid, model=model, control=controls))
-    q = np.zeros(grid.n_int) if model is None else model
-    return solve_with_potential(controls, q, op, grid)
+    """Interior displacements (B, n_t+1, n_int) of a control stack
+    (B, n_t+1, n_ext) under the potential q (None: q = 0), one sweep's
+    time-major buffer seen batch-major; a single control is refused."""
+    (states,) = _sweep(controls, q, op, grid, grid.n_t + 1)
+    return states
 
 
 def _pairing(
@@ -138,23 +124,18 @@ def dn_matrix(
     grid: Grid,
     controls: np.ndarray,
     tests: np.ndarray,
-    model: PolyNonlinearity | np.ndarray | None = None,
+    q: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairing matrix M[a, b] = <L phi_a, psi_b*> against the time-reversed
-    tests psi_b*, the orientation the recovery identity uses.  The control
-    states are solved once, as a batch: a potential's sweep is reduced in
-    slabs of SWEEP_SLAB time slices as they arrive, so no state stack is
-    held; a nonlinearity's march stack is one slab."""
+    tests psi_b*, the orientation the recovery identity uses, under the
+    potential q (None for q = 0).  The control states are swept once, as a
+    batch, and reduced in slabs of SWEEP_SLAB time slices as they arrive,
+    so no state stack is held."""
     controls = _controls(controls, grid, (3,))
     tests = _controls(tests, grid, (3,))
-    if isinstance(model, PolyNonlinearity):
-        slabs = [forward_map(controls, op, grid, model)]
-    else:
-        q = np.zeros(grid.n_int) if model is None else model
-        slabs = _sweep(controls, q, op, grid, SWEEP_SLAB)
     m, pair = _pairing(controls, tests, op, grid)
     t0 = 0
-    for slab in slabs:
+    for slab in _sweep(controls, q, op, grid, SWEEP_SLAB):
         m += pair(slab, t0)
         t0 += slab.shape[1]
     return m

@@ -31,11 +31,11 @@ form d_{j+1} = d_j - 4 sin^2(theta/2) c_j + g f_j, c_{j+1} = c_j + d_{j+1}
 2 cos(theta) near 2 and the low modes drift in phase as n_t^2, 1.1e-9 off
 a long-double run of the cos/sin sums at n_int = 48, n_t = 4096, where the
 difference form is 3.3e-15 off.  The basis is complete (h Phi Phi^T = I),
-so the sweep runs the recurrence on nodal states, each step on contiguous
-(B, n_int) rows of a time-major buffer that it hands out in batch-major
-views: `solve_with_potential` all n_t+1 slices, the private `_sweep` time
-slabs of a reused buffer, which pairings, Born rows and the Runge fit
-reduce as they arrive.  Sweep slabs are checked as the march's are (below).
+so `_sweep`, the one potential solve, runs the recurrence on nodal states,
+each step on contiguous (B, n_int) rows of a time-major buffer handed out
+in batch-major slabs: all n_t+1 slices for `dnmap.forward_map`, reused
+slabs that pairings, Born rows and the Runge fit reduce as they arrive.
+Sweep slabs are checked as the march's are (below).
 
 Every space-time pairing in this package uses the trapezoid weights of
 `st_gram` (the Runge fit applies them to its design matrix directly); that
@@ -43,30 +43,29 @@ choice makes the discrete solution operator exactly self-adjoint under time
 reversal, which the transposition-style residual identities below inherit.
 
 Time stepping route.  An explicit central-difference (Stormer-Verlet) march
-on the full grid doubles as an independent oracle for the modal solver and
-as the workhorse for semilinear models, under the usual CFL restriction
-dt <= 2 / sqrt(lambda_max (1 + CFL_MARGIN)).  The march always advances a
-batch: the states of B exterior controls live in one time-major
+on the full grid is the one solve of u'' + A u + f(x, u) = 0, and with f
+absent an oracle for the modal solver, under the CFL restriction
+dt <= 2 / sqrt(lambda_max (1 + CFL_MARGIN)).  It always advances a batch:
+the states of B exterior controls live in one time-major
 (slices, B, n_nodes) buffer and each step costs one (B, n_nodes) product
 with the interior rows of A, so an amplitude ladder or a control basis is
-one march, not one per control.  `solve_newmark` gives it n_t+1 slices;
-`march_slabs` gives it MARCH_SLAB + 2 and hands them over each time they
-fill, keeping the two the next step needs, so a time reduction streams.
-Both step in slabs of MARCH_SLAB steps with numpy's overflow and invalid
-warnings muted, and check each slab once for non-finite values: these
-persist, so the slab's last slice shows them, and only then are its new
-slices scanned for the first bad step.
-The last two interior states roll through contiguous (B, n_int) buffers
-and each step works in place in one force buffer
+one march.  `solve_newmark` gives it n_t+1 slices; `march_slabs` gives it
+MARCH_SLAB + 2 and hands them over each time they fill, keeping the two
+the next step needs, so a time reduction streams.  Both step in slabs of
+MARCH_SLAB steps with numpy's overflow and invalid warnings muted, and
+check each slab once for non-finite values: these persist, so the slab's
+last slice shows them, and only then are its new slices scanned for the
+first bad step.  The last two interior states roll through contiguous
+(B, n_int) buffers and each step works in place in one force buffer
 
-    g = dt^2 (A u + q u + f(x, u) - F),    u_new = 2 u - u_prev - g,
+    g = dt^2 (A u + f(x, u)),    u_new = 2 u - u_prev - g,
 
-which is bit for bit the textbook step 2 u - u_prev + dt^2 (-A u - q u - f + F),
+which is bit for bit the textbook step 2 u - u_prev + dt^2 (-A u - f),
 since negation is exact: fl(-x - y) = -fl(x + y) up to the sign of an exact
-zero.  `inversion.reaction_from_march` reads
-q u + f(x, u) back off a trajectory through that relation, so it recovers f
-exactly only while the march keeps this order of operations; a fused step
-matrix 2I - dt^2 A changes it (see `solve_newmark`).
+zero.  `inversion.reaction_from_march` reads f(x, u) back off a trajectory
+through that relation, so it recovers f exactly only while the march keeps
+this order of operations; a fused step matrix 2I - dt^2 A changes it (see
+`solve_newmark`).
 """
 from __future__ import annotations
 
@@ -86,7 +85,6 @@ __all__ = [
     "PicardError",
     "SolverBlowupError",
     "solve_linear_modal",
-    "solve_with_potential",
     "solve_with_potential_picard",
     "solve_newmark",
     "march_slabs",
@@ -145,7 +143,10 @@ def _finite(new, first, dt):
 
 def _potential(q: np.ndarray, grid: Grid) -> np.ndarray:
     """A potential as a float array of finite values, one per interior node."""
-    q = np.asarray(q, dtype=float)
+    try:
+        q = np.asarray(q, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"potential must be a float array, not {type(q).__name__}") from err
     if q.shape != (grid.n_int,):
         raise ValueError(f"potential shape {q.shape} != ({grid.n_int},)")
     if not np.isfinite(q).all():
@@ -238,15 +239,24 @@ def solve_linear_modal(
 
 
 def _sweep(values, q, op, grid, span):
-    """`solve_with_potential`'s sweep (same arguments and checks) as
+    """Interior displacements of u'' + A u + q u = 0 (q = 0 when None)
+    driven by a control stack (B, n_t+1, n_ext), zero Cauchy data, as
     batch-major (B, m, n_int) views of one reused time-major buffer of span
-    slices.  The slabs do not overlap, the last ends at slice n_t, and
-    joined they are `solve_with_potential`'s output bit for bit.  The
+    slices: the slabs do not overlap and the last ends at slice n_t.  The
     checks run when the first slab is asked for, and a slab is overwritten
-    when the next is.  Each slab is stepped with numpy's overflow and
-    invalid warnings muted and checked once, as the march's are: a
-    non-finite value raises SolverBlowupError with its step and batch rows."""
-    q = _potential(q, grid)
+    when the next is.  One sweep of the module docstring's difference form
+    on nodal rows u_j, with v_j = u_j - u_{j-1}:
+
+        v_{j+1} = v_j + u_j D + drive_j,    u_{j+1} = u_j + v_{j+1},
+
+    from u_0 = 0 and u_1 = v_1 = drive_0 / 2, where
+    D = -h (Phi diag(4 sin^2(theta/2)) + diag(q) Phi diag(g)) Phi^T,
+    drive_j = values_j L and L = -h a_ie^T Phi diag(g) Phi^T.  Each step is
+    one (B, n_int) x (n_int, n_int) product, and 4 sin^2(theta/2) stands
+    for 2 - 2 cos(theta) without its cancellation.  Exact for any q, also
+    where A_int + diag(q) is indefinite.  Slot j+1 holds drive_j until
+    step j overwrites it, so no second state-sized array exists."""
+    q = np.zeros(grid.n_int) if q is None else _potential(q, grid)
     values = _controls(values, grid, (3,))
     h, phi, om = grid.h, op.basis.modes, op.basis.omegas
     theta = grid.dt * om
@@ -280,33 +290,6 @@ def _sweep(values, q, op, grid, span):
         _finite(slab, t0, grid.dt)
         yield slab.transpose(1, 0, 2)
         prev[...] = slab[-1]
-
-
-def solve_with_potential(
-    values: np.ndarray,
-    q: np.ndarray,
-    op: FracOperator,
-    grid: Grid,
-) -> np.ndarray:
-    """Interior displacements (B, n_t+1, n_int) of u'' + A u + q u = 0 driven
-    by a stack of exterior control values (B, n_t+1, n_ext), zero Cauchy data.
-
-    One sweep of the difference form of the module docstring on nodal rows
-    u_j, with v_j = u_j - u_{j-1}:
-
-        v_{j+1} = v_j + u_j D + drive_j,    u_{j+1} = u_j + v_{j+1},
-
-    from u_0 = 0 and u_1 = v_1 = drive_0 / 2, where
-    D = -h (Phi diag(4 sin^2(theta/2)) + diag(q) Phi diag(g)) Phi^T,
-    drive_j = values_j L and L = -h a_ie^T Phi diag(g) Phi^T.  Each step is
-    one (B, n_int) x (n_int, n_int) product, and 4 sin^2(theta/2) stands
-    for 2 - 2 cos(theta) without its cancellation.  Exact for any q, also
-    where A_int + diag(q) is indefinite.  The output views one time-major
-    buffer; slot j+1 holds drive_j until step j overwrites it, so no second
-    state-sized array exists.
-    """
-    (states,) = _sweep(values, q, op, grid, grid.n_t + 1)
-    return states
 
 
 @dataclass(frozen=True)
@@ -376,7 +359,7 @@ def newmark_dt_bound(op: FracOperator) -> float:
     return 2.0 / np.sqrt(lam_max * (1.0 + CFL_MARGIN))
 
 
-def _march(op, grid, model, control, data, source, span):
+def _march(op, grid, model, control, data, span):
     """The march of `solve_newmark`'s arguments through a reused buffer of
     span time slices, as a generator; its checks run on the first slab."""
     dt = grid.dt
@@ -388,17 +371,11 @@ def _march(op, grid, model, control, data, source, span):
             f"margin {CFL_MARGIN})"
         )
 
-    q = nonlin = None
-    if isinstance(model, PolyNonlinearity):
-        nonlin = model
-    elif model is not None:
-        q = _potential(model, grid)
-
+    if model is not None and not isinstance(model, PolyNonlinearity):
+        raise ValueError(f"model must be a PolyNonlinearity or None, not {type(model).__name__}")
     if data is None:
         data = CauchyData.zero(grid.n_int)
     _check_data(data, grid)
-    if source is not None:
-        source = _trajectory(source, grid.n_int, grid)
     if control is None:
         control = np.zeros((grid.n_t + 1, grid.n_ext))
     values = _controls(control, grid)
@@ -408,15 +385,11 @@ def _march(op, grid, model, control, data, source, span):
     buf = np.empty((min(span, n_t + 1), values.shape[1], grid.n_nodes))
     stiff_t = op.a_full[interior].T  # (n_nodes, n_int): rows of A on the interior
 
-    def force(r: int, n: int, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """A u + q u + f(x, u) - F at step n, buffer row r, into g."""
+    def force(r: int, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """A u + f(x, u) at buffer row r, into g."""
         np.matmul(buf[r], stiff_t, out=g)
-        if q is not None:
-            g += q * u
-        if nonlin is not None:
-            g += nonlin.evaluate(u)
-        if source is not None:
-            g -= source[n]
+        if model is not None:
+            g += model.evaluate(u)
         return g
 
     t0 = 0  # the step held in buffer row 0
@@ -424,14 +397,14 @@ def _march(op, grid, model, control, data, source, span):
     buf[0, :, interior] = data.u0
     u_prev = buf[0, :, interior].copy()  # rolling contiguous (B, n_int) rows
     g = np.empty_like(u_prev)
-    u = data.u0 + dt * data.u1 - 0.5 * dt * dt * force(0, 0, u_prev, g)
+    u = data.u0 + dt * data.u1 - 0.5 * dt * dt * force(0, u_prev, g)
     buf[1, :, interior] = u
     new = np.empty_like(u)
     for s in range(1, n_t, MARCH_SLAB):  # steps s .. s + MARCH_SLAB - 1
         with np.errstate(over="ignore", invalid="ignore"):  # checked per slab
             for n in range(s, min(s + MARCH_SLAB, n_t)):
                 r = n - t0
-                force(r, n, u, g)
+                force(r, u, g)
                 g *= dt * dt
                 np.multiply(u, 2.0, out=new)
                 new -= u_prev
@@ -447,7 +420,7 @@ def _march(op, grid, model, control, data, source, span):
     yield buf[: n_t + 1 - t0]
 
 
-def march_slabs(op, grid, model=None, control=None, data=None, source=None):
+def march_slabs(op, grid, model=None, control=None, data=None):
     """`solve_newmark`'s march (same arguments) as time-major (m, B, n_nodes)
     views of one reused (MARCH_SLAB + 2, B, n_nodes) buffer, B = 1 for one
     control or none.  Each slab after the first starts with the last two
@@ -455,40 +428,38 @@ def march_slabs(op, grid, model=None, control=None, data=None, source=None):
     the repeats they are `solve_newmark`'s output bit for bit.  The checks
     run when the first slab is asked for, and a slab is overwritten when the
     next is."""
-    return _march(op, grid, model, control, data, source, MARCH_SLAB + 2)
+    return _march(op, grid, model, control, data, MARCH_SLAB + 2)
 
 
 def solve_newmark(
     op: FracOperator,
     grid: Grid,
-    model: PolyNonlinearity | np.ndarray | None = None,
+    model: PolyNonlinearity | None = None,
     control: np.ndarray | None = None,
     data: CauchyData | None = None,
-    source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Explicit central-difference march of
-    u'' + A u + q u + f(x, u) = F on the full grid; model is the potential
-    q (an interior array) or the nonlinearity f.
+    """Explicit central-difference march of u'' + A u + f(x, u) = 0 on the
+    full grid; model is the nonlinearity f (None: f = 0).
 
     Exterior nodes follow the control (zero when absent); interior nodes
     start from the Cauchy data with a second-order startup step.  One
     control (n_t+1, n_ext), or None, returns its full-grid trajectory
     (n_t+1, n_nodes); a stack of B controls (B, n_t+1, n_ext) is marched as
-    one batch, sharing the model, data and source, and returns the
+    one batch, sharing the model and data, and returns the
     (B, n_t+1, n_nodes) trajectories in control order, a view of the batch
-    buffer.  Raises on CFL violation and on Cauchy data or controls that do
-    not fit the grid, and aborts with the step index and the batch rows when
+    buffer.  Raises on CFL violation and on a model, Cauchy data or controls
+    that do not fit, and aborts with the step index and the batch rows when
     the march produces non-finite values.
 
     The step arithmetic of the module docstring is a contract with
-    `inversion.reaction_from_march`, which inverts it to read q u + f back.
+    `inversion.reaction_from_march`, which inverts it to read f back.
     A fused step matrix 2I - dt^2 A is cheaper but not the same arithmetic:
     at n_int = 48, n_t = 8192 it moved the trajectories by a few 1e-12 and
     the recovered second term of f (invert-f, two terms) from 2.0e-4 to
     3.7e-3 relative error, because the amplitude ladder divides the
     reaction's roundoff by small rungs.
     """
-    (full,) = _march(op, grid, model, control, data, source, grid.n_t + 1)
+    (full,) = _march(op, grid, model, control, data, grid.n_t + 1)
     return full[:, 0] if np.ndim(control) < 3 else full.transpose(1, 0, 2)
 
 

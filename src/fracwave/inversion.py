@@ -231,20 +231,16 @@ def reaction_from_march(
     u_full: np.ndarray,
     op: FracOperator,
     grid: Grid,
-    source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Bulk reaction samples implied by a full-grid central-difference
-    trajectory u_full (n_t + 1, n_nodes).
+    """Bulk reaction samples -d2 u - A u (n_t - 1, n_int) implied by a
+    full-grid central-difference trajectory u_full (n_t + 1, n_nodes).
 
     For a trajectory produced by the explicit march the returned rows equal
-    q u + f(x, u) at steps n = 1 .. n_t - 1 exactly, because the march
-    defined u^(n+1) through the same relation.  Endpoint rows are not
-    recoverable and are omitted.
+    f(x, u) at steps n = 1 .. n_t - 1 exactly, because the march defined
+    u^(n+1) through the same relation.  Endpoint rows are not recoverable
+    and are omitted.
     """
-    out = _readback(_trajectory(u_full, grid.n_nodes, grid), op, grid)
-    if source is not None:
-        out += _trajectory(source, grid.n_int, grid)[1:-1]
-    return out
+    return _readback(_trajectory(u_full, grid.n_nodes, grid), op, grid)
 
 
 def extrapolate_powers(

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave import PolyNonlinearity
 from fracwave.dnmap import _pairing, dn_matrix, grid_signature, solve_exterior
-from fracwave.forward import SWEEP_SLAB, _sweep, solve_newmark, st_inner
+from fracwave.forward import SWEEP_SLAB, _sweep, st_inner
 from conftest import case
 from oracles import dn_trace, stack_pairings
 
@@ -51,7 +50,7 @@ def test_solve_exterior_carries_control():
     np.testing.assert_array_equal(
         full[:, grid.exterior_indices], control
     )
-    sweep = fw.solve_with_potential(control[None], np.zeros(grid.n_int), op, grid)[0]
+    sweep = fw.forward_map(control[None], op, grid)[0]
     np.testing.assert_array_equal(grid.restrict(full), sweep)
 
 
@@ -84,48 +83,35 @@ def test_reciprocity_under_shared_potential():
     assert asym <= 1e-10
 
 
-def test_semilinear_route_runs_through_march():
-    grid, op, basis = case(n_int=16, s=0.7, n_t=128)
-    f = PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int)
-    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    full = solve_exterior(control, op, grid, f)
-    assert full.shape == (grid.n_t + 1, grid.n_nodes)
-    march = solve_newmark(op, grid, model=f, control=control)
-    assert np.array_equal(full, march)
-    # the nonlinear response must differ from the linear one
-    lin_full = solve_exterior(control, op, grid, None)
-    assert np.max(np.abs(full - lin_full)) > 1e-8
-
-
-@pytest.mark.parametrize("model", ["none", "potential", "nonlinear"])
+@pytest.mark.parametrize("model", ["none", "potential"])
 def test_forward_map_refuses_single_control(model):
     """Every model takes a control stack (B, n_t+1, n_ext) and refuses one
-    (n_t+1, n_ext) control, as do the measurements built on it."""
+    (n_t+1, n_ext) control, as do the measurements built on it;
+    solve_exterior takes one control, as a list too, and refuses a stack."""
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     controls, tests = batteries(grid)
-    model = {
-        "none": None,
-        "potential": np.ones(grid.n_int),
-        "nonlinear": PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int),
-    }[model]
+    model = {"none": None, "potential": np.ones(grid.n_int)}[model]
     with pytest.raises(ValueError, match="control shape"):
         fw.forward_map(controls[0], op, grid, model)
     with pytest.raises(ValueError, match="control shape"):
         dn_matrix(op, grid, controls[0], tests, model)
+    with pytest.raises(ValueError, match=r"control shape \(6, 65, 6\) is not 2-d"):
+        solve_exterior(controls, op, grid, model)
+    single = solve_exterior(controls[0], op, grid, model)
+    assert np.array_equal(solve_exterior(controls[0].tolist(), op, grid, model), single)
 
 
 @pytest.mark.parametrize("n_t", [130, 137], ids=["even", "odd"])
-@pytest.mark.parametrize("model", ["none", "potential", "nonlinear"])
+@pytest.mark.parametrize("model", ["none", "potential"])
 def test_dn_matrix_matches_full_trace_oracle(n_t, model):
-    """The streamed pairing (slabs of the sweep, or the march stack as one
-    slab) equals st_gram of the full exterior traces of the whole state
-    stack against the reversed tests."""
+    """The pairing streamed from the sweep's slabs equals st_gram of the
+    full exterior traces of the whole state stack against the reversed
+    tests."""
     grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
     controls, tests = batteries(grid, 2)
     model = {
         "none": None,
         "potential": 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords),
-        "nonlinear": PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int),
     }[model]
     m = dn_matrix(op, grid, controls, tests, model)
     ref = stack_pairings(fw.forward_map(controls, op, grid, model), controls, tests, op, grid)

@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fracwave as fw
 from fracwave import CauchyData, PolyNonlinearity
@@ -122,16 +125,6 @@ def test_newmark_blowup_abort():
         fw.solve_newmark(op, grid, model=bad, data=data)
 
 
-def test_newmark_shape_checks():
-    grid, op, basis = case(n_int=16, s=0.7, n_t=128)
-    with pytest.raises(ValueError, match="potential shape"):
-        fw.solve_newmark(op, grid, model=np.zeros(grid.n_int + 1))
-    with pytest.raises(ValueError, match="non-finite"):
-        fw.solve_newmark(op, grid, model=np.full(grid.n_int, np.nan))
-    with pytest.raises(ValueError):
-        fw.solve_newmark(op, grid, source=np.zeros((grid.n_t, grid.n_int)))
-
-
 def test_newmark_rejects_short_cauchy_data():
     grid, op, basis = case(n_int=16, s=0.7, n_t=64)
     with pytest.raises(ValueError, match="data has 1 nodes, grid interior is 16"):
@@ -188,7 +181,7 @@ def test_newmark_batch_keeps_guards():
         fw.solve_newmark(op, grid, control=np.zeros((2, grid.n_t + 1, grid.n_ext)))
 
 
-def march_by_old_step(op, grid, model, controls, data, source):
+def march_by_old_step(op, grid, model, controls, data):
     """The march written as 2 u - u_prev + dt^2 accel(n) on strided views,
     the form that `inversion.reaction_from_march` inverts."""
     dt, interior = grid.dt, grid.interior_slice
@@ -200,13 +193,8 @@ def march_by_old_step(op, grid, model, controls, data, source):
 
     def accel(n):
         a = -(full[n] @ stiff_t)
-        u_int = full[n, :, interior]
-        if isinstance(model, PolyNonlinearity):
-            a = a - model.evaluate(u_int)
-        elif model is not None:
-            a = a - model * u_int
-        if source is not None:
-            a = a + source[n]
+        if model is not None:
+            a = a - model.evaluate(full[n, :, interior])
         return a
 
     full[0, :, interior] = data.u0
@@ -220,23 +208,20 @@ def march_by_old_step(op, grid, model, controls, data, source):
 def test_newmark_matches_old_step_exactly():
     grid, op, basis = case(n_int=24, s=0.7, n_t=512)
     x = grid.interior_coords
-    rng = np.random.default_rng(7)
     two_term = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
     data = CauchyData(0.1 * np.sin(np.pi * x), 0.2 * np.cos(3.0 * x))
-    source = 0.05 * rng.standard_normal((grid.n_t + 1, grid.n_int))
     (control,) = ladder_controls(grid, 1)
     zero = CauchyData.zero(grid.n_int)
     cases = [
-        (1.0 + 0.5 * np.sin(3.0 * x), control, data, source),
-        (two_term, ladder_controls(grid, 9), zero, None),
-        (two_term, None, data, None),
+        (two_term, control, data),
+        (two_term, ladder_controls(grid, 9), zero),
+        (two_term, None, data),
     ]
-    for model, controls, cauchy, src in cases:
-        marched = fw.solve_newmark(op, grid, model=model, control=controls, data=cauchy,
-                                   source=src)
+    for model, controls, cauchy in cases:
+        marched = fw.solve_newmark(op, grid, model=model, control=controls, data=cauchy)
         single = not isinstance(controls, list)
         rows = [controls] if single else controls
-        expected = march_by_old_step(op, grid, model, rows, cauchy, src)
+        expected = march_by_old_step(op, grid, model, rows, cauchy)
         fields = [marched] if single else marched
         assert len(fields) == len(rows)
         for b, field in enumerate(fields):
@@ -256,12 +241,11 @@ def test_march_slabs_tile_solve_newmark(n_t):
     x = grid.interior_coords
     two_term = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
     data = CauchyData(0.1 * np.sin(np.pi * x), 0.2 * np.cos(3.0 * x))
-    source = 0.05 * np.random.default_rng(3).standard_normal((n_t + 1, grid.n_int))
     (control,) = ladder_controls(grid, 1)
     cases = [
-        dict(model=1.0 + 0.5 * np.sin(3.0 * x), control=control),
+        dict(control=control),
         dict(model=two_term, control=ladder_controls(grid, 5)),
-        dict(model=two_term, data=data, source=source),
+        dict(model=two_term, data=data),
     ]
     for kwargs in cases:
         full = fw.solve_newmark(op, grid, **kwargs)
@@ -283,8 +267,8 @@ def test_march_slabs_keep_guards():
     """Guards raise when the first slab is asked for, and a blowup raised
     while the slabs are read names the step and the batch rows."""
     grid, op, basis = case(n_int=16, s=0.7, n_t=512)
-    with pytest.raises(ValueError, match="potential shape"):
-        next(fw.march_slabs(op, grid, model=np.zeros(grid.n_int + 1)))
+    with pytest.raises(ValueError, match="data has 1 nodes"):
+        next(fw.march_slabs(op, grid, data=CauchyData([0.5], [0.0])))
     bad = PolyNonlinearity.single(2.0, -1e8, n_nodes=grid.n_int)
     (control,) = ladder_controls(grid, 1)
     mixed = [a * control for a in (1e-6, 1.0, 1e-6)]
@@ -371,7 +355,7 @@ def test_picard_matches_sweep_or_raises():
     source = lift_exterior(control, op, grid)
     zero = CauchyData.zero(grid.n_int)
     q = np.full(grid.n_int, 300.0)
-    exact = fw.solve_with_potential(control[None], q, op, grid)[0]
+    exact = fw.forward_map(control[None], op, grid, q)[0]
     sol, _ = fw.solve_with_potential_picard(basis, q, zero, source, grid)
     assert np.max(np.abs(sol.u - exact)) <= 1e-10 * np.max(np.abs(exact))
     with pytest.raises(fw.PicardError):
@@ -410,7 +394,7 @@ def test_potential_sweep_matches_picard(profile, n_t):
     grid, op, basis = case(n_int=24, s=0.7, n_t=n_t)
     q = profile(grid.interior_coords)
     controls = fw.control_basis(grid, grid.w_mask(1), 2)
-    states = fw.solve_with_potential(controls, q, op, grid)
+    states = fw.forward_map(controls, op, grid, q)
     zero = CauchyData.zero(grid.n_int)
     for control, u in zip(controls, states):
         source = lift_exterior(control, op, grid)
@@ -423,40 +407,37 @@ def test_potential_sweep_batch_matches_single():
     grid, op, basis = case(n_int=24, s=0.7, n_t=128)
     q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
     values = fw.control_basis(grid, grid.w_mask(2), 3)
-    batch = fw.solve_with_potential(values, q, op, grid)
+    batch = fw.forward_map(values, op, grid, q)
     for v, u in zip(values, batch):
-        single = fw.solve_with_potential(v[None], q, op, grid)[0]
+        single = fw.forward_map(v[None], op, grid, q)[0]
         assert np.max(np.abs(u - single)) <= 1e-12 * np.max(np.abs(single))
     # a joined stack sweeps bit for bit like its parts, so recovery passes
     # that sweep controls and tests together repeat the separate sweeps
     tests = fw.control_basis(grid, grid.w_mask(1), 2)
-    joined = fw.solve_with_potential(np.concatenate([values, tests]), q, op, grid)
+    joined = fw.forward_map(np.concatenate([values, tests]), op, grid, q)
     assert np.array_equal(joined[: len(values)], batch)
-    assert np.array_equal(
-        joined[len(values) :], fw.solve_with_potential(tests, q, op, grid)
-    )
+    assert np.array_equal(joined[len(values) :], fw.forward_map(tests, op, grid, q))
 
 
-@pytest.mark.parametrize("n_t", [96, 97], ids=["even", "odd"])
-@pytest.mark.parametrize(
-    "span",
-    [lambda n: 1, lambda n: 7, lambda n: 32, lambda n: n, lambda n: n + 1, lambda n: n + 9],
-    ids=["1", "7", "32", "n_t", "n_t+1", "n_t+9"],
+@given(
+    st.integers(20, 72).flatmap(lambda n_t: st.tuples(st.just(n_t), st.integers(1, n_t + 1))),
+    st.integers(1, 12),
+    arrays(float, 20, elements=st.floats(0.0, 100.0)),
 )
-def test_sweep_slabs_tile_solve_with_potential(n_t, span):
+def test_sweep_slabs_tile_forward_map(n_t_span, n_rows, q):
     """The sweep's slabs are views of one time-major buffer of span slices,
-    so every step row slab[:, k] is C-contiguous; they do not overlap, the
-    last ends at slice n_t, and joined they are solve_with_potential's
-    states bit for bit, signs of zeros included."""
+    so every step row slab[:, k] is C-contiguous; for every span 1 .. n_t+1
+    they do not overlap, the last ends at slice n_t, and joined they are
+    forward_map's states bit for bit, signs of zeros included."""
+    n_t, span = n_t_span
     grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
-    span = span(n_t)
-    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
     values = np.concatenate([fw.control_basis(grid, grid.w_mask(w), 2) for w in (1, 2)])
-    full = fw.solve_with_potential(values, q, op, grid)
+    values = values[:n_rows]
+    full = fw.forward_map(values, op, grid, q)
     slabs, bases = [], set()
     for slab in _sweep(values, q, op, grid, span):
         bases.add((id(slab.base), slab.__array_interface__["data"][0]))  # one buffer
-        assert slab.shape[0] == len(values) and 0 < slab.shape[1] <= span
+        assert slab.shape[0] == n_rows and 0 < slab.shape[1] <= span
         assert all(slab[:, k].flags.c_contiguous for k in range(slab.shape[1]))
         slabs.append(slab.copy())
     assert len(bases) == 1 and len(slabs) == -(-(n_t + 1) // span)
@@ -468,7 +449,7 @@ def test_sweep_slabs_tile_solve_with_potential(n_t, span):
 def test_sweep_blowup_names_first_bad_step():
     """A sweep that overflows raises SolverBlowupError naming its first
     non-finite step and batch rows, the same for every span and for
-    solve_with_potential, with no overflow or invalid-value warning on the
+    forward_map, with no overflow or invalid-value warning on the
     way; every slab handed over before it is finite, so the step lies in
     the first slab that is not (spans 3 and 4 pin it to one slice)."""
     grid, op, basis = case(n_int=16, s=0.7, n_t=128)
@@ -486,18 +467,18 @@ def test_sweep_blowup_names_first_bad_step():
                     seen += slab.shape[1]
             assert seen <= 99 < seen + span
         with pytest.raises(fw.SolverBlowupError, match=message):
-            fw.solve_with_potential(values, q, op, grid)
+            fw.forward_map(values, op, grid, q)
 
 
 def test_potential_sweep_shape_checks():
     grid, op, basis = case(n_int=16, s=0.7, n_t=32)
     values = np.zeros((1, grid.n_t + 1, grid.n_ext))
     with pytest.raises(ValueError, match="potential shape"):
-        fw.solve_with_potential(values, np.zeros(grid.n_int + 1), op, grid)
+        fw.forward_map(values, op, grid, np.zeros(grid.n_int + 1))
     with pytest.raises(ValueError, match="non-finite"):
-        fw.solve_with_potential(values, np.array([np.nan] * grid.n_int), op, grid)
+        fw.forward_map(values, op, grid, np.array([np.nan] * grid.n_int))
     with pytest.raises(ValueError, match="control shape"):
-        fw.solve_with_potential(values[0], np.zeros(grid.n_int), op, grid)
+        fw.forward_map(values[0], op, grid, np.zeros(grid.n_int))
 
 
 def _set(c, index, value):
@@ -528,7 +509,8 @@ def test_control_guards(spoil, message):
     entries = [
         lambda: fw.solve_newmark(op, grid, control=bad),
         lambda: fw.solve_newmark(op, grid, control=bad[None]),
-        lambda: fw.solve_with_potential(bad[None], np.zeros(grid.n_int), op, grid),
+        lambda: fw.forward_map(bad[None], op, grid, np.zeros(grid.n_int)),
+        lambda: fw.solve_exterior(bad, op, grid),
         lambda: next(fw.march_slabs(op, grid, control=bad)),
         lambda: fw.dn_matrix(op, grid, good, bad[None]),
         lambda: fw.recover_expansion(lambda cs: pytest.fail("measured"), bad, (1.0,),
@@ -537,6 +519,30 @@ def test_control_guards(spoil, message):
     for enter in entries:
         with pytest.raises(ValueError, match=message):
             enter()
+
+
+@pytest.mark.parametrize(
+    "entry", ["forward_map", "dn_matrix", "solve_exterior", "solve_newmark", "march_slabs"]
+)
+def test_solvers_reject_the_other_model(entry):
+    """The sweep solves a potential and the march a nonlinearity; each
+    refuses the other kind of model as bad input."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
+    controls = fw.control_basis(grid, grid.w_mask(1), 1)
+    f = PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int)
+    q = np.ones(grid.n_int)
+    potential = "potential must be a float array, not PolyNonlinearity"
+    nonlinearity = "model must be a PolyNonlinearity or None, not ndarray"
+    calls = {
+        "forward_map": (potential, lambda: fw.forward_map(controls, op, grid, f)),
+        "dn_matrix": (potential, lambda: fw.dn_matrix(op, grid, controls, controls, f)),
+        "solve_exterior": (potential, lambda: fw.solve_exterior(controls[0], op, grid, f)),
+        "solve_newmark": (nonlinearity, lambda: fw.solve_newmark(op, grid, model=q)),
+        "march_slabs": (nonlinearity, lambda: next(fw.march_slabs(op, grid, model=q))),
+    }
+    message, enter = calls[entry]
+    with pytest.raises(ValueError, match=message):
+        enter()
 
 
 def test_residuals_accept_true_reject_perturbed(rng):
@@ -648,7 +654,6 @@ def test_trajectory_guards(guard):
     "entry",
     [
         "modal_source",
-        "newmark_source",
         "very_weak_source",
         "very_weak_test",
         "distributional_source",
@@ -669,7 +674,6 @@ def test_interior_array_guards(entry, spoil):
     states = good[None]
     calls = {
         "modal_source": lambda: fw.solve_linear_modal(basis, data, bad, grid),
-        "newmark_source": lambda: fw.solve_newmark(op, grid, source=bad),
         "very_weak_source": lambda: fw.very_weak_residual(
             good, data, bad, None, good, basis, grid
         ),

@@ -304,46 +304,15 @@ def test_linear_response_routes_agree(small):
 # -------------------------------------------------- reaction differencing
 
 
-def test_reaction_rows_match_potential_term_exactly(small):
+def test_reaction_rows_match_nonlinearity(small):
     grid, op, basis = small
-    x = grid.interior_coords
-    q = 1.0 + 0.5 * np.cos(np.pi * x)
-    control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    u_full = solve_newmark(op, grid, model=q, control=control)
-    rows = inv.reaction_from_march(u_full, op, grid)
-    u_int = grid.restrict(u_full)
-    truth = q[None, :] * u_int[1:-1]
-    assert rows.shape == (grid.n_t - 1, grid.n_int)
-    assert np.max(np.abs(rows - truth)) <= 1e-10
-
-
-def test_reaction_rows_match_nonlinearity_with_source(small):
-    grid, op, basis = small
-    x = grid.interior_coords
     model = fw.PolyNonlinearity.single(0.5, 2.0, n_nodes=grid.n_int)
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    source = (np.sin(3.0 * grid.times())[:, None]
-              * np.sin(2 * np.pi * x)[None, :])
-    u_full = solve_newmark(op, grid, model=model, control=control,
-                           source=source)
-    rows = inv.reaction_from_march(u_full, op, grid, source=source)
+    u_full = solve_newmark(op, grid, model=model, control=control)
+    rows = inv.reaction_from_march(u_full, op, grid)
     u_int = grid.restrict(u_full)
+    assert rows.shape == (grid.n_t - 1, grid.n_int)
     assert np.max(np.abs(rows - model.evaluate(u_int[1:-1]))) <= 1e-10
-
-
-@pytest.mark.parametrize(
-    "spoil", [lambda f: f[:, :1], lambda f: np.where(f == f.max(), np.nan, f)],
-    ids=["one_column", "nan"],
-)
-def test_reaction_checks_source(small, spoil):
-    """The march's forcing is checked like a trajectory: a single column
-    must not broadcast over the nodes, and a NaN must not pass."""
-    grid, op, basis = small
-    x = grid.interior_coords
-    source = np.sin(3.0 * grid.times())[:, None] * np.sin(2 * np.pi * x)[None, :]
-    u_full = solve_newmark(op, grid, source=source)
-    with pytest.raises(ValueError, match="trajectory"):
-        inv.reaction_from_march(u_full, op, grid, source=spoil(source))
 
 
 # --------------------------------------------------------- profile fitting
