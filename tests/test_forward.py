@@ -419,6 +419,34 @@ def test_potential_sweep_batch_matches_single():
     assert np.array_equal(joined[len(values) :], fw.forward_map(tests, op, grid, q))
 
 
+@pytest.mark.parametrize("n_t", [96, 97], ids=["even", "odd"])
+@pytest.mark.parametrize(
+    "span",
+    [lambda n: 1, lambda n: 7, lambda n: 32, lambda n: n, lambda n: n + 1, lambda n: n + 9],
+    ids=["1", "7", "32", "n_t", "n_t+1", "n_t+9"],
+)
+def test_sweep_slabs_tile_solve_with_potential(n_t, span):
+    """The fixed grid of spans, past n_t + 1 included, on both parities of
+    n_t: the slabs are views of one time-major buffer with C-contiguous step
+    rows, they do not overlap, the last ends at slice n_t, and joined they
+    are the potential solve forward_map returns, bit for bit."""
+    grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
+    span = span(n_t)
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    values = np.concatenate([fw.control_basis(grid, grid.w_mask(w), 2) for w in (1, 2)])
+    full = fw.forward_map(values, op, grid, q)
+    slabs, bases = [], set()
+    for slab in _sweep(values, q, op, grid, span):
+        bases.add((id(slab.base), slab.__array_interface__["data"][0]))  # one buffer
+        assert slab.shape[0] == len(values) and 0 < slab.shape[1] <= span
+        assert all(slab[:, k].flags.c_contiguous for k in range(slab.shape[1]))
+        slabs.append(slab.copy())
+    assert len(bases) == 1 and len(slabs) == -(-(n_t + 1) // span)
+    joined = np.concatenate(slabs, axis=1)
+    assert joined.tobytes() == full.tobytes()
+    assert all(full[:, k].flags.c_contiguous for k in range(n_t + 1))
+
+
 @given(
     st.integers(20, 72).flatmap(lambda n_t: st.tuples(st.just(n_t), st.integers(1, n_t + 1))),
     st.integers(1, 12),
