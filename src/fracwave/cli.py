@@ -313,17 +313,13 @@ def _runge_target(cfg, grid, op):
 
 def _run_runge(cfg, art, seed) -> tuple[int, dict]:
     from .fields import control_basis
-    from .forward import SWEEP_SLAB, _sweep
     from .runge import approximate_target
 
     grid, op = _build(cfg)
     q = _cosine_profile(grid, cfg["model.q0"], cfg["model.qcos"])
     controls = control_basis(grid, grid.w_mask(1), cfg["runge.freqs"])
     target = _runge_target(cfg, grid, op)
-    # slabs of at least B + 1 rows: each fold's QR adds as many rows as R has
-    span = max(SWEEP_SLAB, -(-(len(controls) + 1) // grid.n_int))
-    slabs = _sweep(controls, q, op, grid, span)
-    sweep = approximate_target(target, slabs, grid, cfg["runge.alphas"])
+    sweep = approximate_target(target, controls, op, grid, cfg["runge.alphas"], q)
     lines = ["alpha,misfit,residual,coeff_norm,objective,gram_cond"]
     for r in sweep:
         row = (r.alpha, r.misfit, r.residual, r.coeff_norm, r.objective, r.gram_cond)

@@ -361,7 +361,9 @@ def newmark_dt_bound(op: FracOperator) -> float:
 
 def _march(op, grid, model, control, data, span):
     """The march of `solve_newmark`'s arguments through a reused buffer of
-    span time slices, as a generator; its checks run on the first slab."""
+    span time slices, as a generator; its checks run on the first slab.
+    It hands the buffer over only as a block of MARCH_SLAB steps ends, so
+    span must be k MARCH_SLAB + 2 (k >= 1) or at least n_t + 1."""
     dt = grid.dt
     bound = newmark_dt_bound(op)
     if dt > bound:

@@ -150,6 +150,8 @@ def recover_potential(
     d_meas = np.asarray(measured, dtype=float)
     if d_meas.shape != (n_c, n_te):
         raise ValueError(f"measured matrix is {d_meas.shape}, basis is {(n_c, n_te)}")
+    if not np.isfinite(d_meas).all():
+        raise ValueError("measured matrix contains non-finite values")
     schedule = tuple(float(c) for c in np.atleast_1d(cutoff))
     if not schedule:
         raise ValueError("cutoff schedule is empty")

@@ -3,7 +3,7 @@
 Interior restrictions of exterior-controlled solutions are dense in
 space-time L^2, so any target trajectory can be approached by fitting
 control coefficients.  The fit is Tikhonov-regularized least squares over
-B control states u_a,
+the states u_a that B exterior controls drive under a potential q,
 
     min_c  || sum_a c_a u_a - psi ||^2  +  alpha ||c||^2,
 
@@ -11,17 +11,16 @@ solved by filter factors on a factorization, never through the normal
 equations.  Weighted by sqrt(h w_t) (the trapezoid weights of `st_gram`),
 the states and the target are the columns of one tall matrix; its QR
 triangle holds R_11 and Q^T psi, so Q is never formed.  The matrix is
-never held either: its rows arrive in time slabs, as a sweep
-(`forward._sweep`) makes them, and each slab is folded into a running
-triangle, R <- qr([R; slab rows]).  R^T R stays the Gram matrix of the
-rows folded so far, so the last R is the whole matrix's triangle up to the
-signs of its rows.  A state stack (B, n_t+1, n_int) that is already held,
-such as a `forward_map` output, is one slab.  With the SVD
-R_11 = P diag(sigma) W^T, each alpha costs c = W diag(sigma / (sigma^2 +
-alpha)) P^T Q^T psi.  sigma^2 are the eigenvalues of the Gram matrix
-G_ab = <u_a, u_b>, so alpha keeps its Gram scale and cond(G) =
-(sigma_max / sigma_min)^2, but G, which squares the condition number, is
-never formed.  The misfit is read off the same factorization,
+never held either: the fit sweeps the controls itself (`forward._sweep`)
+and folds each time slab of rows into a running triangle,
+R <- qr([R; slab rows]).  R^T R stays the Gram matrix of the rows folded
+so far, so the last R is the whole matrix's triangle up to the signs of
+its rows.  With the SVD R_11 = P diag(sigma) W^T, each alpha costs
+c = W diag(sigma / (sigma^2 + alpha)) P^T Q^T psi.  sigma^2 are the
+eigenvalues of the Gram matrix G_ab = <u_a, u_b>, so alpha keeps its Gram
+scale and cond(G) = (sigma_max / sigma_min)^2, but G, which squares the
+condition number, is never formed.  The misfit is read off the same
+factorization,
 
     misfit = hypot(|| alpha / (sigma^2 + alpha) P^T Q^T psi ||, |R_BB|),
 
@@ -33,17 +32,18 @@ Two monotonicity facts matter downstream.  Shrinking alpha never increases
 the misfit (exact for any fixed basis, and kept in floating point by the
 filter factors alpha / (sigma^2 + alpha), which fall with alpha), and
 enlarging the basis never increases the full objective (nested feasible
-sets); the misfit alone of nested prefixes states[:k] may move either way
-at fixed alpha.
+sets); the misfit alone of nested prefixes controls[:k] may move either
+way at fixed alpha.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import _trajectory, st_inner, trapezoid_weights
+from .fields import _controls
+from .forward import SWEEP_SLAB, _sweep, _trajectory, st_inner, trapezoid_weights
+from .fracop import FracOperator
 from .grid import Grid
 
 __all__ = ["st_norm", "RungeSolution", "approximate_target"]
@@ -57,7 +57,7 @@ def st_norm(a: np.ndarray, grid: Grid) -> float:
 class RungeSolution:
     """Fitted coefficients and the fit quality read off the factorization
     (see the module docstring).  The fit holds no states, so a caller that
-    wants the superposition sum_a c_a u_a forms it from its own."""
+    wants the superposition sum_a c_a u_a forms it from `forward_map`'s."""
 
     coeffs: np.ndarray
     alpha: float
@@ -73,32 +73,29 @@ class RungeSolution:
 
 def approximate_target(
     target: np.ndarray,
-    states: np.ndarray | Iterable[np.ndarray],
+    controls: np.ndarray,
+    op: FracOperator,
     grid: Grid,
     alphas: tuple[float, ...],
+    q: np.ndarray | None = None,
 ) -> list[RungeSolution]:
     """Best approximation of an interior target trajectory (n_t+1, n_int)
-    by a superposition of B control states, one solution per alpha in the
-    order given.  states is either the whole stack (B, n_t+1, n_int), read
-    as one slab, or an iterable of batch-major slabs (B, m, n_int) that
-    tile the time slices 0 .. n_t in order, such as `forward._sweep`'s; a
-    slab is folded into the running triangle before the next is asked for."""
+    by a superposition of the states that a control stack (B, n_t+1, n_ext)
+    drives under the potential q (None: q = 0), one solution per alpha in
+    the order given.  The controls are swept once, as a batch, and each
+    time slab is folded into the running triangle as it arrives, so no
+    state stack is held."""
     target = _trajectory(target, grid.n_int, grid)
     if len(alphas) == 0 or not all(0 < a < np.inf for a in alphas):
         raise ValueError(f"alphas must be positive and nonempty, got {alphas}")
-
+    controls = _controls(controls, grid, (3,))
+    n_b = len(controls)
+    # slabs of at least B + 1 rows: each fold's QR adds as many rows as R has
+    span = max(SWEEP_SLAB, -(-(n_b + 1) // grid.n_int))
     root = np.sqrt(grid.h * trapezoid_weights(grid.n_t, grid.dt))[:, None]
-    n_b, r, t0 = 0, np.empty((0, 1)), 0  # r: the running triangle, no rows yet
-    for slab in [states] if isinstance(states, np.ndarray) else states:
-        slab = np.asarray(slab, dtype=float)
-        left = len(target) - t0  # time slices still to come
-        if (slab.ndim != 3 or slab.shape[::2] != (n_b or len(slab), grid.n_int)
-                or not slab.size or slab.shape[1] > left):
-            raise ValueError(f"states shape {slab.shape} at slice {t0} is not "
-                             f"({n_b or 'B > 0'}, 1..{left}, {grid.n_int})")
-        if not np.isfinite(slab).all():
-            raise ValueError("states contain non-finite values")
-        n_b, m = slab.shape[:2]
+    r, t0 = np.empty((0, n_b + 1)), 0  # r: the running triangle, no rows yet
+    for slab in _sweep(controls, q, op, grid, span):
+        m = slab.shape[1]
         cols = np.empty((n_b + 1, len(r) + m * grid.n_int))  # [R; slab rows], column-major
         cols[:, : len(r)] = r.T
         rows = cols[:, len(r) :].reshape(n_b + 1, m, grid.n_int)
@@ -106,8 +103,6 @@ def approximate_target(
         np.multiply(target[t0 : t0 + m], root[t0 : t0 + m], out=rows[-1])
         r = np.linalg.qr(cols.T, mode="r")
         t0 += m
-    if t0 < len(target):
-        raise ValueError(f"states shape: the slabs hold {t0} of the {len(target)} time slices")
 
     off = abs(r[n_b, n_b]) if len(r) > n_b else 0.0  # the target off the span
     p, sig, wt = np.linalg.svd(r[:n_b, :-1], full_matrices=False)

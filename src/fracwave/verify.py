@@ -15,21 +15,22 @@ from typing import Callable
 import numpy as np
 import numpy.random  # noqa: F401 - every check draws: load it here, not on the first draw
 
-from .fields import control_basis, tensor_control
+from .fields import CauchyData, control_basis, tensor_control
 from .forward import (
     WaveSolution,
     _modal_coefficients,
     _trajectory,
     solve_linear_modal,
+    solve_newmark,
     solve_with_potential_picard,
     trapezoid_weights,
     very_weak_residual,
 )
 from .dnmap import dn_matrix, forward_map
 from .fracop import FracOperator, assemble_operator, centered_weights
-from .fields import CauchyData
 from .grid import Grid, build_grid
 from .inversion import reaction_from_march
+from .nonlinearity import PolyNonlinearity
 from .runge import approximate_target, st_norm
 from .spectral import SpectralBasis, dual_norm, dual_norm_variational, project_l2
 
@@ -227,8 +228,8 @@ def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
     controls = 100.0 * control_basis(grid, grid.w_mask(1), 3)[:3]
     states = forward_map(controls, op, grid)
     target = np.einsum("a,atx->tx", np.array([1.0, -0.5, 0.25]), states)
-    sols = approximate_target(target, states, grid, (1e-2, 1e-6, 1e-10))
-    # recomputed from the superposition, not read off the fit's factorization
+    sols = approximate_target(target, controls, op, grid, (1e-2, 1e-6, 1e-10))
+    # recomputed from forward_map's states, not read off the streamed fit
     scale = st_norm(target, grid)
     residuals = [
         st_norm(np.einsum("a,atx->tx", sol.coeffs, states) - target, grid) / scale
@@ -243,9 +244,6 @@ def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
 
 @_register("reaction")
 def check_reaction(rng: np.random.Generator, setup: Setup) -> dict:
-    from .forward import solve_newmark
-    from .nonlinearity import PolyNonlinearity
-
     grid, op = setup(n_t=512, T=0.5)
     model = PolyNonlinearity.single(1.0, 0.3, n_nodes=grid.n_int)
     control = tensor_control(grid, 0, 1, mask=grid.w_mask(1))

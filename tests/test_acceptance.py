@@ -219,12 +219,12 @@ def test_c08_runge_sweeps_monotone_and_span_target_reached():
     target = np.outer(time_window(grid), np.sin(np.pi * x))
 
     states = forward_map(controls, op, grid)
-    rows = approximate_target(target, states, grid,
+    rows = approximate_target(target, controls, op, grid,
                               tuple(10.0 ** -k for k in range(2, 11)))
     res_a = np.array([r.residual for r in rows])
     assert np.all(np.diff(res_a) <= 1e-12), f"alpha sweep {res_a}"
 
-    enr = [approximate_target(target, states[:k], grid, (1e-8,))[0]
+    enr = [approximate_target(target, controls[:k], op, grid, (1e-8,))[0]
            for k in range(1, len(states) + 1)]
     res_e = np.array([r.residual for r in enr])
     assert np.all(np.diff(res_e) <= 1e-12), f"enrichment sweep {res_e}"
@@ -234,7 +234,7 @@ def test_c08_runge_sweeps_monotone_and_span_target_reached():
     coeffs = np.array([1.0, -0.5, 0.25, 0.1])
     span_target = np.einsum("a,atx->tx", coeffs, states)
     residuals = [r.residual for r in approximate_target(
-        span_target, states, grid, (1e-2, 1e-6, 1e-10))]
+        span_target, amp_controls, op, grid, (1e-2, 1e-6, 1e-10))]
     assert residuals[2] <= residuals[1] <= residuals[0]
     assert residuals[2] < 1e-6, f"in-span residual {residuals[2]:.3e}"
 

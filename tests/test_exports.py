@@ -1,9 +1,11 @@
 """The package re-exports each module's __all__, lazily: the modules' lists
 are the only lists of public names."""
 
+import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import fracwave
 
@@ -49,3 +51,16 @@ def test_importing_the_cli_loads_no_numpy():
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_no_private_name():
+    # the command line drives the package through its public names only
+    tree = ast.parse(Path(importlib.import_module("fracwave.cli").__file__).read_text())
+    private = [
+        f"from .{node.module} import {alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not private, private

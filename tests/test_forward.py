@@ -229,8 +229,10 @@ def test_newmark_matches_old_step_exactly():
 
 
 @pytest.mark.parametrize(
-    "n_t", [2 * MARCH_SLAB, 2 * MARCH_SLAB + 37, MARCH_SLAB + 1],
-    ids=["multiple", "remainder", "one_slab"],
+    "n_t",
+    [2 * MARCH_SLAB, 2 * MARCH_SLAB + 37, MARCH_SLAB + 1,
+     MARCH_SLAB, MARCH_SLAB + 2, 2 * MARCH_SLAB + 1],
+    ids=["multiple", "remainder", "one_slab", "block", "block_plus_two", "two_blocks_plus_one"],
 )
 def test_march_slabs_tile_solve_newmark(n_t):
     """The slabs are views of one buffer of MARCH_SLAB + 2 slices; each
@@ -541,6 +543,8 @@ def test_control_guards(spoil, message):
         lambda: fw.solve_exterior(bad, op, grid),
         lambda: next(fw.march_slabs(op, grid, control=bad)),
         lambda: fw.dn_matrix(op, grid, good, bad[None]),
+        lambda: fw.approximate_target(np.zeros((grid.n_t + 1, grid.n_int)), bad[None],
+                                      op, grid, (1e-6,)),
         lambda: fw.recover_expansion(lambda cs: pytest.fail("measured"), bad, (1.0,),
                                      op, grid, eps_ladder=(0.5, 0.25)),
     ]
@@ -550,7 +554,9 @@ def test_control_guards(spoil, message):
 
 
 @pytest.mark.parametrize(
-    "entry", ["forward_map", "dn_matrix", "solve_exterior", "solve_newmark", "march_slabs"]
+    "entry",
+    ["forward_map", "dn_matrix", "solve_exterior", "approximate_target", "solve_newmark",
+     "march_slabs"],
 )
 def test_solvers_reject_the_other_model(entry):
     """The sweep solves a potential and the march a nonlinearity; each
@@ -565,6 +571,8 @@ def test_solvers_reject_the_other_model(entry):
         "forward_map": (potential, lambda: fw.forward_map(controls, op, grid, f)),
         "dn_matrix": (potential, lambda: fw.dn_matrix(op, grid, controls, controls, f)),
         "solve_exterior": (potential, lambda: fw.solve_exterior(controls[0], op, grid, f)),
+        "approximate_target": (potential, lambda: fw.approximate_target(
+            np.zeros((grid.n_t + 1, grid.n_int)), controls, op, grid, (1e-6,), f)),
         "solve_newmark": (nonlinearity, lambda: fw.solve_newmark(op, grid, model=q)),
         "march_slabs": (nonlinearity, lambda: next(fw.march_slabs(op, grid, model=q))),
     }
@@ -699,7 +707,7 @@ def test_interior_array_guards(entry, spoil):
     good = np.outer(fw.time_window(grid), np.sin(np.pi * x))
     bad = spoil(good)
     data = CauchyData.zero(grid.n_int)
-    states = good[None]
+    controls = fw.control_basis(grid, grid.w_mask(1), 1)
     calls = {
         "modal_source": lambda: fw.solve_linear_modal(basis, data, bad, grid),
         "very_weak_source": lambda: fw.very_weak_residual(
@@ -714,7 +722,7 @@ def test_interior_array_guards(entry, spoil):
         "distributional_test": lambda: distributional_residual(
             good, data, None, None, bad, op, grid
         ),
-        "runge_target": lambda: fw.approximate_target(bad, states, grid, (1e-6,)),
+        "runge_target": lambda: fw.approximate_target(bad, controls, op, grid, (1e-6,)),
         "energy_source": lambda: fw.data_energy(data, bad, basis, grid),
     }
     with pytest.raises(ValueError, match="trajectory"):

@@ -105,6 +105,18 @@ def test_recover_potential_rejects_shape_mismatch(small, battery):
                               controls, probes[:, 1:], op, grid)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_recover_potential_rejects_non_finite_measured(small, battery, bad):
+    """One non-finite entry is named as the measured matrix's, before any
+    sweep runs or numpy warns (warnings are errors in this suite)."""
+    grid, op, basis = small
+    controls, probes = battery
+    measured = fw.dn_matrix(op, grid, controls, probes, np.ones(grid.n_int))
+    measured[1, 0] = bad
+    with pytest.raises(ValueError, match="measured matrix contains non-finite"):
+        inv.recover_potential(measured, controls, probes, op, grid)
+
+
 def test_recover_potential_rejects_bad_cutoffs(small, battery):
     grid, op, basis = small
     controls, probes = battery

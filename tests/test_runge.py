@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import fracwave as fw
-from fracwave import cli
+from fracwave import cli, runge
 from fracwave.dnmap import forward_map
-from fracwave.forward import SWEEP_SLAB, _sweep
+from fracwave.forward import SWEEP_SLAB
 from fracwave.runge import approximate_target, st_inner, st_norm
 from conftest import case
 from oracles import stack_fit
@@ -56,7 +56,7 @@ def test_in_span_target_recovered():
     states = forward_map(controls, op, grid)
     truth = np.array([1.0, -0.5, 0.25])
     target = np.einsum("a,atx->tx", truth, states)
-    rows = approximate_target(target, states, grid, (1e-12, 1e-6, 1e-2))
+    rows = approximate_target(target, controls, op, grid, (1e-12, 1e-6, 1e-2))
     np.testing.assert_allclose(rows[0].coeffs, truth, atol=1e-6)
     assert rows[0].residual <= 1e-8
     # the misfit read off the factorization is that of the superposition;
@@ -72,7 +72,7 @@ def test_in_span_target_recovered():
 def test_solution_diagnostics_consistent():
     grid, op, basis, controls = setup()
     target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
-    sol, = approximate_target(target, forward_map(controls, op, grid), grid, (1e-6,))
+    sol, = approximate_target(target, controls, op, grid, (1e-6,))
     assert sol.residual == pytest.approx(sol.misfit / st_norm(target, grid), rel=1e-12)
     assert sol.objective == pytest.approx(
         sol.misfit**2 + sol.alpha * sol.coeff_norm**2, rel=1e-12
@@ -82,56 +82,24 @@ def test_solution_diagnostics_consistent():
 
 def test_approximate_target_validations():
     grid, op, basis, controls = setup(n_t=16)
-    states = forward_map(controls, op, grid)
     target = np.zeros((grid.n_t + 1, grid.n_int))
     for alphas in ((1e-6, 0.0), (-1e-6,), (float("nan"),), (np.inf,), ()):
         with pytest.raises(ValueError, match="alphas must be positive"):
-            approximate_target(target, states, grid, alphas)
+            approximate_target(target, controls, op, grid, alphas)
     with pytest.raises(ValueError, match="trajectory shape"):
-        approximate_target(target[:-1], states, grid, (1e-6,))
-    for bad_states in (states[:0], states[:, :-1], states[0], states[..., :-1]):
-        with pytest.raises(ValueError, match="states shape"):
-            approximate_target(target, bad_states, grid, (1e-6,))
-    nan_states = states.copy()
-    nan_states[1, 3, 4] = np.nan
-    with pytest.raises(ValueError, match="states contain non-finite values"):
-        approximate_target(target, nan_states, grid, (1e-6,))
-
-
-def _spoil(s, index, value):
-    s = s.copy()
-    s[index] = value
-    return s
-
-
-@pytest.mark.parametrize(
-    "slabs, message",
-    [
-        (lambda s: [s[:, :5], s[:-1, 5:]], "states shape"),  # the batch changes
-        (lambda s: [s[:, :5], s[:, 5:, :-1]], "states shape"),  # the node count changes
-        (lambda s: [s[:, :10], s[:, 5:]], "states shape"),  # past slice n_t
-        (lambda s: [s[:, :10]], "states shape"),  # stops before slice n_t
-        (lambda s: [s[:, :5], s[:, 5:5], s[:, 5:]], "states shape"),  # an empty slab
-        (lambda s: [s[:, :5], s[0, 5:], s[:, 5:]], "states shape"),  # no batch axis
-        (lambda s: [], "states shape"),
-        (lambda s: [s[:, :5], _spoil(s, (1, 12, 4), np.inf)[:, 5:]], "non-finite"),
-    ],
-    ids=["batch", "nodes", "overrun", "short", "empty_slab", "two_dims", "no_slabs", "inf"],
-)
-def test_slab_validations(slabs, message):
-    """Slabs are checked as they arrive, each against the first and the
-    time slices still to come."""
-    grid, op, basis, controls = setup(n_t=16)
-    states = forward_map(controls, op, grid)
-    with pytest.raises(ValueError, match=message):
-        approximate_target(states[0], iter(slabs(states)), grid, (1e-6,))
+        approximate_target(target[:-1], controls, op, grid, (1e-6,))
+    # one control is refused: the fit takes a stack, as dn_matrix does
+    with pytest.raises(ValueError, match="control shape"):
+        approximate_target(target, controls[0], op, grid, (1e-6,))
+    with pytest.raises(ValueError, match="need at least one control"):
+        approximate_target(target, controls[:0], op, grid, (1e-6,))
 
 
 @pytest.mark.parametrize(
     "n_int, n_freqs, n_t", [(20, 2, 130), (4, 24, 16)], ids=["tall", "wide"]
 )
 @pytest.mark.parametrize("span", [3, SWEEP_SLAB, None], ids=["3", "SWEEP_SLAB", "array"])
-def test_streamed_fit_matches_stack_oracle(n_int, n_freqs, n_t, span):
+def test_streamed_fit_matches_stack_oracle(n_int, n_freqs, n_t, span, monkeypatch):
     """Sweep slabs folded into the running triangle give the whole-stack
     fit, also where n_t + 1 is no multiple of the span and where there are
     more states (72) than space-time rows (17 x 4): misfits within 1e-12
@@ -139,16 +107,17 @@ def test_streamed_fit_matches_stack_oracle(n_int, n_freqs, n_t, span):
     1e-6 (about 5e-5 of the Gram's top eigenvalue).  Below that the wide
     fit's coefficients are conditioned as sigma_max^2 / alpha (they moved
     1.2e-11 at 1e-10 and 1e-8 at 1e-14), and the bound grows as 1/alpha.  A
-    state stack given as one array is one slab, the stack fit's own
-    arithmetic."""
+    span of n_t + 1 or more hands the fit forward_map's whole state array
+    as one slab, the stack fit's own arithmetic.  The slab rule keeps
+    B + 1 rows per slab, so the wide stack is one slab at every span."""
+    monkeypatch.setattr(runge, "SWEEP_SLAB", n_t + 1 if span is None else span)
     grid, op, basis = case(n_int=n_int, s=0.7, n_t=n_t)
     controls = fw.control_basis(grid, grid.w_mask(1), n_freqs)
     q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
     target = cli._runge_target({"runge.target": "bump"}, grid, op)
     states = forward_map(controls, op, grid, q)
     alphas = (1e-2, 1e-6, 1e-10, 1e-14)
-    slabs = states if span is None else _sweep(controls, q, op, grid, span)
-    rows = approximate_target(target, slabs, grid, alphas)
+    rows = approximate_target(target, controls, op, grid, alphas, q)
     for sol, (coeffs, misfit, cond) in zip(rows, stack_fit(target, states, grid, alphas)):
         if span is None:
             assert np.array_equal(sol.coeffs, coeffs) and sol.misfit == misfit
@@ -160,8 +129,8 @@ def test_streamed_fit_matches_stack_oracle(n_int, n_freqs, n_t, span):
 
 
 def test_sweep_fed_fit_streams():
-    """Fed by the sweep's slabs, the fit allocates less than 0.3 of the
-    control state stack it never builds."""
+    """The fit sweeps its controls in slabs and allocates less than 0.3 of
+    the control state stack it never builds."""
     grid, op, basis = case(n_int=128, s=0.7, n_t=512)
     controls = fw.control_basis(grid, grid.w_mask(1), 8)
     q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
@@ -169,7 +138,7 @@ def test_sweep_fed_fit_streams():
     stack = controls.shape[0] * (grid.n_t + 1) * grid.n_int * 8  # bytes
     tracemalloc.start()
     try:
-        approximate_target(target, _sweep(controls, q, op, grid, SWEEP_SLAB), grid, (1e-6,))
+        approximate_target(target, controls, op, grid, (1e-6,), q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -182,11 +151,12 @@ def test_coefficients_solve_normal_equations():
     # the second stack has more states (72) than space-time rows (17 x 4)
     for n_int, n_freqs in ((20, 2), (4, 24)):
         grid, op, basis = case(n_int=n_int, s=0.7, n_t=16)
-        states = forward_map(fw.control_basis(grid, grid.w_mask(1), n_freqs), op, grid)
+        controls = fw.control_basis(grid, grid.w_mask(1), n_freqs)
+        states = forward_map(controls, op, grid)
         target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
         gram = fw.st_gram(states, states, grid)
         beta = fw.st_gram(states, target[None], grid)[:, 0]
-        rows = approximate_target(target, states, grid, (1e-2, 1e-6))
+        rows = approximate_target(target, controls, op, grid, (1e-2, 1e-6))
         for sol in rows:
             system = gram + sol.alpha * np.eye(len(gram))
             np.testing.assert_allclose(system @ sol.coeffs, beta, rtol=1e-9, atol=1e-12)
@@ -197,7 +167,7 @@ def test_alpha_sweep_monotone():
     grid, op, basis, controls = setup()
     target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
     alphas = tuple(10.0**-k for k in range(2, 9))
-    rows = approximate_target(target, forward_map(controls, op, grid), grid, alphas)
+    rows = approximate_target(target, controls, op, grid, alphas)
     assert [r.alpha for r in rows] == list(alphas)
     resid = np.array([r.residual for r in rows])
     coeff = np.array([r.coeff_norm for r in rows])
@@ -209,9 +179,8 @@ def test_alpha_sweep_monotone():
 def test_enrichment_lowers_objective():
     grid, op, basis, controls = setup()
     target = np.outer(fw.time_window(grid), np.sin(np.pi * grid.interior_coords))
-    states = forward_map(controls, op, grid)
-    rows = [approximate_target(target, states[:k], grid, (1e-8,))[0]
-            for k in range(1, len(states) + 1)]
+    rows = [approximate_target(target, controls[:k], op, grid, (1e-8,))[0]
+            for k in range(1, len(controls) + 1)]
     assert [len(r.coeffs) for r in rows] == list(range(1, len(controls) + 1))
     objectives = np.array([r.objective for r in rows])
     assert np.all(np.diff(objectives) <= 1e-12)
@@ -219,8 +188,7 @@ def test_enrichment_lowers_objective():
 
 def test_sweep_csv_roundtrip(tmp_path):
     """The runge pipeline's sweep CSV carries every fit figure exactly: the
-    pipeline feeds the fit the sweep's slabs, SWEEP_SLAB slices each for
-    a basis this narrow."""
+    pipeline fits the window controls under its potential, q = 0 here."""
     grid, op, basis, controls = setup(n_t=32)
     sets = ["domain.n_int=20", "time.n_t=32", "runge.freqs=2", "runge.alphas=1e-4,1e-6"]
     args = ["runge", "--out", str(tmp_path)]
@@ -228,8 +196,7 @@ def test_sweep_csv_roundtrip(tmp_path):
     # the default target: the first mode oscillating at its own frequency
     om = np.sqrt(basis.lambdas[0])
     target = np.cos(om * grid.times())[:, None] * basis.modes[:, 0][None, :]
-    slabs = _sweep(controls, np.zeros(grid.n_int), op, grid, SWEEP_SLAB)
-    rows = approximate_target(target, slabs, grid, (1e-4, 1e-6))
+    rows = approximate_target(target, controls, op, grid, (1e-4, 1e-6), np.zeros(grid.n_int))
     lines = (tmp_path / "runge_sweep.csv").read_text().splitlines()
     assert lines[0] == "alpha,misfit,residual,coeff_norm,objective,gram_cond"
     assert len(lines) == 1 + len(rows)
@@ -239,7 +206,8 @@ def test_sweep_csv_roundtrip(tmp_path):
 
 
 def test_one_factorization_per_fit(monkeypatch):
-    """One QR and one small SVD per call, for any number of alphas."""
+    """One QR per sweep slab, of the running triangle over the slab's rows,
+    and one small SVD per call, for any number of alphas."""
     grid, op, basis, controls = setup(n_t=16)
     states = forward_map(controls, op, grid)
     target = states[0] - 0.5 * states[-1]
@@ -257,15 +225,12 @@ def test_one_factorization_per_fit(monkeypatch):
     for name in ("qr", "svd"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     alphas = tuple(10.0**-k for k in range(2, 11))
-    rows = approximate_target(target, states, grid, alphas)
+    rows = approximate_target(target, controls, op, grid, alphas)
     assert len(rows) == 9
-    n_b = len(states)
-    assert calls == [("qr", (target.size, n_b + 1)), ("svd", (n_b, n_b))]
-    # in slabs, one QR per slab of the running triangle over the slab's rows
-    calls.clear()
-    approximate_target(target, [states[:, :10], states[:, 10:]], grid, alphas)
-    assert calls == [("qr", (10 * grid.n_int, n_b + 1)),
-                     ("qr", (n_b + 1 + 7 * grid.n_int, n_b + 1)), ("svd", (n_b, n_b))]
+    n_b = len(controls)
+    # 17 slices: one slab of SWEEP_SLAB = 16 and one of 1
+    assert calls == [("qr", (16 * grid.n_int, n_b + 1)),
+                     ("qr", (n_b + 1 + grid.n_int, n_b + 1)), ("svd", (n_b, n_b))]
 
 
 def test_wide_window_reaches_small_alphas():
@@ -276,12 +241,13 @@ def test_wide_window_reaches_small_alphas():
     grid = fw.build_grid(x_min=0.0, x_max=1.0, n_int=32, m_collar=8,
                          w1=tuple(range(16)), w2=(0,), T=1.0, n_t=128)
     op = fw.assemble_operator(grid, 0.7)
-    states = forward_map(fw.control_basis(grid, grid.w_mask(1), 8), op, grid)
+    controls = fw.control_basis(grid, grid.w_mask(1), 8)
+    states = forward_map(controls, op, grid)
     target = cli._runge_target({"runge.target": "bump"}, grid, op)
     assert len(states) == 128
     top = np.linalg.eigvalsh(fw.st_gram(states, states, grid))[-1]
     alphas = tuple(top * 10.0**-k for k in range(2, 32, 2))
-    rows = approximate_target(target, states, grid, alphas)
+    rows = approximate_target(target, controls, op, grid, alphas)
     resid = np.array([r.residual for r in rows])
     assert np.all(np.diff(resid) <= 1e-12)
     assert resid.min() <= 0.25
