@@ -19,7 +19,7 @@ sweep `forward._sweep`.  `forward_map` returns a control stack's whole
 state stack, for `verify` and `solve_exterior` (one control, full grid).
 `dn_matrix` reduces the control states in time slabs as the sweep makes
 them, so it holds no state stack, and `_born` reduces one sweep of a joined
-control/test stack the same way into the model pairings and their
+control/test stack, half of it held, into the model pairings and their
 derivative in q, the Born rows `inversion.recover_potential` fits.  The
 `dn` pipeline of the command line writes the matrix to dn.json; nothing
 reads it back.
@@ -146,33 +146,38 @@ def _born(stack, n_c, q, pairing, op, grid):
     the background q: the derivative of `dn_matrix` in q and its value,
     from one sweep of the joined stack (controls first) reduced slab by
     slab.  For the rows h sum_t w_t u_a(t) v_b(T - t) only slices
-    0 .. n_t//2 are held: each later slice t meets its held mirror n_t - t
-    in both orientations (the weights are symmetric), the two staged
-    x-major for one x-batched product per slab; the middle slice of an
-    even n_t adds its own term."""
+    0 .. n_t//2 are held, node-major and time-reversed, held[n_t//2 - t] =
+    u(t), so a later slice t meets its mirror n_t - t at held[t - lag],
+    lag = n_t - n_t//2, and the mirrors of a slab's later slices are one
+    run of held rows.  The later slices are copied node-major once and
+    weighted, and meet the run in both orientations (the weights are
+    symmetric): two x-batched products per slab that read views.  The
+    middle slice of an even n_t adds its own term."""
     fixed, pair = pairing
     n_t, half, n_te = grid.n_t, grid.n_t // 2, len(stack) - n_c
+    lag = n_t - half
     w = trapezoid_weights(n_t, grid.dt)
-    held = np.empty((len(stack), half + 1, grid.n_int))
-    staged = np.empty((len(stack), grid.n_int, 2 * SWEEP_SLAB))
+    held = np.empty((half + 1, grid.n_int, len(stack)))
+    later = np.empty((SWEEP_SLAB, grid.n_int, len(stack)))
     rows = np.zeros((grid.n_int, n_c, n_te))
+    part = np.empty_like(rows)
     d_model, t0 = fixed.copy(), 0
     for slab in _sweep(stack, q, op, grid, SWEEP_SLAB):
         d_model += pair(slab, t0)
-        m = slab.shape[1]
+        nodal = slab.transpose(1, 2, 0)  # (m, n_int, B)
+        m = len(nodal)
         k = min(m, max(half + 1 - t0, 0))  # held slices of this slab
-        held[:, t0 : t0 + k] = slab[:, :k]
-        if k < m:  # later slices t0+k .. t0+m-1, reversed, meet mirrors r0 .. r0+n-1
-            n, r0 = m - k, n_t + 1 - t0 - m
-            later = slab[:, k:][:, ::-1].transpose(0, 2, 1)
-            mirror = held[:, r0 : r0 + n].transpose(0, 2, 1)
-            staged[:n_c, :, :n], staged[:n_c, :, n : 2 * n] = later[:n_c], mirror[:n_c]
-            staged[n_c:, :, :n], staged[n_c:, :, n : 2 * n] = mirror[n_c:], later[n_c:]
-            staged[:n_c, :, : 2 * n] *= np.tile(w[r0 : r0 + n], 2)
-            x = staged[:, :, : 2 * n].transpose(1, 0, 2)
-            rows += x[:, :n_c] @ x[:, n_c:].transpose(0, 2, 1)
+        held[::-1][t0 : t0 + k] = nodal[:k]
+        if k < m:  # later slices t0+k .. t0+m-1
+            now = later[: m - k]
+            now[...] = nodal[k:]  # then weight: a weighted transposing multiply is slower
+            now *= w[t0 + k : t0 + m, None, None]
+            now = now.transpose(1, 0, 2)  # (n_int, m-k, B)
+            run = held[t0 + k - lag : t0 + m - lag].transpose(1, 0, 2)
+            rows += np.matmul(now[..., :n_c].transpose(0, 2, 1), run[..., n_c:], out=part)
+            rows += np.matmul(run[..., :n_c].transpose(0, 2, 1), now[..., n_c:], out=part)
         t0 += m
     if n_t % 2 == 0:
-        mid = held[:, half].T
+        mid = held[0]
         rows += w[half] * mid[:, :n_c, None] * mid[:, None, n_c:]
     return grid.h * rows.transpose(1, 2, 0).reshape(n_c * n_te, grid.n_int), d_model

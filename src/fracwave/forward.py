@@ -31,11 +31,8 @@ form d_{j+1} = d_j - 4 sin^2(theta/2) c_j + g f_j, c_{j+1} = c_j + d_{j+1}
 2 cos(theta) near 2 and the low modes drift in phase as n_t^2, 1.1e-9 off
 a long-double run of the cos/sin sums at n_int = 48, n_t = 4096, where the
 difference form is 3.3e-15 off.  The basis is complete (h Phi Phi^T = I),
-so `_sweep`, the one potential solve, runs the recurrence on nodal states,
-each step on contiguous (B, n_int) rows of a time-major buffer handed out
-in batch-major slabs: all n_t+1 slices for `dnmap.forward_map`, reused
-slabs that pairings, Born rows and the Runge fit reduce as they arrive.
-Sweep slabs are checked as the march's are (below).
+so `_sweep`, the one potential solve, runs the recurrence on nodal states
+in time slabs, checked as the march's are (below).
 
 Every space-time pairing in this package uses the trapezoid weights of
 `st_gram` (the Runge fit applies them to its design matrix directly); that
@@ -172,8 +169,7 @@ def _trajectory(u: np.ndarray, n_nodes: int, grid: Grid) -> np.ndarray:
 
 def trapezoid_weights(n_t: int, dt: float) -> np.ndarray:
     w = np.full(n_t + 1, dt)
-    w[0] = 0.5 * dt
-    w[-1] = 0.5 * dt
+    w[[0, -1]] = 0.5 * dt
     return w
 
 
@@ -190,13 +186,7 @@ def st_inner(a: np.ndarray, b: np.ndarray, grid: Grid) -> float:
     return float(st_gram(a[None], b[None], grid)[0, 0])
 
 
-def _modal_coefficients(
-    lambdas: np.ndarray,
-    u0k: np.ndarray,
-    u1k: np.ndarray,
-    fk: np.ndarray | None,
-    tgrid: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _modal_coefficients(lambdas, u0k, u1k, fk, tgrid):
     """Coefficient trajectories (K, n_t+1) for all modes at once."""
     om = np.sqrt(lambdas)[:, None]
     phase = om * tgrid[None, :]
@@ -238,6 +228,15 @@ def solve_linear_modal(
     return WaveSolution(u=reconstruct(c.T, basis), udot=reconstruct(cdot.T, basis))
 
 
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of a on a 64-byte boundary: OpenBLAS multiplies by it about
+    1.5x faster than at numpy's 16-byte alignment, with the same bits."""
+    buf = np.empty(a.size + 8)  # sliced from the offset first: an empty buf[k:k] starts at buf
+    out = buf[-buf.ctypes.data % 64 // 8 :][: a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def _sweep(values, q, op, grid, span):
     """Interior displacements of u'' + A u + q u = 0 (q = 0 when None)
     driven by a control stack (B, n_t+1, n_ext), zero Cauchy data, as
@@ -252,10 +251,11 @@ def _sweep(values, q, op, grid, span):
     from u_0 = 0 and u_1 = v_1 = drive_0 / 2, where
     D = -h (Phi diag(4 sin^2(theta/2)) + diag(q) Phi diag(g)) Phi^T,
     drive_j = values_j L and L = -h a_ie^T Phi diag(g) Phi^T.  Each step is
-    one (B, n_int) x (n_int, n_int) product, and 4 sin^2(theta/2) stands
-    for 2 - 2 cos(theta) without its cancellation.  Exact for any q, also
-    where A_int + diag(q) is indefinite.  Slot j+1 holds drive_j until
-    step j overwrites it, so no second state-sized array exists."""
+    one (B, n_int) x (n_int, n_int) product by a 64-byte-aligned copy of D,
+    and 4 sin^2(theta/2) stands for 2 - 2 cos(theta) without its
+    cancellation.  Exact for any q, also where A_int + diag(q) is
+    indefinite.  Slot j+1 holds drive_j until step j overwrites it, so no
+    second state-sized array exists."""
     q = np.zeros(grid.n_int) if q is None else _potential(q, grid)
     values = _controls(values, grid, (3,))
     h, phi, om = grid.h, op.basis.modes, op.basis.omegas
@@ -264,7 +264,7 @@ def _sweep(values, q, op, grid, span):
     a_ie = op.a_full[grid.interior_slice, :][:, grid.exterior_indices]
     lift = -h * ((a_ie.T @ phi) * g) @ phi.T  # L, (n_ext, n_int)
     gap = 4.0 * np.sin(0.5 * theta) ** 2
-    step = -h * ((phi * gap + (q[:, None] * phi) * g) @ phi.T)  # D, (n_int, n_int)
+    step = _aligned(-h * ((phi * gap + (q[:, None] * phi) * g) @ phi.T))  # D, (n_int, n_int)
 
     n_t = grid.n_t
     buf = np.empty((min(span, n_t + 1), values.shape[0], grid.n_int))  # time-major

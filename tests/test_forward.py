@@ -2,12 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fracwave as fw
-from fracwave import CauchyData, PolyNonlinearity
+from fracwave import CauchyData, PolyNonlinearity, forward
+from fracwave.dnmap import _born, _pairing
 from fracwave.forward import MARCH_SLAB, PICARD_MAX_ITER, SWEEP_SLAB, _sweep
 from conftest import case
 from oracles import distributional_residual, dn_trace, lift_exterior
@@ -265,6 +266,26 @@ def test_march_slabs_tile_solve_newmark(n_t):
         assert np.array_equal(joined, full)
 
 
+@given(st.integers(3, 600))
+@example(n_t=2 * MARCH_SLAB + 2)  # the first n_t with three slabs
+def test_march_slabs_tile_solve_newmark_any_n_t(n_t):
+    """For every n_t, MARCH_SLAB block edges included, the slabs of a march
+    with a nonlinearity, Cauchy data and a control ladder joined are
+    solve_newmark's trajectories bit for bit (dt = 1/512 throughout)."""
+    grid, op, basis = case(n_int=8, s=0.7, n_t=n_t, T=n_t / 512)
+    x = grid.interior_coords
+    two_term = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
+    data = CauchyData(0.1 * np.sin(np.pi * x), 0.2 * np.cos(3.0 * x))
+    control = np.zeros((n_t + 1, grid.n_ext))  # zero on the first and last two slices
+    control[2:-2, 0] = np.sin(np.pi * np.arange(2, n_t - 1) / n_t) ** 2
+    kwargs = dict(model=two_term, data=data, control=[control, 0.5 * control])
+    full = fw.solve_newmark(op, grid, **kwargs).transpose(1, 0, 2)
+    slabs = [slab.copy() for slab in fw.march_slabs(op, grid, **kwargs)]
+    assert len(slabs) == -(-(n_t - 1) // MARCH_SLAB)
+    joined = np.concatenate([slabs[0]] + [slab[2:] for slab in slabs[1:]])
+    assert joined.tobytes() == full.tobytes()
+
+
 def test_march_slabs_keep_guards():
     """Guards raise when the first slab is asked for, and a blowup raised
     while the slabs are read names the step and the batch rows."""
@@ -498,6 +519,46 @@ def test_sweep_blowup_names_first_bad_step():
             assert seen <= 99 < seen + span
         with pytest.raises(fw.SolverBlowupError, match=message):
             fw.forward_map(values, op, grid, q)
+
+
+@pytest.mark.parametrize("shape", [(128, 128), (1, 1), (0,)])
+def test_aligned_copy(shape):
+    """The helper returns an equal copy that starts on a 64-byte boundary."""
+    a = np.random.default_rng(5).standard_normal(shape)
+    out = forward._aligned(a)
+    assert out.ctypes.data % 64 == 0 and not np.shares_memory(out, a)
+    assert out.shape == a.shape and out.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("offset", [16, 32, 48])
+def test_step_alignment_is_speed_only(offset, monkeypatch):
+    """The sweep's step matrix D at a 16-, 32- or 48-byte offset from a
+    64-byte boundary, where BLAS multiplies by it more slowly, gives
+    forward_map states and Born rows and pairings equal byte for byte to
+    those of the aligned D."""
+    grid, op, basis = case(n_int=128, s=0.7, n_t=48)
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    controls = fw.control_basis(grid, grid.w_mask(1), 4)
+    tests = fw.control_basis(grid, grid.w_mask(2), 4)
+    stack = np.concatenate([controls, tests])
+
+    def run():
+        pairing = _pairing(controls, tests, op, grid)
+        rows, pairs = _born(stack, len(controls), q, pairing, op, grid)
+        return [fw.forward_map(stack, op, grid, q).tobytes(), rows.tobytes(), pairs.tobytes()]
+
+    def misaligned(a):
+        buf = np.empty(a.size + 16)
+        start = (-buf.ctypes.data % 64 + offset) // 8
+        out = buf[start : start + a.size].reshape(a.shape)
+        out[...] = a
+        offsets.append(out.ctypes.data % 64)
+        return out
+
+    aligned, offsets = run(), []
+    monkeypatch.setattr(forward, "_aligned", misaligned)
+    assert run() == aligned
+    assert offsets == [offset] * 2  # one D per sweep
 
 
 def test_potential_sweep_shape_checks():

@@ -243,12 +243,16 @@ def test_non_finite_trial_never_passes(monkeypatch, cutoffs, blowups):
     assert err <= 1.0
 
 
-@pytest.mark.parametrize("n_t", [130, 137], ids=["even", "odd"])
+@pytest.mark.parametrize(
+    "n_t", [130, 137, 126, 128], ids=["even", "odd", "mid_last", "mid_first"]
+)
 @pytest.mark.parametrize("span", [lambda n: 1, lambda n: 5, lambda n: dnmap.SWEEP_SLAB,
                                   lambda n: n + 1], ids=["1", "5", "SWEEP_SLAB", "n_t+1"])
 def test_born_matches_stack_oracle(n_t, span, monkeypatch):
     """The Born rows and model pairings reduced from the sweep's slabs, half
-    the stack held, equal the reductions of the whole joined stack."""
+    the stack held, equal the reductions of the whole joined stack.  At
+    n_t = 126 and 128 the middle slice (63, 64) is the last or the first
+    slice of a SWEEP_SLAB slab."""
     grid, op, basis = case(n_int=20, s=0.7, n_t=n_t)
     monkeypatch.setattr(dnmap, "SWEEP_SLAB", span(n_t))
     controls = fw.control_basis(grid, grid.w_mask(1), 2)
@@ -262,6 +266,34 @@ def test_born_matches_stack_oracle(n_t, span, monkeypatch):
                      (pairs, stack_pairings(states[:n_c], controls, tests, op, grid))):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_born_holds_half_the_stack():
+    """One background at invert-q size (n_int = 128, n_t = 512, 12 + 12
+    rows): beyond a bare sweep of the joined stack, _born allocates the
+    half stack, one slab-sized buffer for the later slices and the rows,
+    less than the half stack and 2.5 slabs.  Staging each later slab with
+    its mirrors, (B, n_int, 2 SWEEP_SLAB), took 2.9 slabs."""
+    grid, op, basis = case(n_int=128, s=0.7, n_t=512)
+    controls = fw.control_basis(grid, grid.w_mask(1), 4)
+    tests = fw.control_basis(grid, grid.w_mask(2), 4)
+    assert len(controls) == len(tests) == 12
+    q = 1.0 + 0.5 * np.cos(np.pi * grid.interior_coords)
+    stack = np.concatenate([controls, tests])
+    pairing = _pairing(controls, tests, op, grid)
+    peaks = []
+    for run in (lambda: [None for _ in _sweep(stack, q, op, grid, dnmap.SWEEP_SLAB)],
+                lambda: dnmap._born(stack, len(controls), q, pairing, op, grid)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slab = dnmap.SWEEP_SLAB * grid.n_int * len(stack) * 8  # bytes
+    half = (grid.n_t // 2 + 1) * grid.n_int * len(stack) * 8
+    extra = peaks[1] - peaks[0] - half
+    assert extra <= 2.5 * slab, f"{extra / slab:.2f} slabs beyond the half stack"
 
 
 def test_recover_potential_streams_the_sweep():

@@ -96,10 +96,11 @@ def test_approximate_target_validations():
 
 
 @pytest.mark.parametrize(
-    "n_int, n_freqs, n_t", [(20, 2, 130), (4, 24, 16)], ids=["tall", "wide"]
+    "span, n_int, n_freqs, n_t",
+    [(3, 20, 2, 130), (SWEEP_SLAB, 20, 2, 130), (None, 20, 2, 130), (None, 4, 24, 16)],
+    ids=["3-tall", "SWEEP_SLAB-tall", "array-tall", "array-wide"],
 )
-@pytest.mark.parametrize("span", [3, SWEEP_SLAB, None], ids=["3", "SWEEP_SLAB", "array"])
-def test_streamed_fit_matches_stack_oracle(n_int, n_freqs, n_t, span, monkeypatch):
+def test_streamed_fit_matches_stack_oracle(span, n_int, n_freqs, n_t, monkeypatch):
     """Sweep slabs folded into the running triangle give the whole-stack
     fit, also where n_t + 1 is no multiple of the span and where there are
     more states (72) than space-time rows (17 x 4): misfits within 1e-12
@@ -108,8 +109,10 @@ def test_streamed_fit_matches_stack_oracle(n_int, n_freqs, n_t, span, monkeypatc
     fit's coefficients are conditioned as sigma_max^2 / alpha (they moved
     1.2e-11 at 1e-10 and 1e-8 at 1e-14), and the bound grows as 1/alpha.  A
     span of n_t + 1 or more hands the fit forward_map's whole state array
-    as one slab, the stack fit's own arithmetic.  The slab rule keeps
-    B + 1 rows per slab, so the wide stack is one slab at every span."""
+    as one slab, the stack fit's own arithmetic.  The wide stack has one
+    case: the slab rule keeps B + 1 rows per slab, which lifts every span
+    to ceil(73 / 4) = 19 >= 17 slices, so spans 3 and SWEEP_SLAB ran the
+    same one-slab fit again."""
     monkeypatch.setattr(runge, "SWEEP_SLAB", n_t + 1 if span is None else span)
     grid, op, basis = case(n_int=n_int, s=0.7, n_t=n_t)
     controls = fw.control_basis(grid, grid.w_mask(1), n_freqs)
