@@ -18,13 +18,21 @@ variables before it returns.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import json
 import math
 import os
 import sys
 import time
 from pathlib import Path
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL for it
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["main"]
 
@@ -181,7 +189,7 @@ class _Artifacts:
         path = self.dir / name
         path.write_text(text)
         self._created.append(path)
-        self.hashes[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        self.hashes[name] = sha256(path.read_bytes()).hexdigest()
         return path
 
     def write_json(self, name: str, payload) -> Path:
@@ -258,8 +266,8 @@ def _run_solve(cfg, art, seed) -> tuple[int, dict]:
     )
     full = solve_exterior(control, op, grid, q)
     lines = [f"t," + ",".join(f"x{j}" for j in range(grid.n_nodes))]
-    for t, row in zip(grid.times(), full):
-        lines.append(f"{float(t)!r}," + ",".join(repr(float(v)) for v in row))
+    for t, row in zip(grid.times().tolist(), full):  # per row: all at once costs memory
+        lines.append(f"{t!r}," + ",".join(map(repr, row.tolist())))
     art.write_text("trajectory.csv", "\n".join(lines) + "\n")
     peak = float(abs(full).max())
     print(f"solve: trajectory written, peak |u| = {peak:.6e}")
@@ -459,6 +467,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache  # one parser per process; parse_args leaves it as built
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracwave",
@@ -538,7 +547,7 @@ def _run(args) -> int:
             "format": "fracwave-manifest/1",
             "subcommand": args.cmd,
             "config": {k: list(v) if isinstance(v, tuple) else v for k, v in cfg.items()},
-            "config_sha256": hashlib.sha256(_canonical_config(cfg).encode()).hexdigest(),
+            "config_sha256": sha256(_canonical_config(cfg).encode()).hexdigest(),
             "seed": args.seed,
             "threads": args.threads if args.threads is not None else "default",
             "versions": {

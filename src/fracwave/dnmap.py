@@ -26,14 +26,20 @@ reads it back.
 """
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 from .fields import _controls
 from .forward import SWEEP_SLAB, _sweep, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
+
+try:  # the interpreter's own SHA-256: hashlib would load OpenSSL for it
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "solve_exterior",
@@ -59,7 +65,7 @@ def grid_signature(grid: Grid, s: float) -> str:
             f"s={float(s)!r}",
         ]
     )
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
 def solve_exterior(

@@ -5,15 +5,19 @@ property the rest of the package relies on, and returns a flat dict of
 scalar diagnostics.  `run_checks` executes a deterministic batch from a
 seed, in which the checks share one operator (and eigenbasis) per order
 and size; the CLI serializes the result, and reruns with the same seed
-must produce identical bytes.  The two sides of the energy estimate that
-the `energy` check compares, `sup_energy` and `data_energy`, live here.
+must produce identical bytes.  Each check gets a fresh `random.Random(seed)`
+and draws its test vectors through `_normals`: 53-bit uniforms from the
+generator's `randbytes`, turned into standard normals by Box-Muller.  The
+standard library's generator is used so that no run loads `numpy.random`.
+The two sides of the energy estimate that the `energy` check compares,
+`sup_energy` and `data_energy`, live here.
 """
 from __future__ import annotations
 
+import random
 from typing import Callable
 
 import numpy as np
-import numpy.random  # noqa: F401 - every check draws: load it here, not on the first draw
 
 from .fields import CauchyData, control_basis, tensor_control
 from .forward import (
@@ -64,10 +68,10 @@ def data_energy(
     return float(l2_u0 + dual_u1 + f_term)
 
 
-# (s, n_int, n_t, T) -> (grid, op); a check takes a seeded generator and the
-# setup factory of its batch
+# (s, n_int, n_t, T) -> (grid, op); a check takes a seeded stdlib generator
+# and the setup factory of its batch
 Setup = Callable[..., tuple]
-CHECKS: dict[str, Callable[[np.random.Generator, Setup], dict]] = {}
+CHECKS: dict[str, Callable[[random.Random, Setup], dict]] = {}
 
 
 def _register(name: str):
@@ -76,6 +80,18 @@ def _register(name: str):
         return fn
 
     return deco
+
+
+def _normals(rng: random.Random, shape) -> np.ndarray:
+    """Standard normal draws of `shape` from the stdlib generator, with no
+    Python loop over elements: `randbytes` gives 53-bit uniforms, and
+    Box-Muller turns each pair of them into a cos and a sin draw."""
+    n = int(np.prod(shape))
+    half = (n + 1) // 2
+    u = (np.frombuffer(rng.randbytes(16 * half), "<u8") >> 11) * 2.0**-53  # [0, 1)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:half]))
+    angle = 2.0 * np.pi * u[half:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(shape)
 
 
 def _setups() -> Setup:
@@ -97,7 +113,7 @@ def _setups() -> Setup:
 
 
 @_register("weights")
-def check_weights(rng: np.random.Generator, setup: Setup) -> dict:
+def check_weights(rng: random.Random, setup: Setup) -> dict:
     w = centered_weights(0.5, 40)
     closed_form_gap = abs(w[0] - 4.0 / np.pi)
     # three-term recurrence g_{j+1} = g_j (j - s) / (j + s + 1)
@@ -111,7 +127,7 @@ def check_weights(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("operator_symmetry")
-def check_operator_symmetry(rng: np.random.Generator, setup: Setup) -> dict:
+def check_operator_symmetry(rng: random.Random, setup: Setup) -> dict:
     out = {}
     for s in (0.4, 1.0, 1.5):
         _, op = setup(s, n_int=20, n_t=8)
@@ -121,7 +137,7 @@ def check_operator_symmetry(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("gram")
-def check_gram(rng: np.random.Generator, setup: Setup) -> dict:
+def check_gram(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     basis = op.basis
     g_l2 = grid.h * basis.modes.T @ basis.modes
@@ -133,11 +149,11 @@ def check_gram(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("dual_norm")
-def check_dual_norm(rng: np.random.Generator, setup: Setup) -> dict:
+def check_dual_norm(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     worst = 0.0
     for _ in range(10):
-        g = rng.standard_normal(grid.n_int)
+        g = _normals(rng, grid.n_int)
         a = dual_norm(g, op.basis)
         b = dual_norm_variational(g, op)
         worst = max(worst, abs(a - b) / max(a, b))
@@ -145,7 +161,7 @@ def check_dual_norm(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("duhamel")
-def check_duhamel(rng: np.random.Generator, setup: Setup) -> dict:
+def check_duhamel(rng: random.Random, setup: Setup) -> dict:
     t = np.linspace(0.0, 1.0, 257)
     # one mode: c'' + 4 c = 0, c(0) = 1, c'(0) = 2, and c'' + c = 1 from rest
     (c,), _ = _modal_coefficients(np.array([4.0]), np.array([1.0]), np.array([2.0]), None, t)
@@ -158,16 +174,14 @@ def check_duhamel(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("energy")
-def check_energy(rng: np.random.Generator, setup: Setup) -> dict:
+def check_energy(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     basis = op.basis
     bound = np.sqrt(3.0) * max(1.0, np.sqrt(grid.T))
     worst = -np.inf
     for _ in range(8):
-        data = CauchyData(
-            rng.standard_normal(grid.n_int), rng.standard_normal(grid.n_int)
-        )
-        src = rng.standard_normal((grid.n_t + 1, grid.n_int))
+        data = CauchyData(_normals(rng, grid.n_int), _normals(rng, grid.n_int))
+        src = _normals(rng, (grid.n_t + 1, grid.n_int))
         sol = solve_linear_modal(basis, data, src, grid)
         lhs = sup_energy(sol, basis, grid)
         rhs = data_energy(data, src, basis, grid)
@@ -176,7 +190,7 @@ def check_energy(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("picard")
-def check_picard(rng: np.random.Generator, setup: Setup) -> dict:
+def check_picard(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=256, T=0.5)
     basis = op.basis
     q0 = 2.0
@@ -195,21 +209,19 @@ def check_picard(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("transposition")
-def check_transposition(rng: np.random.Generator, setup: Setup) -> dict:
+def check_transposition(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     basis = op.basis
-    data = CauchyData(
-        rng.standard_normal(grid.n_int), rng.standard_normal(grid.n_int)
-    )
-    src = rng.standard_normal((grid.n_t + 1, grid.n_int))
-    g = rng.standard_normal((grid.n_t + 1, grid.n_int))
+    data = CauchyData(_normals(rng, grid.n_int), _normals(rng, grid.n_int))
+    src = _normals(rng, (grid.n_t + 1, grid.n_int))
+    g = _normals(rng, (grid.n_t + 1, grid.n_int))
     sol = solve_linear_modal(basis, data, src, grid)
     res = very_weak_residual(sol.u, data, src, None, g, basis, grid)
     return {"residual": res}
 
 
 @_register("reciprocity")
-def check_reciprocity(rng: np.random.Generator, setup: Setup) -> dict:
+def check_reciprocity(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=96)
     controls = control_basis(grid, grid.w_mask(1), 2)
     tests = control_basis(grid, grid.w_mask(2), 2)
@@ -221,7 +233,7 @@ def check_reciprocity(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("runge")
-def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
+def check_runge(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=96)
     # one node, three time frequencies: independent states, benign Gram;
     # amplitudes sized so the states are O(1) and alpha is not scale-starved
@@ -243,7 +255,7 @@ def check_runge(rng: np.random.Generator, setup: Setup) -> dict:
 
 
 @_register("reaction")
-def check_reaction(rng: np.random.Generator, setup: Setup) -> dict:
+def check_reaction(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=512, T=0.5)
     model = PolyNonlinearity.single(1.0, 0.3, n_nodes=grid.n_int)
     control = tensor_control(grid, 0, 1, mask=grid.w_mask(1))
@@ -282,7 +294,7 @@ def run_checks(names: list[str] | None = None, seed: int = 0) -> dict:
     setup = _setups()
     results = {}
     for name in names:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = random.Random(seed)
         results[name] = {k: _pyify(v) for k, v in CHECKS[name](rng, setup).items()}
     return {"seed": seed, "checks": results}
 

@@ -150,6 +150,16 @@ def test_threads_pin_is_undone_on_return(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "3"
 
 
+def test_shared_parser_keeps_no_override(tmp_path):
+    # the parser is built once per process, so `--set`'s append list must
+    # not carry one run's overrides into the next
+    assert cli._build_parser() is cli._build_parser()
+    for name, sets in (("first", SMALL), ("second", [])):
+        assert run(["eig", "--out", str(tmp_path / name)] + sets) == 0
+    config = json.loads((tmp_path / "second" / "manifest.json").read_text())["config"]
+    assert (config["domain.n_int"], config["time.n_t"]) == (48, 256)
+
+
 def test_bad_thread_count_exits_with_code_2(tmp_path):
     out = str(tmp_path / "o")
     assert run(["eig", "--out", out, "--threads", "0"]) == 2
@@ -415,6 +425,23 @@ def test_run_checks_rejects_unknown_or_no_checks():
         run_checks([])
     with pytest.raises(ValueError, match=r"unknown checks: \['nosuch'\]"):
         run_checks(["weights", "nosuch"])
+
+
+def test_verify_draws_are_seeded_standard_normals():
+    import random
+
+    from fracwave.verify import _normals
+
+    z = _normals(random.Random(7), (101, 999))
+    assert z.shape == (101, 999)
+    assert np.array_equal(z, _normals(random.Random(7), (101, 999)))
+    flat = z.ravel()
+    assert abs(flat.mean()) < 0.01 and abs(flat.std() - 1.0) < 0.01
+    # the cos and sin halves come from the same uniforms, yet are uncorrelated
+    half = flat.size // 2
+    assert abs(np.corrcoef(flat[:half], flat[half:2 * half])[0, 1]) < 0.01
+    assert abs(np.mean(flat**4) - 3.0) < 0.1
+    assert _normals(random.Random(7), 0).shape == (0,)
 
 
 def test_only_cli_writes_files():
