@@ -55,14 +55,16 @@ last slice shows them, and only then are its new slices scanned for the
 first bad step.  The last two interior states roll through contiguous
 (B, n_int) buffers and each step works in place in one force buffer
 
-    g = dt^2 (A u + f(x, u)),    u_new = 2 u - u_prev - g,
+    g = dt^2 (A u + f(x, u)),    u_new = (u + u) - u_prev - g,
 
 which is bit for bit the textbook step 2 u - u_prev + dt^2 (-A u - f),
 since negation is exact: fl(-x - y) = -fl(x + y) up to the sign of an exact
-zero.  `inversion.reaction_from_march` reads f(x, u) back off a trajectory
-through that relation, so it recovers f exactly only while the march keeps
-this order of operations; a fused step matrix 2I - dt^2 A changes it (see
-`solve_newmark`).
+zero.  At 9 x 48 values a ufunc call costs more in dispatch than in
+arithmetic, least with operands of one shape (`PolyNonlinearity.evaluate`),
+so dt^2 is a row and f is bound once per march.
+`inversion.reaction_from_march` reads f back off a trajectory through that
+relation, up to the rounding of u_new over dt^2; a fused step matrix
+2I - dt^2 A rounds otherwise (see `solve_newmark`).
 """
 from __future__ import annotations
 
@@ -383,37 +385,36 @@ def _march(op, grid, model, control, data, span):
     values = _controls(control, grid)
     values = values.reshape(-1, *values.shape[-2:]).transpose(1, 0, 2)  # time-major
 
-    n_t, interior, ext = grid.n_t, grid.interior_slice, grid.exterior_indices
+    n_t, ext = grid.n_t, grid.exterior_indices
     buf = np.empty((min(span, n_t + 1), values.shape[1], grid.n_nodes))
-    stiff_t = op.a_full[interior].T  # (n_nodes, n_int): rows of A on the interior
-
-    def force(r: int, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """A u + f(x, u) at buffer row r, into g."""
-        np.matmul(buf[r], stiff_t, out=g)
-        if model is not None:
-            g += model.evaluate(u)
-        return g
+    inner = buf[:, :, grid.interior_slice]
+    stiff_t = op.a_full[grid.interior_slice].T  # (n_nodes, n_int): rows of A on the interior
+    f = None if model is None else model._bind(inner.shape[1:])
 
     t0 = 0  # the step held in buffer row 0
     buf[:, :, ext] = values[: len(buf)]
-    buf[0, :, interior] = data.u0
-    u_prev = buf[0, :, interior].copy()  # rolling contiguous (B, n_int) rows
-    g = np.empty_like(u_prev)
-    u = data.u0 + dt * data.u1 - 0.5 * dt * dt * force(0, u_prev, g)
-    buf[1, :, interior] = u
-    new = np.empty_like(u)
+    inner[0] = data.u0
+    u_prev = inner[0].copy()  # rolling contiguous (B, n_int) rows
+    g = np.matmul(buf[0], stiff_t)  # A u + f(x, u)
+    if f is not None:
+        g += f(u_prev)
+    u = data.u0 + dt * data.u1 - 0.5 * dt * dt * g
+    inner[1] = u
+    new, dt2 = np.empty_like(u), np.full_like(u, dt * dt)
     for s in range(1, n_t, MARCH_SLAB):  # steps s .. s + MARCH_SLAB - 1
         with np.errstate(over="ignore", invalid="ignore"):  # checked per slab
             for n in range(s, min(s + MARCH_SLAB, n_t)):
                 r = n - t0
-                force(r, u, g)
-                g *= dt * dt
-                np.multiply(u, 2.0, out=new)
+                np.matmul(buf[r], stiff_t, out=g)
+                if f is not None:
+                    g += f(u)
+                g *= dt2
+                np.add(u, u, out=new)
                 new -= u_prev
                 new -= g
-                buf[r + 1, :, interior] = new
+                inner[r + 1] = new
                 u_prev, u, new = u, new, u_prev
-        _finite(buf[r + 1 + s - n : r + 2, :, interior], s + 1, dt)
+        _finite(inner[r + 1 + s - n : r + 2], s + 1, dt)
         if r + 2 == len(buf) and n + 1 < n_t:  # full: hand over, keep two
             yield buf
             buf[:2] = buf[-2:]
@@ -453,13 +454,11 @@ def solve_newmark(
     that do not fit, and aborts with the step index and the batch rows when
     the march produces non-finite values.
 
-    The step arithmetic of the module docstring is a contract with
-    `inversion.reaction_from_march`, which inverts it to read f back.
-    A fused step matrix 2I - dt^2 A is cheaper but not the same arithmetic:
-    at n_int = 48, n_t = 8192 it moved the trajectories by a few 1e-12 and
-    the recovered second term of f (invert-f, two terms) from 2.0e-4 to
-    3.7e-3 relative error, because the amplitude ladder divides the
-    reaction's roundoff by small rungs.
+    `inversion.reaction_from_march` reads f back up to the step's roundoff
+    over dt^2.  A fused step matrix 2I - dt^2 A is cheaper but rounds
+    otherwise: at n_int = 48, n_t = 8192 it moved the trajectories by a few
+    1e-12 and the recovered second term of f (invert-f) from 2.0e-4 to
+    3.7e-3 relative error, as the ladder divides that roundoff by small rungs.
     """
     (full,) = _march(op, grid, model, control, data, grid.n_t + 1)
     return full[:, 0] if np.ndim(control) < 3 else full.transpose(1, 0, 2)

@@ -25,8 +25,8 @@ continuation schedule as the linearization error shrinks.
 
 Expansion recovery peels a polyhomogeneous nonlinearity
 f(x, z) = sum_k b_k(x) |z|^(r_k) z from small-amplitude responses.  The
-explicit march makes the reaction samples f(x, u^n) recoverable exactly by
-residual differencing, so the scaled reaction
+explicit march makes the reaction samples f(x, u^n) recoverable to roundoff
+by residual differencing, so the scaled reaction
 
     S_k(eps) = [f(x, u_eps) - sum_(j<k) bhat_j |u_eps|^(r_j) u_eps] / eps^(1 + r_k)
 
@@ -218,7 +218,7 @@ def linear_response(
 
 def _readback(v: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
     """-d2 v - A v at the interior slices 1 .. m-2 of full-grid slices
-    v (m, ..., n_nodes), in the march's order of operations, bitwise."""
+    v (m, ..., n_nodes): the march's step solved for f, to roundoff."""
     vi = v[..., grid.interior_slice]
     out = 2.0 * vi[1:-1]
     np.subtract(vi[2:], out, out=out)
@@ -237,10 +237,10 @@ def reaction_from_march(
     """Bulk reaction samples -d2 u - A u (n_t - 1, n_int) implied by a
     full-grid central-difference trajectory u_full (n_t + 1, n_nodes).
 
-    For a trajectory produced by the explicit march the returned rows equal
-    f(x, u) at steps n = 1 .. n_t - 1 exactly, because the march defined
-    u^(n+1) through the same relation.  Endpoint rows are not recoverable
-    and are omitted.
+    For a trajectory of the explicit march the rows are f(x, u) at steps
+    n = 1 .. n_t - 1 up to the rounding of u^(n+1) over dt^2: 7.2e-13 at
+    n_t = 256, 8.1e-10 at n_t = 8192 for |f| <= 0.035 (invert-f's control).
+    Endpoint rows are not recoverable and are omitted.
     """
     return _readback(_trajectory(u_full, grid.n_nodes, grid), op, grid)
 

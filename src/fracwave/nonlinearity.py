@@ -1,4 +1,4 @@
-"""Odd power-type nonlinearities, and the discrete L^p norm.
+"""Odd power-type nonlinearities.
 
 A potential needs no type of its own: it is a float array with one finite
 value per interior node, checked where a solver takes it.  The semilinear
@@ -16,10 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "PolyNonlinearity",
-    "lp_norm",
-]
+__all__ = ["PolyNonlinearity"]
 
 
 @dataclass(frozen=True)
@@ -65,33 +62,36 @@ class PolyNonlinearity:
         return PolyNonlinearity((self.exponents[k],), self.coeffs[k][None, :])
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
-        """f(x, u) nodewise; u is (..., n_nodes).
+        """f(x, u) nodewise; u is (..., n_nodes) and is left unchanged.
 
-        Each term b |u|^r u is built in a buffer of its own, in place, and the
-        terms are summed in order.  The result is bitwise equal to the sum
-        0.0 + term_1 + term_2 + ..., signs of zero included: the first term
-        gets + 0.0, which turns a -0.0 into +0.0.  u is left unchanged.
+        This is `_bind(u.shape)` called once; the march binds f once and
+        calls it on its (B, n_int) rows every step.  At 9 x 48 values a
+        ufunc call costs more in dispatch than in arithmetic: 0.7-0.8 us
+        with operands of one shape, 1.0-1.1 us with a Python float, 1.6-1.9
+        us with a broadcast (n_nodes,) row (numpy 2.4, 2-core Xeon VM).  So
+        the binding broadcasts the coefficient rows once and sums from a row
+        of zeros.  Each term (|u|^r b) u is built in place on au**r (numpy's
+        ** sends r = 0.5 to sqrt and r = 1.0 to a copy, faster than
+        np.power).  The result is bitwise the sum 0.0 + term_1 + term_2 +
+        ..., signs of zero included: + 0.0 turns a -0.0 into +0.0.
         """
         u = np.asarray(u, dtype=float)
-        au = np.abs(u)
-        out = None
-        for r, b in zip(self.exponents, self.coeffs):
-            term = au**r
-            term *= b
-            term *= u
-            if out is None:
-                out = term
-                out += 0.0
-            else:
-                out += term
-        return out
+        return self._bind(u.shape)(u)
 
+    def _bind(self, shape: tuple[int, ...]):
+        """f on arrays of one shape (..., n_nodes); each call returns a new array."""
+        au, zero = np.empty(shape), np.zeros(shape)
+        rows = [(r, np.broadcast_to(b, shape).copy())
+                for r, b in zip(self.exponents, self.coeffs)]
 
-def lp_norm(v: np.ndarray, p: float, h: float) -> float:
-    """Discrete L^p norm (h sum |v|^p)^(1/p) on a uniform grid."""
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    v = np.asarray(v, dtype=float)
-    if np.isinf(p):
-        return float(np.max(np.abs(v)))
-    return float((h * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+        def f(u: np.ndarray) -> np.ndarray:
+            np.abs(u, out=au)
+            total = zero
+            for r, b in rows:
+                term = au**r
+                term *= b
+                term *= u
+                total = np.add(total, term, out=term)
+            return total
+
+        return f

@@ -111,3 +111,13 @@ def distributional_residual(u, data, source, q, phi, op, grid):
     if source is not None:
         rhs += st_inner(source, phi, grid)
     return abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
+
+
+def lp_norm(v, p, h):
+    """Discrete L^p norm (h sum |v|^p)^(1/p) on a uniform grid."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    v = np.asarray(v, dtype=float)
+    if np.isinf(p):
+        return float(np.max(np.abs(v)))
+    return float((h * np.sum(np.abs(v) ** p)) ** (1.0 / p))

@@ -318,6 +318,25 @@ def test_march_blowup_past_first_slab_names_first_bad_step():
             pass
 
 
+def test_march_binds_the_nonlinearity_once(monkeypatch):
+    """Each march builds one evaluator of f for its (B, n_int) rows and
+    steps with it; evaluate, which builds one per call, is not called per
+    step."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=2 * MARCH_SLAB + 5)
+    model = PolyNonlinearity((0.5, 1.0), np.ones((2, grid.n_int)))
+    calls = []
+    for name in ("_bind", "evaluate"):
+        original = getattr(PolyNonlinearity, name)
+        monkeypatch.setattr(PolyNonlinearity, name, lambda self, arg, name=name,
+                            original=original: calls.append(name) or original(self, arg))
+    controls = ladder_controls(grid, 3)
+    fw.solve_newmark(op, grid, model=model, control=controls)
+    assert calls == ["_bind"]
+    calls.clear()
+    assert len(list(fw.march_slabs(op, grid, model=model, control=controls[0]))) == 3
+    assert calls == ["_bind"]
+
+
 def test_picard_zero_potential_short_circuits():
     grid, op, basis = case(n_int=24, s=0.7, n_t=64)
     data, _, _ = mode_data(basis, 0)
