@@ -187,9 +187,10 @@ class _Artifacts:
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.dir / name
-        path.write_text(text)
+        data = text.encode()
+        path.write_bytes(data)
         self._created.append(path)
-        self.hashes[name] = sha256(path.read_bytes()).hexdigest()
+        self.hashes[name] = sha256(data).hexdigest()
         return path
 
     def write_json(self, name: str, payload) -> Path:

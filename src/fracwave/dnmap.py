@@ -28,18 +28,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cli import sha256  # the package's one SHA-256 binding, free of hashlib
 from .fields import _controls
 from .forward import SWEEP_SLAB, _sweep, trapezoid_weights
 from .fracop import FracOperator
 from .grid import Grid
-
-try:  # the interpreter's own SHA-256: hashlib would load OpenSSL for it
-    from _sha2 import sha256  # CPython >= 3.12
-except ImportError:
-    try:
-        from _sha256 import sha256  # CPython 3.10-3.11
-    except ImportError:
-        from hashlib import sha256
 
 __all__ = [
     "solve_exterior",

@@ -89,6 +89,12 @@ def time_window(grid: Grid, support: tuple[float, float] = _SUPPORT) -> np.ndarr
     return w
 
 
+def _phase(grid: Grid) -> np.ndarray:
+    """Time as a fraction of the control support, clipped to [0, 1]."""
+    a, b = _SUPPORT
+    return np.clip((grid.times() / grid.T - a) / (b - a), 0.0, 1.0)
+
+
 def tensor_control(
     grid: Grid,
     ext_index: int,
@@ -106,11 +112,8 @@ def tensor_control(
         raise ValueError(f"exterior index {ext_index} is outside the window mask")
     if freq < 1:
         raise ValueError(f"frequency must be >= 1, got {freq}")
-    a, b = _SUPPORT
-    t = grid.times() / grid.T
-    rho = np.clip((t - a) / (b - a), 0.0, 1.0)
     values = np.zeros((grid.n_t + 1, grid.n_ext))
-    values[:, ext_index] = amplitude * time_window(grid) * np.sin(freq * np.pi * rho)
+    values[:, ext_index] = amplitude * time_window(grid) * np.sin(freq * np.pi * _phase(grid))
     return _controls(values, grid)
 
 
@@ -124,8 +127,11 @@ def control_basis(grid: Grid, mask: np.ndarray, n_freqs: int) -> np.ndarray:
     if n_freqs < 1:
         raise ValueError(f"need at least one frequency, got n_freqs = {n_freqs}")
     mask = np.asarray(mask, dtype=bool)
-    return np.stack([
-        tensor_control(grid, int(idx), freq, mask=mask)
-        for idx in np.flatnonzero(mask)
-        for freq in range(1, n_freqs + 1)
-    ])
+    if mask.shape != (grid.n_ext,):
+        raise ValueError(f"window mask shape {mask.shape} is not ({grid.n_ext},)")
+    nodes = np.flatnonzero(mask)
+    freqs = np.arange(1, n_freqs + 1)[:, None]
+    profiles = time_window(grid) * np.sin(freqs * np.pi * _phase(grid))
+    values = np.zeros((nodes.size, n_freqs, grid.n_t + 1, grid.n_ext))
+    values[np.arange(nodes.size), :, :, nodes] = profiles
+    return _controls(values.reshape(-1, grid.n_t + 1, grid.n_ext), grid, (3,))

@@ -9,17 +9,22 @@ give (-Delta)^s u(x_i) ~ h^(-2s) sum_j g_|i-j| u(x_j), second order on
 smooth functions but of observed order 1 + s (1.69 at s = 0.7) on the
 Getoor profile (1 - y^2)_+^s, whose image is Gamma(2s+1) on (-1, 1) and
 whose dist(x, boundary)^s edge the paper's solutions share.  The
-generating symbol is (2 - 2 cos theta)^s, so weights of order s1 and s2
-convolve to weights of order s1+s2; orders above one are assembled by
-composing the integer 3-point Laplacian stencil with the fractional part,
-which on zero-extended data equals the direct order-s stencil.
+generating symbol is (2 - 2 cos theta)^s, so the same formula serves every
+order s > 0 that is not an integer above one.
 
-For j >= 1 and s in (0, 1) the reflection formula removes the Gamma poles:
+All weights come from one rule, the recurrence of Celik and Duman (J.
+Comput. Phys. 231 (2012) 1743-1750) for Ortigueira's fractional centred
+difference (Int. J. Math. Math. Sci. 2006, 48391):
 
-    g_j = -sin(pi s)/pi * exp(lgamma(2s+1) + lgamma(j-s) - lgamma(j+s+1))
+    g_0 = exp(lgamma(2s+1) - 2 lgamma(s+1)),   g_(j+1) = g_j (j - s) / (j + s + 1),
 
-so every Gamma evaluation happens through log-Gamma on positive arguments
-(no overflow for any j).  g_0 = exp(lgamma(2s+1) - 2 lgamma(s+1)).
+one cumulative product of the ratios.  The signs come out of the ratios:
+each ratio with j < s is negative, so the weights alternate up to
+g_(floor(s)+1) (g_0 > 0 > g_j for s < 1), and every later ratio lies in
+(0, 1), so the tail keeps its sign and decays like j^(-1-2s).  g_0 is the
+only Gamma evaluation, through log-Gamma at positive arguments; the
+product involves no Gamma pole, no large intermediate and no difference
+of nearly equal terms, so it neither overflows nor cancels.
 
 An assembled operator carries its interior eigenbasis (`FracOperator.basis`):
 the eigensolve runs on first use and its result is kept, so every solver
@@ -50,50 +55,27 @@ __all__ = [
 def centered_weights(s: float, j_max: int) -> np.ndarray:
     """One-sided fractional centered-difference weights g_0 .. g_j_max.
 
-    Requires 0 < s <= 1; s = 1 returns the exact 3-point stencil [2, -1, 0,
-    ...] and is intended as a calibration path against the classical
-    Laplacian.  The weights satisfy g_0 > 0 > g_j (j >= 1) and decay like
-    j^(-1-2s).
+    Any order s > 0 but the integers above one; s = 1 returns the exact
+    3-point stencil [2, -1, 0, ...], the calibration path against the
+    classical Laplacian.  For s < 1 the weights satisfy g_0 > 0 > g_j
+    (j >= 1); for every s they decay like j^(-1-2s).
     """
-    if not 0.0 < s <= 1.0:
-        raise ValueError(f"centered weights need s in (0, 1], got {s}")
+    s = float(s)
+    if not s > 0:
+        raise ValueError(f"order s must be positive, got {s}")
+    if s > 1 and s == math.floor(s):
+        raise ValueError(f"integer order s = {s} is rejected; use s = 1 or s not in N")
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    w = np.zeros(j_max + 1)
     if s == 1.0:
-        w[0] = 2.0
-        w[1] = -1.0
+        w = np.zeros(j_max + 1)
+        w[:2] = 2.0, -1.0
         return w
-    lg_top = math.lgamma(2 * s + 1)
-    w[0] = math.exp(lg_top - 2 * math.lgamma(s + 1))
-    log_mag = [
-        lg_top + math.lgamma(j - s) - math.lgamma(j + s + 1) for j in range(1, j_max + 1)
-    ]
-    w[1:] = -math.sin(math.pi * s) / math.pi * np.exp(log_mag)
-    return w
-
-
-def _composed_weights(s: float, j_max: int) -> np.ndarray:
-    """Weights for arbitrary order s > 0 via stencil composition.
-
-    For s <= 1 this is centered_weights directly.  For s > 1, not an
-    integer, the fractional part alpha = s - floor(s) is convolved with
-    floor(s) copies of the 3-point integer Laplacian stencil; on
-    zero-extended grid data the composition is exact and symmetric.
-    """
-    k = int(math.floor(s))
-    if s <= 1.0:
-        return centered_weights(s, j_max)
-    alpha = s - k
-    # extra reach so the convolution is exact up to offset j_max
-    reach = j_max + k
-    galpha = centered_weights(alpha, reach)
-    two_sided = np.concatenate([galpha[:0:-1], galpha])
-    lap = np.array([-1.0, 2.0, -1.0])
-    for _ in range(k):
-        two_sided = np.convolve(two_sided, lap)
-    center = reach + k
-    return two_sided[center : center + j_max + 1]
+    j = np.arange(j_max)
+    w = np.empty(j_max + 1)
+    w[0] = math.exp(math.lgamma(2 * s + 1) - 2 * math.lgamma(s + 1))
+    w[1:] = (j - s) / (j + s + 1)
+    return np.cumprod(w, out=w)
 
 
 @dataclass(frozen=True)
@@ -101,8 +83,8 @@ class FracOperator:
     """Assembled dense operator of order s on a specific grid.
 
     a_full acts on full-grid vectors (zero exterior extension built in);
-    a_int is the interior principal submatrix.  weights holds the composed
-    one-sided stencil.
+    a_int is the interior principal submatrix.  weights holds the one-sided
+    stencil g_0 .. g_j_max of `centered_weights`, unscaled.
     """
 
     s: float
@@ -128,14 +110,9 @@ def assemble_operator(grid: Grid, s: float) -> FracOperator:
     is symmetric positive definite (checked by Cholesky).
     """
     s = float(s)
-    if not s > 0:
-        raise ValueError(f"order s must be positive, got {s}")
-    if s > 1 and s == math.floor(s):
-        raise ValueError(f"integer order s = {s} is rejected; use s = 1 or s not in N")
-
     offsets = grid.integer_offsets
     j_max = int(offsets[-1] - offsets[0])
-    w = _composed_weights(s, j_max)
+    w = centered_weights(s, j_max)
 
     scale = grid.h ** (-2.0 * s)
     offs = np.abs(offsets[:, None] - offsets[None, :])

@@ -14,6 +14,7 @@ The two sides of the energy estimate that the `energy` check compares,
 """
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable
 
@@ -116,7 +117,16 @@ def _setups() -> Setup:
 def check_weights(rng: random.Random, setup: Setup) -> dict:
     w = centered_weights(0.5, 40)
     closed_form_gap = abs(w[0] - 4.0 / np.pi)
-    # three-term recurrence g_{j+1} = g_j (j - s) / (j + s + 1)
+    # the direct Gamma quotient, an oracle independent of the recurrence
+    # (no argument hits a pole for j <= 30 at these orders)
+    for s in (0.3, 0.5, 0.8, 1.5):
+        g = centered_weights(s, 30)
+        quotient = [
+            (-1) ** j * math.gamma(2 * s + 1) / (math.gamma(s - j + 1) * math.gamma(s + j + 1))
+            for j in range(31)
+        ]
+        closed_form_gap = max(closed_form_gap, float(np.max(np.abs(g - quotient))))
+    # the rule the weights are built by, g_{j+1} = g_j (j - s) / (j + s + 1)
     rec_gap = 0.0
     for s in (0.3, 0.5, 0.8):
         g = centered_weights(s, 60)

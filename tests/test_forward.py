@@ -633,6 +633,20 @@ def test_control_guards(spoil, message):
             enter()
 
 
+@pytest.mark.parametrize("window, n_freqs", [(1, 1), (2, 3)])
+def test_control_basis_stacks_tensor_controls(window, n_freqs):
+    """A basis is the node-major stack of its single-node controls, bit for
+    bit, and its mask must cover the exterior nodes."""
+    grid, _, _ = case(n_int=16, s=0.7, n_t=64)
+    mask = grid.w_mask(window)
+    stack = np.stack([fw.tensor_control(grid, int(i), f, mask=mask)
+                      for i in np.flatnonzero(mask) for f in range(1, n_freqs + 1)])
+    basis = fw.control_basis(grid, mask, n_freqs)
+    assert basis.shape == stack.shape and basis.tobytes() == stack.tobytes()
+    with pytest.raises(ValueError, match="window mask shape"):
+        fw.control_basis(grid, mask[:-1], n_freqs)
+
+
 @pytest.mark.parametrize(
     "entry",
     ["forward_map", "dn_matrix", "solve_exterior", "approximate_target", "solve_newmark",
