@@ -411,7 +411,7 @@ def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
         grid, cfg["invf.node"], cfg["invf.freq"], mask=grid.w_mask(1)
     )
     est = recover_expansion(
-        lambda c: march_slabs(op, grid, model=truth, control=c),
+        lambda eps, c: march_slabs(op, grid, model=truth, control=c, amplitudes=eps),
         control,
         exponents,
         op,

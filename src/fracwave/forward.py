@@ -43,16 +43,17 @@ Time stepping route.  An explicit central-difference (Stormer-Verlet) march
 on the full grid is the one solve of u'' + A u + f(x, u) = 0, and with f
 absent an oracle for the modal solver, under the CFL restriction
 dt <= 2 / sqrt(lambda_max (1 + CFL_MARGIN)).  It always advances a batch:
-the states of B exterior controls live in one time-major
-(slices, B, n_nodes) buffer and each step costs one (B, n_nodes) product
-with the interior rows of A, so an amplitude ladder or a control basis is
-one march.  `solve_newmark` gives it n_t+1 slices; `march_slabs` gives it
-MARCH_SLAB + 2 and hands them over each time they fill, keeping the two
-the next step needs, so a time reduction streams.  Both step in slabs of
-MARCH_SLAB steps with numpy's overflow and invalid warnings muted, and
-check each slab once for non-finite values: these persist, so the slab's
-last slice shows them, and only then are its new slices scanned for the
-first bad step.  The last two interior states roll through contiguous
+the states of R amplitudes times C exterior controls, B = R C rows, live
+in one time-major (slices, B, n_nodes) buffer whose exterior columns each
+slab fills with one product, so an amplitude ladder is one march with no
+scaled control stack, and each step costs one (B, n_nodes) product with
+the interior rows of A.  `solve_newmark` gives it n_t+1 slices; `march_slabs`
+gives it MARCH_SLAB + 2 and hands them over each time they fill, keeping
+the two the next step needs, so a time reduction streams.  Both step in
+slabs of MARCH_SLAB steps with numpy's overflow and invalid warnings muted,
+and check each slab once for non-finite values: these persist, so the
+slab's last slice shows them, and only then are its new slices scanned for
+the first bad step.  The last two interior states roll through contiguous
 (B, n_int) buffers and each step works in place in one force buffer
 
     g = dt^2 (A u + f(x, u)),    u_new = (u + u) - u_prev - g,
@@ -361,7 +362,7 @@ def newmark_dt_bound(op: FracOperator) -> float:
     return 2.0 / np.sqrt(lam_max * (1.0 + CFL_MARGIN))
 
 
-def _march(op, grid, model, control, data, span):
+def _march(op, grid, model, control, data, span, amplitudes):
     """The march of `solve_newmark`'s arguments through a reused buffer of
     span time slices, as a generator; its checks run on the first slab.
     It hands the buffer over only as a block of MARCH_SLAB steps ends, so
@@ -380,19 +381,22 @@ def _march(op, grid, model, control, data, span):
     if data is None:
         data = CauchyData.zero(grid.n_int)
     _check_data(data, grid)
-    if control is None:
-        control = np.zeros((grid.n_t + 1, grid.n_ext))
-    values = _controls(control, grid)
-    values = values.reshape(-1, *values.shape[-2:]).transpose(1, 0, 2)  # time-major
+    values = _controls(np.zeros((grid.n_t + 1, grid.n_ext)) if control is None else control, grid)
+    values = values.reshape(-1, *values.shape[-2:]).transpose(1, 0, 2)[:, None]  # time-major
+    amps = np.asarray((1.0,) if amplitudes is None else amplitudes, dtype=float)
+    if amps.ndim != 1 or not amps.size or not np.isfinite(amps).all():
+        raise ValueError(f"amplitudes must be a nonempty 1-d finite array, got shape {amps.shape}")
+    amps = amps[:, None, None]
 
     n_t, ext = grid.n_t, grid.exterior_indices
-    buf = np.empty((min(span, n_t + 1), values.shape[1], grid.n_nodes))
+    buf = np.empty((min(span, n_t + 1), amps.size * values.shape[2], grid.n_nodes))
+    rows = buf.reshape(len(buf), amps.size, -1, grid.n_nodes)  # row r C + c: amps[r] control c
     inner = buf[:, :, grid.interior_slice]
     stiff_t = op.a_full[grid.interior_slice].T  # (n_nodes, n_int): rows of A on the interior
     f = None if model is None else model._bind(inner.shape[1:])
 
     t0 = 0  # the step held in buffer row 0
-    buf[:, :, ext] = values[: len(buf)]
+    rows[..., ext] = amps * values[: len(buf)]
     inner[0] = data.u0
     u_prev = inner[0].copy()  # rolling contiguous (B, n_int) rows
     g = np.matmul(buf[0], stiff_t)  # A u + f(x, u)
@@ -419,19 +423,19 @@ def _march(op, grid, model, control, data, span):
             yield buf
             buf[:2] = buf[-2:]
             t0 = n
-            buf[2 : n_t + 1 - n, :, ext] = values[n + 2 : n + len(buf)]
+            rows[2 : n_t + 1 - n, ..., ext] = amps * values[n + 2 : n + len(buf)]
     yield buf[: n_t + 1 - t0]
 
 
-def march_slabs(op, grid, model=None, control=None, data=None):
+def march_slabs(op, grid, model=None, control=None, data=None, amplitudes=None):
     """`solve_newmark`'s march (same arguments) as time-major (m, B, n_nodes)
-    views of one reused (MARCH_SLAB + 2, B, n_nodes) buffer, B = 1 for one
-    control or none.  Each slab after the first starts with the last two
-    slices of the one before, the last ends at slice n_t, and joined without
-    the repeats they are `solve_newmark`'s output bit for bit.  The checks
-    run when the first slab is asked for, and a slab is overwritten when the
-    next is."""
-    return _march(op, grid, model, control, data, MARCH_SLAB + 2)
+    views of one reused (MARCH_SLAB + 2, B, n_nodes) buffer, B rows in
+    `solve_newmark`'s order.  Each slab after the first starts with the last
+    two slices of the one before, the last ends at slice n_t, and joined
+    without the repeats they are `solve_newmark`'s output bit for bit.  The
+    checks run when the first slab is asked for, and a slab is overwritten
+    when the next is."""
+    return _march(op, grid, model, control, data, MARCH_SLAB + 2, amplitudes)
 
 
 def solve_newmark(
@@ -440,6 +444,7 @@ def solve_newmark(
     model: PolyNonlinearity | None = None,
     control: np.ndarray | None = None,
     data: CauchyData | None = None,
+    amplitudes: np.ndarray | None = None,
 ) -> np.ndarray:
     """Explicit central-difference march of u'' + A u + f(x, u) = 0 on the
     full grid; model is the nonlinearity f (None: f = 0).
@@ -447,12 +452,14 @@ def solve_newmark(
     Exterior nodes follow the control (zero when absent); interior nodes
     start from the Cauchy data with a second-order startup step.  One
     control (n_t+1, n_ext), or None, returns its full-grid trajectory
-    (n_t+1, n_nodes); a stack of B controls (B, n_t+1, n_ext) is marched as
-    one batch, sharing the model and data, and returns the
-    (B, n_t+1, n_nodes) trajectories in control order, a view of the batch
-    buffer.  Raises on CFL violation and on a model, Cauchy data or controls
-    that do not fit, and aborts with the step index and the batch rows when
-    the march produces non-finite values.
+    (n_t+1, n_nodes).  A stack of C controls (C, n_t+1, n_ext), or
+    amplitudes (R,) that scale the control(s) (None: (1.0,)), is marched as
+    one batch sharing the model and data, and returns the R C trajectories
+    (R C, n_t+1, n_nodes), row r C + c for amplitudes[r] times control c,
+    a view of the batch buffer.  Raises on CFL violation and on a model,
+    Cauchy data, controls or amplitudes that do not fit, and aborts with
+    the step index and the batch rows when the march produces non-finite
+    values.
 
     `inversion.reaction_from_march` reads f back up to the step's roundoff
     over dt^2.  A fused step matrix 2I - dt^2 A is cheaper but rounds
@@ -460,8 +467,8 @@ def solve_newmark(
     1e-12 and the recovered second term of f (invert-f) from 2.0e-4 to
     3.7e-3 relative error, as the ladder divides that roundoff by small rungs.
     """
-    (full,) = _march(op, grid, model, control, data, grid.n_t + 1)
-    return full[:, 0] if np.ndim(control) < 3 else full.transpose(1, 0, 2)
+    (full,) = _march(op, grid, model, control, data, grid.n_t + 1, amplitudes)
+    return full[:, 0] if np.ndim(control) < 3 and amplitudes is None else full.transpose(1, 0, 2)
 
 
 def very_weak_residual(

@@ -114,7 +114,10 @@ def assemble_operator(grid: Grid, s: float) -> FracOperator:
     j_max = int(offsets[-1] - offsets[0])
     w = centered_weights(s, j_max)
 
-    scale = grid.h ** (-2.0 * s)
+    try:
+        scale = grid.h ** (-2.0 * s)
+    except OverflowError:
+        raise ValueError(f"operator scale h^(-2s) overflows at s = {s}, h = {grid.h}") from None
     offs = np.abs(offsets[:, None] - offsets[None, :])
     a_full = scale * w[offs]  # symmetric bit for bit: entries depend on |i - j|
     a_int = a_full[grid.interior_slice, grid.interior_slice]

@@ -38,12 +38,13 @@ squares fit against |v|^(r_k) v on sufficiently excited rows.  Both steps
 are linear in the samples: the limit is a fixed combination of the rungs
 and the fit a time sum, in which the earlier profiles bhat_j(x) factor
 out.  The ladder, eps * control for each rung, is measured in one call
-that returns all rungs in time slabs; each slab is reduced, as it
-arrives, to per-node moments against the masked regressors (of its
-reaction and of |u_eps|^(r_j) u_eps), which are formed for that slab from
-the held interior linear response v, and extrapolation and peeling run
-on (rungs, nodes) arrays, so neither a trajectory nor a regressor stack
-is held.
+that takes the rungs and the one control, so no scaled control stack
+exists, and returns all rungs in time slabs; each slab is reduced, as it
+arrives and through two reused slab buffers, to per-node moments against
+the masked regressors (of its reaction and of |u_eps|^(r_j) u_eps),
+which are formed for that slab from the held interior linear response v,
+and extrapolation and peeling run on (rungs, nodes) arrays, so neither a
+trajectory nor a regressor stack is held.
 """
 from __future__ import annotations
 
@@ -72,9 +73,7 @@ __all__ = [
 # ---------------------------------------------------------------- potentials
 
 
-def _tsvd_solve(
-    rows: np.ndarray, rhs: np.ndarray, cutoff: float
-) -> tuple[np.ndarray, float, int]:
+def _tsvd_solve(rows: np.ndarray, rhs: np.ndarray, cutoff: float) -> tuple[np.ndarray, float, int]:
     """Equilibrated truncated-SVD least squares.
 
     Rows are scaled to unit norm (right-hand entries alongside), singular
@@ -196,11 +195,7 @@ def recover_potential(
 # ------------------------------------------------------------- nonlinearity
 
 
-def linear_response(
-    control: np.ndarray,
-    op: FracOperator,
-    grid: Grid,
-) -> np.ndarray:
+def linear_response(control: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
     """Interior trajectory of the linear (f = 0) problem driven by the
     control: the first-order term of the small-amplitude expansion.
 
@@ -216,24 +211,21 @@ def linear_response(
     return v
 
 
-def _readback(v: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
+def _readback(v, op, grid, out=None, work=None):
     """-d2 v - A v at the interior slices 1 .. m-2 of full-grid slices
-    v (m, ..., n_nodes): the march's step solved for f, to roundoff."""
+    v (m, ..., n_nodes), in out (new if None) with A v in work: the march's
+    step solved for f, to roundoff."""
     vi = v[..., grid.interior_slice]
-    out = 2.0 * vi[1:-1]
+    out = np.multiply(vi[1:-1], 2.0, out=out)
     np.subtract(vi[2:], out, out=out)
     out += vi[:-2]
     out /= grid.dt**2
     np.negative(out, out=out)
-    out -= v[1:-1] @ op.a_full[:, grid.interior_slice]
+    out -= np.matmul(v[1:-1], op.a_full[:, grid.interior_slice], out=work)
     return out
 
 
-def reaction_from_march(
-    u_full: np.ndarray,
-    op: FracOperator,
-    grid: Grid,
-) -> np.ndarray:
+def reaction_from_march(u_full: np.ndarray, op: FracOperator, grid: Grid) -> np.ndarray:
     """Bulk reaction samples -d2 u - A u (n_t - 1, n_int) implied by a
     full-grid central-difference trajectory u_full (n_t + 1, n_nodes).
 
@@ -280,16 +272,14 @@ def extrapolate_powers(
     return limit, rms, cond
 
 
-def _regressors(
-    v_rows: np.ndarray, exponents: tuple[float, ...], floor: float
-) -> np.ndarray:
+def _regressors(v_rows: np.ndarray, exponents: tuple[float, ...], floor: float) -> np.ndarray:
     """Masked regressors |v|^r v, one per exponent, stacked on a leading
     axis; zero on rows where |v| falls below floor."""
     mag = np.abs(v_rows)
     g = np.empty((len(exponents), *v_rows.shape))
     for k, r in enumerate(exponents):
         np.multiply(mag**r, v_rows, out=g[k])
-    g[:, mag < floor] = 0.0
+    np.copyto(g, 0.0, where=mag < floor)
     return g
 
 
@@ -301,13 +291,9 @@ def _solve_nodes(sg: np.ndarray, gsq: np.ndarray) -> tuple[np.ndarray, np.ndarra
     informative = gsq > 0.0
     if not informative.any():
         raise np.linalg.LinAlgError("control never excites the domain above the floor")
-    b = np.zeros(gsq.shape)
-    b[informative] = sg[informative] / gsq[informative]
-    if not informative.all():
-        idx = np.where(informative)[0]
-        for j in np.where(~informative)[0]:
-            b[j] = b[idx[np.argmin(np.abs(idx - j))]]
-    return b, informative
+    idx = np.flatnonzero(informative)  # the nearest informative node, the lower on a tie
+    near = idx[np.abs(idx - np.arange(gsq.size)[:, None]).argmin(axis=1)]
+    return sg[near] / gsq[near], informative
 
 
 @dataclass(frozen=True)
@@ -329,7 +315,7 @@ class ExpansionEstimate:
 
 
 def recover_expansion(
-    measure: Callable[[np.ndarray], Iterable[np.ndarray]],
+    measure: Callable[[np.ndarray, np.ndarray], Iterable[np.ndarray]],
     control: np.ndarray,
     exponents: tuple[float, ...],
     op: FracOperator,
@@ -341,10 +327,10 @@ def recover_expansion(
     """Peel the coefficient profiles of a polyhomogeneous nonlinearity from
     measured small-amplitude responses.
 
-    control is one (n_t + 1, n_ext) array.  measure takes the
-    (rungs, n_t + 1, n_ext) stack of ladder controls (the control scaled by
-    each rung, largest first) and returns the full-grid trajectories of the
-    unknown model as an iterable of time-major slabs (m, rungs, n_nodes),
+    control is one (n_t + 1, n_ext) array.  measure(amplitudes, control)
+    takes the rungs (largest first) and the checked control and returns
+    the full-grid trajectories of the unknown model under each rung times
+    the control as an iterable of time-major slabs (m, rungs, n_nodes),
     rungs in the same order; it is called once.  Each slab after the first
     starts with the last two slices of the one before and the last ends at
     slice n_t, as `forward.march_slabs` yields them for a synthetic study (a
@@ -386,7 +372,8 @@ def recover_expansion(
     peels = np.zeros((n_terms, n_terms, n_rungs, grid.n_int))
     sq = np.zeros(n_rungs)  # squared norms of the stage-1 reactions
     t0, tail = 0, None  # t0: the slice the next slab starts at
-    for slab in measure(eps_arr[:, None, None] * control):
+    react = work = np.empty(0)  # (m - 2, rungs, n_int): reaction; A v, then |s|^r s
+    for slab in measure(eps_arr, control):
         slab = np.asarray(slab, dtype=float)
         m = slab.shape[0] if slab.ndim == 3 else 0
         if slab.shape[1:] != (n_rungs, grid.n_nodes) or not 2 < m <= grid.n_t + 1 - t0:
@@ -396,14 +383,19 @@ def recover_expansion(
             raise ValueError(f"measured trajectory slab at slice {t0} is not finite")
         if tail is not None and not np.array_equal(slab[:2], tail):
             raise ValueError(f"measured trajectory slab at slice {t0} breaks the overlap")
-        reaction = _readback(slab, op, grid)  # (m - 2, rungs, n_int)
+        if len(react) < m - 2:
+            react, work = np.empty((2, m - 2, n_rungs, grid.n_int))
+        reaction = _readback(slab, op, grid, react[: m - 2], work[: m - 2])
         rows = _regressors(v[t0 + 1 : t0 + m - 1], exps, floor)
         gram += np.einsum("ktx,ktx->kx", rows, rows)
         sq += np.einsum("tix,tix->i", reaction, reaction)
         fits += np.einsum("ktx,tix->kix", rows, reaction)
         s = slab[1:-1, :, grid.interior_slice]
         for j, r_j in enumerate(exps[:-1]):
-            peels[j + 1 :, j] += np.einsum("ktx,tix->kix", rows[j + 1 :], np.abs(s) ** r_j * s)
+            power = np.abs(s, out=work[: m - 2])
+            power **= r_j  # **= keeps numpy's sqrt path for r = 0.5, as the march's f does
+            power *= s
+            peels[j + 1 :, j] += np.einsum("ktx,tix->kix", rows[j + 1 :], power)
         tail = slab[-2:].copy()
         t0 += m - 2
     if t0 + 1 != grid.n_t:

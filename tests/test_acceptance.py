@@ -294,7 +294,7 @@ def test_c11_two_term_expansion_recovered(expansion_setup):
     independent amplitude ladders agree within the sum of their reported
     per-term errors."""
     grid, op, basis, model, control, profiles = expansion_setup
-    measure = lambda c: march_slabs(op, grid, model=model, control=c)
+    measure = lambda eps, c: march_slabs(op, grid, model=model, control=c, amplitudes=eps)
     ladder_a = tuple(2.0 ** -k for k in range(3, 10))
     ladder_b = tuple(0.75 * 2.0 ** -k for k in range(3, 10))
     est_a = recover_expansion(measure, control, (0.5, 1.0), op, grid,

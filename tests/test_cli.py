@@ -101,6 +101,7 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("dn", "domain.w1=0,1,9", "outside collar"),
         ("eig", "domain.n_int=1", "n_int must be"),
         ("solve", "operator.s=2.0", "integer order"),
+        ("eig", "operator.s=100.5", "h^(-2s) overflows at s = 100.5"),
         ("solve", "time.n_t=4", "control must vanish"),
         ("invert-q", "invq.cutoffs=2.0", "cutoffs must lie"),
         ("invert-q", "invq.cutoffs=", "cutoff schedule is empty"),
@@ -126,7 +127,7 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("invert-f", "invf.exponents=;invf.amps=", "at least one term"),
         ("verify", "verify.checks=,", "no checks named"),
     ],
-    ids=["cfl", "window", "n_int", "order", "control", "cutoff", "no_cutoffs",
+    ids=["cfl", "window", "n_int", "order", "scale_overflow", "control", "cutoff", "no_cutoffs",
          "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
          "window_number", "node", "invf_node", "negative_node", "node_off_window",
          "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp", "model_kind",

@@ -300,6 +300,56 @@ def test_march_slabs_keep_guards():
             pass
 
 
+@pytest.mark.parametrize(
+    "n_controls, amplitudes",
+    [(1, (0.375,)), (1, (0.5, 2.0**-7, 1e-3)), (2, (0.75, 0.25, 0.1))],
+    ids=["one_rung", "one_control", "two_controls"],
+)
+def test_amplitude_batch_is_the_stack_in_memory(n_controls, amplitudes):
+    """Amplitudes times a control, or times each control of a stack, march
+    bit for bit as that stack built in memory, rung-major (row r C + c is
+    amplitude r times control c), in solve_newmark and in march_slabs."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=2 * MARCH_SLAB + 37)
+    x = grid.interior_coords
+    two_term = PolyNonlinearity((0.5, 1.0), np.stack([2.0 + np.cos(np.pi * x), 1.0 + x]))
+    basis_controls = fw.control_basis(grid, grid.w_mask(1), 2)[[0, 3]]  # two nodes
+    control = basis_controls[0] if n_controls == 1 else basis_controls
+    eps = np.asarray(amplitudes)[:, None, None, None]
+    stack = (eps * basis_controls[None, :n_controls]).reshape(-1, grid.n_t + 1, grid.n_ext)
+    kwargs = dict(model=two_term, control=control, amplitudes=amplitudes)
+    expected = fw.solve_newmark(op, grid, model=two_term, control=stack)
+    marched = fw.solve_newmark(op, grid, **kwargs)
+    assert marched.shape == expected.shape == (len(stack), grid.n_t + 1, grid.n_nodes)
+    assert marched.tobytes() == expected.tobytes()
+    slabs = [slab.copy() for slab in fw.march_slabs(op, grid, **kwargs)]
+    joined = np.concatenate([slabs[0]] + [slab[2:] for slab in slabs[1:]])
+    assert joined.transpose(1, 0, 2).tobytes() == expected.tobytes()
+
+
+def test_amplitudes_none_is_one():
+    """amplitudes=None marches the controls as they are, which is bit for
+    bit amplitudes=(1.0,): x * 1.0 = x."""
+    grid, op, basis = case(n_int=16, s=0.7, n_t=300)
+    model = PolyNonlinearity.single(1.0, 1.0, n_nodes=grid.n_int)
+    for control in (ladder_controls(grid, 1)[0], np.stack(ladder_controls(grid, 3))):
+        plain = fw.solve_newmark(op, grid, model=model, control=control)
+        unit = fw.solve_newmark(op, grid, model=model, control=control, amplitudes=(1.0,))
+        assert unit.reshape(plain.shape).tobytes() == plain.tobytes()
+
+
+@pytest.mark.parametrize(
+    "amplitudes", [(), [[0.5]], 0.5, (0.5, np.nan), (np.inf,)],
+    ids=["empty", "two_dim", "scalar", "nan", "inf"],
+)
+def test_amplitudes_guard(amplitudes):
+    grid, op, basis = case(n_int=16, s=0.7, n_t=64)
+    (control,) = ladder_controls(grid, 1)
+    with pytest.raises(ValueError, match="amplitudes must be a nonempty 1-d finite array"):
+        fw.solve_newmark(op, grid, control=control, amplitudes=amplitudes)
+    with pytest.raises(ValueError, match="amplitudes must be a nonempty 1-d finite array"):
+        next(fw.march_slabs(op, grid, control=control, amplitudes=amplitudes))
+
+
 def test_march_blowup_past_first_slab_names_first_bad_step():
     """Finiteness is checked once per slab of MARCH_SLAB steps, yet a blowup
     in a later slab still names its first non-finite step and batch rows,
@@ -625,7 +675,7 @@ def test_control_guards(spoil, message):
         lambda: fw.dn_matrix(op, grid, good, bad[None]),
         lambda: fw.approximate_target(np.zeros((grid.n_t + 1, grid.n_int)), bad[None],
                                       op, grid, (1e-6,)),
-        lambda: fw.recover_expansion(lambda cs: pytest.fail("measured"), bad, (1.0,),
+        lambda: fw.recover_expansion(lambda eps, c: pytest.fail("measured"), bad, (1.0,),
                                      op, grid, eps_ladder=(0.5, 0.25)),
     ]
     for enter in entries:
@@ -767,7 +817,8 @@ def test_trajectory_guards(guard):
         "wrong_n_t": lambda: fw.reaction_from_march(full[:-1], op, grid),
         "nan_entry": lambda: dn_trace(holed, op, grid),
         "measure_interior": lambda: fw.recover_expansion(
-            lambda cs: (grid.restrict(s) for s in fw.march_slabs(op, grid, control=cs)),
+            lambda eps, c: (grid.restrict(s)
+                            for s in fw.march_slabs(op, grid, control=c, amplitudes=eps)),
             control, (0.5,), op, grid, eps_ladder=(0.25, 0.125),
         ),
     }

@@ -471,7 +471,7 @@ def test_recover_expansion_single_term(fast_case):
     profile = 2.0 * (1 + 0.3 * np.cos(np.pi * x))
     model = fw.PolyNonlinearity((0.5,), profile[None, :])
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: march_slabs(op, grid, model=model, control=c)
+    measure = lambda eps, c: march_slabs(op, grid, model=model, control=c, amplitudes=eps)
     ladder = tuple(2.0**-k for k in range(3, 9))
     est = inv.recover_expansion(measure, control, (0.5,), op, grid,
                                 eps_ladder=ladder)
@@ -493,7 +493,7 @@ def test_recover_expansion_reports_unresolved_stages(fast_case):
     x = grid.interior_coords
     model = fw.PolyNonlinearity((0.5,), (2.0 * (1 + 0.3 * np.cos(np.pi * x)))[None, :])
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: march_slabs(op, grid, model=model, control=c)
+    measure = lambda eps, c: march_slabs(op, grid, model=model, control=c, amplitudes=eps)
     est = inv.recover_expansion(measure, control, (0.5, 1.0, 1.5),
                                 op, grid, eps_ladder=(0.125, 0.0625))
     assert est.resolved == (True, False, False)
@@ -506,7 +506,7 @@ def test_recover_expansion_zero_model_yields_zero_coefficients(fast_case):
     grid, op, basis = fast_case
     model = fw.PolyNonlinearity((0.5,), np.zeros((1, grid.n_int)))
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: march_slabs(op, grid, model=model, control=c)
+    measure = lambda eps, c: march_slabs(op, grid, model=model, control=c, amplitudes=eps)
     ladder = tuple(2.0**-k for k in range(3, 9))
     est = inv.recover_expansion(measure, control, (0.5,), op, grid,
                                 eps_ladder=ladder)
@@ -516,7 +516,7 @@ def test_recover_expansion_zero_model_yields_zero_coefficients(fast_case):
 def test_recover_expansion_validates_arguments(fast_case):
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda c: march_slabs(op, grid, control=c)
+    measure = lambda eps, c: march_slabs(op, grid, control=c, amplitudes=eps)
     with pytest.raises(ValueError, match="strictly increasing"):
         inv.recover_expansion(measure, control, (1.0, 0.5), op, grid,
                               eps_ladder=(0.25, 0.125))
@@ -541,7 +541,7 @@ def test_recover_expansion_rejects_repeated_rungs(fast_case, ladder):
     sub-ladders identical, so the self-reported error would read 0."""
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda cs: march_slabs(op, grid, control=cs)
+    measure = lambda eps, c: march_slabs(op, grid, control=c, amplitudes=eps)
     with pytest.raises(ValueError, match="repeats a rung"):
         inv.recover_expansion(measure, control, (0.5,), op, grid,
                               eps_ladder=ladder)
@@ -553,7 +553,7 @@ def test_recover_expansion_detects_noise_floor(fast_case):
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     frozen = solve_newmark(op, grid, control=control)
-    measure = lambda cs: [np.stack([frozen] * len(cs), axis=1)]  # one slab
+    measure = lambda eps, c: [np.stack([frozen] * len(eps), axis=1)]  # one slab
     ladder = tuple(2.0**-k for k in range(3, 8))
     with pytest.raises(ValueError, match="diverge"):
         inv.recover_expansion(measure, control, (0.5,), op, grid,
@@ -581,9 +581,9 @@ def test_recover_expansion_checks_measured_slabs(fast_case, spoil, message):
     or break the overlap, and a non-finite slab raise ValueError."""
     grid, op, basis = fast_case
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    stack = lambda cs: solve_newmark(op, grid, control=cs).transpose(1, 0, 2)
+    stack = lambda eps, c: solve_newmark(op, grid, control=c, amplitudes=eps).transpose(1, 0, 2)
     with pytest.raises(ValueError, match=message):
-        inv.recover_expansion(lambda cs: spoil(_tiles(stack(cs), 60)), control,
+        inv.recover_expansion(lambda eps, c: spoil(_tiles(stack(eps, c), 60)), control,
                               (0.5,), op, grid, eps_ladder=(0.25, 0.125))
 
 
@@ -594,13 +594,13 @@ def test_recover_expansion_any_overlapping_tiling(fast_case):
     model = fw.PolyNonlinearity((0.5,), _profiles(grid, 1))
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
     ladder = tuple(2.0 ** -k for k in range(3, 9))
-    stack = lambda cs: solve_newmark(op, grid, model=model,
-                                     control=cs).transpose(1, 0, 2)
+    stack = lambda eps, c: solve_newmark(op, grid, model=model, control=c,
+                                         amplitudes=eps).transpose(1, 0, 2)
     run = lambda measure: inv.recover_expansion(measure, control, (0.5,), op,
                                                 grid, eps_ladder=ladder)
-    whole = run(lambda cs: [stack(cs)])
+    whole = run(lambda eps, c: [stack(eps, c)])
     for step in (1, 60, grid.n_t - 2):
-        tiled = run(lambda cs: _tiles(stack(cs), step))
+        tiled = run(lambda eps, c: _tiles(stack(eps, c), step))
         np.testing.assert_allclose(tiled.coeffs, whole.coeffs, rtol=1e-12, atol=0.0)
         assert tiled.errors == pytest.approx(whole.errors, rel=1e-9)
 
@@ -664,7 +664,7 @@ def test_recover_expansion_moments_match_sample_route(exps, n_t, ladder,
     grid, op, basis = case(n_int=48, s=0.7, n_t=n_t, T=1.0)
     model = fw.PolyNonlinearity(exps, _profiles(grid, len(exps)))
     control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
-    measure = lambda cs: march_slabs(op, grid, model=model, control=cs)
+    measure = lambda eps, c: march_slabs(op, grid, model=model, control=c, amplitudes=eps)
     est = inv.recover_expansion(measure, control, exps, op, grid,
                                 eps_ladder=ladder, floor_rel=floor_rel)
     coeffs, errors, masks, conds = _sample_route(model, control, exps, op,
@@ -693,10 +693,35 @@ def test_recover_expansion_streams_the_ladder():
     tracemalloc.start()
     try:
         est = inv.recover_expansion(
-            lambda cs: march_slabs(op, grid, model=model, control=cs),
+            lambda eps, c: march_slabs(op, grid, model=model, control=c, amplitudes=eps),
             control, (0.5, 1.0), op, grid, eps_ladder=ladder)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert est.resolved == (True, True)
     assert peak <= 0.6 * sample, f"peak {peak / sample:.2f}x one sample array"
+
+
+def test_recover_expansion_holds_no_ladder_stack():
+    """Doubling the ladder raises the traced peak of recover_expansion by
+    slab-sized buffers only, so by the same amount at n_t = 1024 and 4096;
+    a (rungs, n_t + 1, n_ext) ladder stack built in memory would add the
+    added rungs' 3072 extra slices between the two."""
+    rises = []
+    for n_t in (1024, 4096):
+        grid, op, basis = case(n_int=48, s=0.7, n_t=n_t, T=1.0)
+        model = fw.PolyNonlinearity((0.5, 1.0), _profiles(grid, 2))
+        control = fw.tensor_control(grid, 0, 1, mask=grid.w_mask(1))
+        measure = lambda eps, c: march_slabs(op, grid, model=model, control=c, amplitudes=eps)
+        peaks = []
+        for n_rungs in (6, 12):
+            ladder = tuple(2.0 ** (-3 - 0.5 * k) for k in range(n_rungs))
+            tracemalloc.start()
+            try:
+                inv.recover_expansion(measure, control, (0.5, 1.0), op, grid, eps_ladder=ladder)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        rises.append(peaks[1] - peaks[0])
+    stack = 6 * (4096 - 1024) * grid.n_ext * 8  # bytes
+    assert abs(rises[1] - rises[0]) < 0.25 * stack, f"rises {rises}, stack {stack}"
