@@ -57,52 +57,6 @@ _MODEL = {  # potential q0 + qcos cos(pi x^), x^ the interior scaled to [0, 1]
     "model.qcos": ("float", 0.0),
 }
 
-SCHEMAS: dict[str, dict[str, tuple]] = {
-    "eig": {**_COMMON},
-    "solve": {
-        **_COMMON,
-        **_MODEL,
-        "control.node": ("int", 0),
-        "control.freq": ("int", 1),
-        "control.amplitude": ("float", 1.0),
-        "control.window": ("int", 1),
-    },
-    "dn": {
-        **_COMMON,
-        **_MODEL,
-        "controls.freqs": ("int", 4),
-        "tests.freqs": ("int", 4),
-    },
-    "runge": {
-        **_COMMON,
-        **_MODEL,
-        "runge.freqs": ("int", 4),
-        "runge.alphas": ("float_list", tuple(10.0**-k for k in range(2, 11))),
-        "runge.target": ("str", "mode"),  # mode | bump
-        "runge.target_mode": ("int", 1),
-    },
-    "invert-q": {
-        **_COMMON,
-        "invq.freqs": ("int", 4),
-        "invq.cutoffs": ("float_list", (1e-2, 1e-3, 1e-4, 1e-5)),
-        "qtrue.q0": ("float", 1.0),
-        "qtrue.qcos": ("float", 0.5),
-        "noise.sigma": ("float", 0.0),
-    },
-    "invert-f": {
-        **_COMMON,
-        "invf.exponents": ("float_list", (0.5, 1.0)),
-        "invf.amps": ("float_list", (1.0, 0.8)),
-        "invf.eps_pow_min": ("int", 3),
-        "invf.eps_pow_max": ("int", 9),
-        "invf.node": ("int", 0),
-        "invf.freq": ("int", 1),
-        "invf.floor": ("float", 1e-3),
-    },
-    "verify": {"verify.checks": ("str", "all")},
-}
-
-
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -124,7 +78,6 @@ def _parse_value(kind: str, text: str, key: str):
             return tuple(_finite(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from None
-    raise ConfigError(f"unknown value kind {kind!r}")
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -144,7 +97,7 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
 
 def resolve_config(cmd: str, config_path: str | None, sets: list[str]) -> dict:
-    schema = SCHEMAS[cmd]
+    schema = PIPELINES[cmd][1]
     cfg = {k: default for k, (_, default) in schema.items()}
 
     def apply(key: str, text: str, origin: str):
@@ -226,11 +179,11 @@ def _build(cfg):
     return grid, op
 
 
-def _cosine_profile(grid, base: float, amp: float):
+def _cosine_profile(grid, base: float, amp: float, k: int = 1):
     import numpy as np
 
     xh = (grid.interior_coords - grid.x_min) / (grid.x_max - grid.x_min)
-    return base + amp * np.cos(np.pi * xh)
+    return base + amp * np.cos(k * np.pi * xh)
 
 
 def _run_eig(cfg, art, seed) -> tuple[int, dict]:
@@ -401,10 +354,7 @@ def _run_invert_f(cfg, art, seed) -> tuple[int, dict]:
             f"where 2^-p is a positive finite double; got {p_lo}, {p_hi}"
         )
     grid, op = _build(cfg)
-    xh = (grid.interior_coords - grid.x_min) / (grid.x_max - grid.x_min)
-    profiles = np.array(
-        [a * (1.0 + 0.3 * np.cos((k + 1) * np.pi * xh)) for k, a in enumerate(amps)]
-    )
+    profiles = np.array([a * _cosine_profile(grid, 1.0, 0.3, k + 1) for k, a in enumerate(amps)])
     truth = PolyNonlinearity(exponents, profiles)
 
     control = tensor_control(
@@ -457,14 +407,47 @@ def _run_verify(cfg, art, seed) -> tuple[int, dict]:
     return (0 if ok else 3), {"all_pass": ok}
 
 
-_RUNNERS = {
-    "eig": _run_eig,
-    "solve": _run_solve,
-    "dn": _run_dn,
-    "runge": _run_runge,
-    "invert-q": _run_invert_q,
-    "invert-f": _run_invert_f,
-    "verify": _run_verify,
+# command -> (runner, config schema: key -> (kind, default)), in --help order
+PIPELINES: dict[str, tuple] = {
+    "eig": (_run_eig, _COMMON),
+    "solve": (_run_solve, {
+        **_COMMON, **_MODEL,
+        "control.node": ("int", 0),
+        "control.freq": ("int", 1),
+        "control.amplitude": ("float", 1.0),
+        "control.window": ("int", 1),
+    }),
+    "dn": (_run_dn, {
+        **_COMMON, **_MODEL,
+        "controls.freqs": ("int", 4),
+        "tests.freqs": ("int", 4),
+    }),
+    "runge": (_run_runge, {
+        **_COMMON, **_MODEL,
+        "runge.freqs": ("int", 4),
+        "runge.alphas": ("float_list", tuple(10.0**-k for k in range(2, 11))),
+        "runge.target": ("str", "mode"),  # mode | bump
+        "runge.target_mode": ("int", 1),
+    }),
+    "invert-q": (_run_invert_q, {
+        **_COMMON,
+        "invq.freqs": ("int", 4),
+        "invq.cutoffs": ("float_list", (1e-2, 1e-3, 1e-4, 1e-5)),
+        "qtrue.q0": ("float", 1.0),
+        "qtrue.qcos": ("float", 0.5),
+        "noise.sigma": ("float", 0.0),
+    }),
+    "invert-f": (_run_invert_f, {
+        **_COMMON,
+        "invf.exponents": ("float_list", (0.5, 1.0)),
+        "invf.amps": ("float_list", (1.0, 0.8)),
+        "invf.eps_pow_min": ("int", 3),
+        "invf.eps_pow_max": ("int", 9),
+        "invf.node": ("int", 0),
+        "invf.freq": ("int", 1),
+        "invf.floor": ("float", 1e-3),
+    }),
+    "verify": (_run_verify, {"verify.checks": ("str", "all")}),
 }
 
 
@@ -475,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Nonlocal wave simulator and inverse-problem toolkit.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in _RUNNERS:
+    for name in PIPELINES:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", default=None, help="flat key = value config file")
         p.add_argument(
@@ -542,7 +525,7 @@ def _run(args) -> int:
 
     started = time.perf_counter()
     try:
-        code, extras = _RUNNERS[args.cmd](cfg, art, args.seed)
+        code, extras = PIPELINES[args.cmd][0](cfg, art, args.seed)
         elapsed = time.perf_counter() - started
         manifest = {
             "format": "fracwave-manifest/1",

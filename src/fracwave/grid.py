@@ -175,6 +175,10 @@ def build_grid(
         T=float(T),
         n_t=int(n_t),
     )
-    # n_t * dt must reproduce T to machine precision
-    assert abs(grid.n_t * grid.dt - grid.T) <= 4 * np.finfo(float).eps * grid.T
+    # normal floats: a subnormal step loses digits, and n_t * dt no longer gives T
+    tiny = np.finfo(float).tiny
+    if not tiny <= grid.h < np.inf:
+        raise ValueError(f"h = {grid.h} on [{x_min}, {x_max}] is not a finite normal float")
+    if not tiny <= grid.dt < np.inf:
+        raise ValueError(f"dt = T/n_t = {T}/{n_t} is not a finite normal float")
     return grid

@@ -149,8 +149,10 @@ def recover_potential(
     d_meas = np.asarray(measured, dtype=float)
     if d_meas.shape != (n_c, n_te):
         raise ValueError(f"measured matrix is {d_meas.shape}, basis is {(n_c, n_te)}")
-    if not np.isfinite(d_meas).all():
-        raise ValueError("measured matrix contains non-finite values")
+    with np.errstate(over="ignore"):  # an overflowing norm is as unusable as a NaN entry
+        denom = np.linalg.norm(d_meas) + 1e-300
+    if not np.isfinite(denom):
+        raise ValueError("measured matrix contains non-finite values or its norm overflows")
     schedule = tuple(float(c) for c in np.atleast_1d(cutoff))
     if not schedule:
         raise ValueError("cutoff schedule is empty")
@@ -162,7 +164,6 @@ def recover_potential(
     pairing = _pairing(controls, tests, op, grid)
 
     passes = []  # (increment, moment residual, rank, cutoff) of each accepted pass
-    denom = np.linalg.norm(d_meas) + 1e-300
     rows, d_model = _born(stack, n_c, q2, pairing, op, grid)
     delta = d_meas - d_model
     data_misfits = [float(np.linalg.norm(delta) / denom)]

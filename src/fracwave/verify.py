@@ -72,15 +72,6 @@ def data_energy(
 # (s, n_int, n_t, T) -> (grid, op); a check takes a seeded stdlib generator
 # and the setup factory of its batch
 Setup = Callable[..., tuple]
-CHECKS: dict[str, Callable[[random.Random, Setup], dict]] = {}
-
-
-def _register(name: str):
-    def deco(fn):
-        CHECKS[name] = fn
-        return fn
-
-    return deco
 
 
 def _normals(rng: random.Random, shape) -> np.ndarray:
@@ -113,7 +104,6 @@ def _setups() -> Setup:
     return setup
 
 
-@_register("weights")
 def check_weights(rng: random.Random, setup: Setup) -> dict:
     w = centered_weights(0.5, 40)
     closed_form_gap = abs(w[0] - 4.0 / np.pi)
@@ -136,7 +126,6 @@ def check_weights(rng: random.Random, setup: Setup) -> dict:
     return {"closed_form_gap": closed_form_gap, "recurrence_gap": rec_gap}
 
 
-@_register("operator_symmetry")
 def check_operator_symmetry(rng: random.Random, setup: Setup) -> dict:
     out = {}
     for s in (0.4, 1.0, 1.5):
@@ -146,7 +135,6 @@ def check_operator_symmetry(rng: random.Random, setup: Setup) -> dict:
     return out
 
 
-@_register("gram")
 def check_gram(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     basis = op.basis
@@ -158,7 +146,6 @@ def check_gram(rng: random.Random, setup: Setup) -> dict:
     return {"l2_gram_dev": dev_l2, "hs_gram_dev": dev_hs}
 
 
-@_register("dual_norm")
 def check_dual_norm(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     worst = 0.0
@@ -170,7 +157,6 @@ def check_dual_norm(rng: random.Random, setup: Setup) -> dict:
     return {"relative_gap": worst}
 
 
-@_register("duhamel")
 def check_duhamel(rng: random.Random, setup: Setup) -> dict:
     t = np.linspace(0.0, 1.0, 257)
     # one mode: c'' + 4 c = 0, c(0) = 1, c'(0) = 2, and c'' + c = 1 from rest
@@ -183,7 +169,6 @@ def check_duhamel(rng: random.Random, setup: Setup) -> dict:
     return {"free_gap": free_gap, "forced_gap": forced_gap}
 
 
-@_register("energy")
 def check_energy(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     basis = op.basis
@@ -199,7 +184,6 @@ def check_energy(rng: random.Random, setup: Setup) -> dict:
     return {"worst_slack": worst, "bound": bound}
 
 
-@_register("picard")
 def check_picard(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=256, T=0.5)
     basis = op.basis
@@ -218,7 +202,6 @@ def check_picard(rng: random.Random, setup: Setup) -> dict:
     }
 
 
-@_register("transposition")
 def check_transposition(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup()
     basis = op.basis
@@ -230,7 +213,6 @@ def check_transposition(rng: random.Random, setup: Setup) -> dict:
     return {"residual": res}
 
 
-@_register("reciprocity")
 def check_reciprocity(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=96)
     controls = control_basis(grid, grid.w_mask(1), 2)
@@ -242,7 +224,6 @@ def check_reciprocity(rng: random.Random, setup: Setup) -> dict:
     return {"asymmetry": gap / max(scale, 1e-300)}
 
 
-@_register("runge")
 def check_runge(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=96)
     # one node, three time frequencies: independent states, benign Gram;
@@ -264,7 +245,6 @@ def check_runge(rng: random.Random, setup: Setup) -> dict:
     }
 
 
-@_register("reaction")
 def check_reaction(rng: random.Random, setup: Setup) -> dict:
     grid, op = setup(n_t=512, T=0.5)
     model = PolyNonlinearity.single(1.0, 0.3, n_nodes=grid.n_int)
@@ -277,16 +257,19 @@ def check_reaction(rng: random.Random, setup: Setup) -> dict:
     return {"differencing_gap": gap}
 
 
-def _pyify(value):
-    """Plain-python scalars only: diagnostic payloads are serialized and
-    printed, so numpy scalar types must not leak through."""
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+CHECKS: dict[str, Callable[[random.Random, Setup], dict]] = {
+    "weights": check_weights,
+    "operator_symmetry": check_operator_symmetry,
+    "gram": check_gram,
+    "dual_norm": check_dual_norm,
+    "duhamel": check_duhamel,
+    "energy": check_energy,
+    "picard": check_picard,
+    "transposition": check_transposition,
+    "reciprocity": check_reciprocity,
+    "runge": check_runge,
+    "reaction": check_reaction,
+}
 
 
 def run_checks(names: list[str] | None = None, seed: int = 0) -> dict:
@@ -303,9 +286,9 @@ def run_checks(names: list[str] | None = None, seed: int = 0) -> dict:
         raise ValueError(f"unknown checks: {unknown}; known: {sorted(CHECKS)}")
     setup = _setups()
     results = {}
-    for name in names:
-        rng = random.Random(seed)
-        results[name] = {k: _pyify(v) for k, v in CHECKS[name](rng, setup).items()}
+    for name in names:  # numpy scalars leave as python ones, to print as plain numbers
+        diags = CHECKS[name](random.Random(seed), setup)
+        results[name] = {k: v.item() if isinstance(v, np.generic) else v for k, v in diags.items()}
     return {"seed": seed, "checks": results}
 
 

@@ -126,12 +126,16 @@ def test_config_errors_exit_with_code_2(tmp_path):
         ("invert-f", "invf.eps_pow_min=-2000", "must lie in -1023..1074"),
         ("invert-f", "invf.exponents=;invf.amps=", "at least one term"),
         ("verify", "verify.checks=,", "no checks named"),
+        ("eig", "time.T=1e-320", "dt = T/n_t = 1e-320/256 is not a finite normal float"),
+        ("eig", "domain.xmin=-1e308;domain.xmax=1e308", "h = inf on [-1e+308, 1e+308]"),
+        ("invert-q", "noise.sigma=1e160", "measured matrix contains non-finite values or its norm"),
     ],
     ids=["cfl", "window", "n_int", "order", "scale_overflow", "control", "cutoff", "no_cutoffs",
          "alpha", "no_alphas", "exponents", "one_rung", "floor", "check", "sigma",
          "window_number", "node", "invf_node", "negative_node", "node_off_window",
          "dn_freqs", "runge_freqs", "invq_freqs", "zero_amp", "model_kind",
-         "underflow_rung", "overflow_rung", "no_terms", "no_checks"],
+         "underflow_rung", "overflow_rung", "no_terms", "no_checks",
+         "subnormal_dt", "infinite_h", "measured_norm_overflow"],
 )
 def test_invalid_setup_exits_with_code_2(tmp_path, capsys, cmd, override, message):
     # a ValueError from the input guard of any library function the config
@@ -275,7 +279,8 @@ def test_non_finite_artifact_exits_with_code_1(tmp_path, capsys, monkeypatch, ar
     if artifact == "dn.json":
         monkeypatch.setattr(fracwave.dnmap, "dn_matrix", lambda *a: np.full((2, 2), np.nan))
     else:
-        monkeypatch.setitem(cli._RUNNERS, "dn", lambda *a: (0, {"misfit": np.inf}))
+        schema = cli.PIPELINES["dn"][1]
+        monkeypatch.setitem(cli.PIPELINES, "dn", (lambda *a: (0, {"misfit": np.inf}), schema))
     out = tmp_path / "o"
     assert run(["dn", "--out", str(out)] + PIPELINE_SETS["dn"]) == 1
     assert capsys.readouterr().err.startswith(
@@ -426,6 +431,26 @@ def test_run_checks_rejects_unknown_or_no_checks():
         run_checks([])
     with pytest.raises(ValueError, match=r"unknown checks: \['nosuch'\]"):
         run_checks(["weights", "nosuch"])
+
+
+def test_thresholds_bound_diagnostics_the_checks_return():
+    """CHECKS and THRESHOLDS name the same checks, and every bound names a
+    diagnostic its check returns at seed 0 (a wildcard matches at least
+    one): a renamed diagnostic would otherwise turn its bound into an
+    informational value, and a check dropped from CHECKS would vanish
+    from `verify` unnoticed.  Every diagnostic is a plain python scalar."""
+    from fracwave.verify import CHECKS, THRESHOLDS, run_checks
+
+    assert set(CHECKS) == set(THRESHOLDS)
+    checks = run_checks(seed=0)["checks"]
+    assert set(checks) == set(CHECKS)
+    for name, bounds in THRESHOLDS.items():
+        for key in bounds:
+            if key.endswith("*"):
+                assert any(k.startswith(key[:-1]) for k in checks[name]), (name, key)
+            else:
+                assert key in checks[name], (name, key)
+        assert all(type(v) in (bool, int, float) for v in checks[name].values()), name
 
 
 def test_verify_draws_are_seeded_standard_normals():

@@ -64,3 +64,15 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert not private, private
+
+
+def test_no_assert_statement_in_the_package():
+    # validation must survive `python -O`, which strips assert statements
+    package = Path(fracwave.__file__).parent
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, asserts

@@ -105,6 +105,9 @@ def test_times_grid():
         dict(w1=(0, 0)),
         dict(w2=(6,)),
         dict(w2=(-1,)),
+        dict(T=1e-320),  # subnormal dt
+        dict(T=float("inf")),
+        dict(x_min=-1e308, x_max=1e308),  # h overflows
     ],
 )
 def test_build_grid_rejects(override):

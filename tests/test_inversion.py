@@ -105,10 +105,13 @@ def test_recover_potential_rejects_shape_mismatch(small, battery):
                               controls, probes[:, 1:], op, grid)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 1e160], ids=["nan", "inf", "-inf", "norm_overflow"]
+)
 def test_recover_potential_rejects_non_finite_measured(small, battery, bad):
-    """One non-finite entry is named as the measured matrix's, before any
-    sweep runs or numpy warns (warnings are errors in this suite)."""
+    """One non-finite entry, or one whose square overflows the norm, is
+    named as the measured matrix's, before any sweep runs or numpy warns
+    (warnings are errors in this suite)."""
     grid, op, basis = small
     controls, probes = battery
     measured = fw.dn_matrix(op, grid, controls, probes, np.ones(grid.n_int))
